@@ -48,7 +48,7 @@ from typing import Any, Optional
 
 from repro.analysis.flow.facts import AND, NOT, OR, Env, Formula, FALSE, TRUE, lit
 from repro.analysis.flow.findings import Finding
-from repro.coherence.directory import Directory
+from repro.coherence.directory import Directory, DirectoryEntry
 from repro.errors import ReproError
 
 __all__ = [
@@ -742,15 +742,22 @@ class _RecordingDirectory(Directory):
         super().__init__()
         self.calls: list[Effect] = []
 
-    def record_fill_shared(self, subpage_id: int, cell_id: int) -> None:
+    def record_fill_shared(
+        self, subpage_id: int, cell_id: int, *, entry: Optional[DirectoryEntry] = None
+    ) -> None:
         self.calls.append(("record_fill_shared",))
-        super().record_fill_shared(subpage_id, cell_id)
+        super().record_fill_shared(subpage_id, cell_id, entry=entry)
 
     def record_fill_exclusive(
-        self, subpage_id: int, cell_id: int, *, atomic: bool = False
+        self,
+        subpage_id: int,
+        cell_id: int,
+        *,
+        atomic: bool = False,
+        entry: Optional[DirectoryEntry] = None,
     ) -> None:
         self.calls.append(("record_fill_exclusive", atomic))
-        super().record_fill_exclusive(subpage_id, cell_id, atomic=atomic)
+        super().record_fill_exclusive(subpage_id, cell_id, atomic=atomic, entry=entry)
 
     def demote_owner(self, subpage_id: int) -> None:
         self.calls.append(("demote_owner",))

@@ -25,7 +25,7 @@ from repro.memory.local_cache import SubpageState
 __all__ = ["DirectoryEntry", "Directory"]
 
 
-@dataclass
+@dataclass(slots=True)
 class DirectoryEntry:
     """Who holds copies of one subpage, and in what role."""
 
@@ -43,13 +43,13 @@ class DirectoryEntry:
     def check(self) -> None:
         """Validate the entry's invariants."""
         if self.owner is not None:
-            if self.sharers != {self.owner}:
+            if len(self.sharers) != 1 or self.owner not in self.sharers:
                 raise ProtocolError(
                     f"owner {self.owner} must be sole sharer, have {self.sharers}"
                 )
         elif self.atomic:
             raise ProtocolError("atomic flag without an owner")
-        if self.sharers & self.placeholders:
+        if self.placeholders and not self.sharers.isdisjoint(self.placeholders):
             raise ProtocolError(
                 f"cells {self.sharers & self.placeholders} both valid and place-holder"
             )
@@ -82,9 +82,13 @@ class Directory:
     # Transitions (each keeps the entry consistent and re-checks)
     # ------------------------------------------------------------------
 
-    def record_fill_shared(self, subpage_id: int, cell_id: int) -> None:
-        """Cell obtained a SHARED copy (read miss fill or snarf)."""
-        entry = self.entry(subpage_id)
+    def record_fill_shared(
+        self, subpage_id: int, cell_id: int, *, entry: Optional[DirectoryEntry] = None
+    ) -> None:
+        """Cell obtained a SHARED copy (read miss fill or snarf).
+        ``entry``, when given, is the subpage's entry (saves a lookup)."""
+        if entry is None:
+            entry = self.entry(subpage_id)
         if entry.owner is not None and entry.owner != cell_id:
             # the previous exclusive owner is downgraded by the protocol
             raise ProtocolError(
@@ -97,14 +101,24 @@ class Directory:
         entry.created = True
         entry.check()
 
-    def record_fill_exclusive(self, subpage_id: int, cell_id: int, *, atomic: bool = False) -> None:
+    def record_fill_exclusive(
+        self,
+        subpage_id: int,
+        cell_id: int,
+        *,
+        atomic: bool = False,
+        entry: Optional[DirectoryEntry] = None,
+    ) -> None:
         """Cell obtained the EXCLUSIVE (or ATOMIC) copy; all other valid
-        copies must already have been demoted to place-holders."""
-        entry = self.entry(subpage_id)
-        others = entry.sharers - {cell_id}
-        if others:
+        copies must already have been demoted to place-holders.
+        ``entry``, when given, is the subpage's entry (saves a lookup)."""
+        if entry is None:
+            entry = self.entry(subpage_id)
+        sharers = entry.sharers
+        if sharers and (len(sharers) > 1 or cell_id not in sharers):
             raise ProtocolError(
-                f"exclusive fill of subpage {subpage_id} with live sharers {others}"
+                f"exclusive fill of subpage {subpage_id} with live sharers "
+                f"{sharers - {cell_id}}"
             )
         entry.owner = cell_id
         entry.atomic = atomic

@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
-from repro.coherence.directory import Directory
+from repro.coherence.directory import Directory, DirectoryEntry
 from repro.coherence.ops import OutstandingFills
 from repro.coherence.snarf import ReadCombiner
 from repro.errors import ProtocolError
@@ -201,7 +201,7 @@ class CoherenceProtocol:
             return
         if not entry.has_valid_copy and not entry.created:
             # Cold access: COMA first touch allocates locally, no ring.
-            self._fill(cell_id, subpage_id, SubpageState.EXCLUSIVE, demand=True)
+            self._fill(cell_id, subpage_id, SubpageState.EXCLUSIVE, demand=True, entry=entry)
             self.n_cold_creates += 1
             cont(now)
             return
@@ -242,7 +242,7 @@ class CoherenceProtocol:
             owner_cell = self._cell(entry.owner)
             owner_cell.local_cache.set_state(subpage_id, SubpageState.SHARED)
             self.directory.demote_owner(subpage_id)
-        self._fill(cell_id, subpage_id, SubpageState.SHARED, demand=demand)
+        self._fill(cell_id, subpage_id, SubpageState.SHARED, demand=demand, entry=entry)
 
     def _snarf_placeholders(self, subpage_id: int, at: float) -> None:
         """Revalidate every INVALID place-holder as the response passes.
@@ -300,6 +300,7 @@ class CoherenceProtocol:
                 SubpageState.ATOMIC if atomic else SubpageState.EXCLUSIVE,
                 atomic=atomic,
                 demand=True,
+                entry=entry,
             )
             self.n_cold_creates += 1
             cont(now)
@@ -323,6 +324,7 @@ class CoherenceProtocol:
             SubpageState.ATOMIC if atomic else SubpageState.EXCLUSIVE,
             atomic=atomic,
             demand=True,
+            entry=entry,
         )
         cont(timing.completed_at)
 
@@ -349,18 +351,19 @@ class CoherenceProtocol:
         subpage_id: int,
         state: SubpageState,
         *,
+        entry: DirectoryEntry,
         atomic: bool = False,
         demand: bool = False,
     ) -> None:
-        """Install a copy at ``cell_id`` and mirror it in the directory.
+        """Install a copy at ``cell_id`` and mirror it in ``entry``, the
+        subpage's directory entry.
 
         ``demand`` marks fills triggered by the cell's own access, so
         the cell can charge the 16 KB page-allocation penalty to that
         access (snarfs and prefetch landings are free rides).
         """
         cell = self._cell(cell_id)
-        existing = cell.local_cache.state_of(subpage_id)
-        if existing is not None and existing.valid and state is SubpageState.SHARED:
+        if state is SubpageState.SHARED and cell.local_cache.is_valid(subpage_id):
             # already valid (e.g. combiner join raced a snarf): keep it
             pass
         else:
@@ -380,9 +383,11 @@ class CoherenceProtocol:
                 self.directory.drop_copy(evicted, cell_id)
                 cell.subcache.drop_subpage(evicted)
         if state is SubpageState.SHARED:
-            self.directory.record_fill_shared(subpage_id, cell_id)
+            self.directory.record_fill_shared(subpage_id, cell_id, entry=entry)
         else:
-            self.directory.record_fill_exclusive(subpage_id, cell_id, atomic=atomic)
+            self.directory.record_fill_exclusive(
+                subpage_id, cell_id, atomic=atomic, entry=entry
+            )
 
     # ------------------------------------------------------------------
     # get_subpage / release_subpage
@@ -506,6 +511,8 @@ class CoherenceProtocol:
     def notify_write(self, subpage_id: int, writer: int, done: float) -> None:
         """Called by the cell when a coherent write to a watched subpage
         completes; invalidated spinners trigger one combined re-read."""
+        if not self._watchers:
+            return  # nobody spins anywhere: the common case
         watchers = self._watchers.get(subpage_id)
         if not watchers:
             return
@@ -653,7 +660,7 @@ class CoherenceProtocol:
         if not entry.has_valid_copy:
             if not entry.created:
                 return  # nothing to fetch yet
-            self._fill(cell_id, subpage_id, SubpageState.SHARED)
+            self._fill(cell_id, subpage_id, SubpageState.SHARED, entry=entry)
             return
         joined = self.combiner.try_join(subpage_id, now)
         if joined is not None:

@@ -27,9 +27,8 @@ from __future__ import annotations
 from typing import Any, Callable, Optional
 
 from repro.errors import SimulationError
-from repro.machine.config import MachineConfig
+from repro.machine.config import MachineConfig, SUBPAGE_BYTES
 from repro.machine.thread import TimerModel
-from repro.memory.address import subpage_of
 from repro.memory.local_cache import LocalCache
 from repro.memory.perfmon import PerfMonitor
 from repro.memory.subcache import SubCache
@@ -56,6 +55,15 @@ __all__ = ["Cell"]
 
 class Cell:
     """One processing node of the simulated machine."""
+
+    # The access waiting on the protocol after a local-cache miss, set
+    # by _await_miss.  The cell's one thread blocks on it, so there is
+    # at most one, and the continuations read it from here instead of
+    # closing over it.
+    _miss_process: Process
+    _miss_op: Any  # the Read or Write
+    _miss_start: float
+    _miss_block_extra: float
 
     def __init__(
         self,
@@ -85,6 +93,12 @@ class Cell:
         #: window.  ``None`` (the default) costs one branch per resume.
         self.fault_delay: Optional[Callable[[float], float]] = None
         self.current_process: Optional[Process] = None
+        #: Read and Write, the ops of the memory hot path, dispatch by
+        #: exact type; every other op takes the chain in _dispatch.
+        self._access_ops: dict[type, Callable[[Process, Any], None]] = {
+            Read: self._do_read,
+            Write: self._do_write,
+        }
 
     # ------------------------------------------------------------------
     # Process driving
@@ -114,6 +128,10 @@ class Cell:
             op = process.body.send(send_value)
         except StopIteration as stop:
             process.finish(self.engine.now, stop.value)
+            return
+        access = self._access_ops.get(type(op))
+        if access is not None:
+            access(process, op)
             return
         if not isinstance(op, Op):
             raise SimulationError(
@@ -156,10 +174,6 @@ class Cell:
             self._do_compute(
                 process, op.count * self.config.latency.local_op_cycles, "local-ops"
             )
-        elif isinstance(op, Read):
-            self._do_read(process, op)
-        elif isinstance(op, Write):
-            self._do_write(process, op)
         elif isinstance(op, GetSubpage):
             process.waiting_on = f"get_subpage(0x{op.addr:x})"
             lat = self.config.latency
@@ -223,39 +237,61 @@ class Cell:
     def _do_read(self, process: Process, op: Read) -> None:
         now = self.engine.now
         lat = self.config.latency
-        sp = subpage_of(op.addr)
-
-        def finish(end: float, detail: str) -> None:
-            # The read's result is the word's value *at completion
-            # time*: sample inside the completion event, not now.
-            self._trace("read", op.addr, now, end, detail)
-            process.waiting_on = None
-            self.engine.schedule_at(end, self._deliver_read, process, op.addr)
-
+        addr = op.addr
+        sp = addr // SUBPAGE_BYTES
+        perfmon = self.perfmon
         valid_locally = self.local_cache.is_valid(sp)
-        sc = self.subcache.access(op.addr)
-        if sc.hit and valid_locally:
-            self.perfmon.subcache_hits += 1
-            finish(now + lat.subcache_hit_cycles, "subcache")
-            return
-        self.perfmon.subcache_misses += 1
+        sc = self.subcache.access(addr)
         block_extra = 0.0
         if sc.block_allocated:
-            self.perfmon.subcache_block_allocs += 1
+            perfmon.subcache_block_allocs += 1
             block_extra = lat.block_alloc_cycles
         if valid_locally:
-            self.perfmon.local_cache_hits += 1
-            finish(now + lat.local_cache_hit_cycles + block_extra, "local-cache")
+            if sc.hit:
+                perfmon.subcache_hits += 1
+                end = now + lat.subcache_hit_cycles
+                detail = "subcache"
+            else:
+                perfmon.subcache_misses += 1
+                perfmon.local_cache_hits += 1
+                end = now + lat.local_cache_hit_cycles + block_extra
+                detail = "local-cache"
+            if self.trace is not None:
+                self._trace("read", addr, now, end, detail)
+            process.waiting_on = None
+            # The read's result is the word's value *at completion
+            # time*: _deliver_read samples it inside the completion event.
+            self.engine.schedule_at(end, self._deliver_read, process, addr)
             return
-        self.perfmon.local_cache_misses += 1
-        process.waiting_on = f"read(0x{op.addr:x})"
+        perfmon.subcache_misses += 1
+        perfmon.local_cache_misses += 1
+        process.waiting_on = f"read(0x{addr:x})"
+        self._await_miss(process, op, now, block_extra)
+        self.protocol.acquire_shared(self.cell_id, sp, now, self._read_filled)
 
-        def filled(done: float) -> None:
-            extra = block_extra + self._take_page_alloc_penalty()
-            base = max(done, now + lat.local_cache_hit_cycles)
-            finish(base + extra, "remote" if done > now else "cold")
+    def _await_miss(self, process: Process, op: Op, start: float, block_extra: float) -> None:
+        self._miss_process = process
+        self._miss_op = op
+        self._miss_start = start
+        self._miss_block_extra = block_extra
 
-        self.protocol.acquire_shared(self.cell_id, sp, now, filled)
+    def _miss_end(self, done: float, extra_cycles: float) -> float:
+        """Completion time of the waiting miss whose fill finished at
+        ``done`` (never faster than a local-cache hit)."""
+        start = self._miss_start
+        extra = self._miss_block_extra + self._take_page_alloc_penalty()
+        base = max(done, start + self.config.latency.local_cache_hit_cycles)
+        return base + extra_cycles + extra
+
+    def _read_filled(self, done: float) -> None:
+        process = self._miss_process
+        addr = self._miss_op.addr
+        start = self._miss_start
+        end = self._miss_end(done, 0.0)
+        if self.trace is not None:
+            self._trace("read", addr, start, end, "remote" if done > start else "cold")
+        process.waiting_on = None
+        self.engine.schedule_at(end, self._deliver_read, process, addr)
 
     def _deliver_read(self, process: Process, addr: int) -> None:
         self._advance(process, self.protocol.peek(addr))
@@ -263,49 +299,52 @@ class Cell:
     def _do_write(self, process: Process, op: Write) -> None:
         now = self.engine.now
         lat = self.config.latency
-        sp = subpage_of(op.addr)
-        state = self.local_cache.state_of(sp)
-        sc = self.subcache.access(op.addr)
-        block_extra = lat.block_alloc_cycles if sc.block_allocated else 0.0
+        addr = op.addr
+        perfmon = self.perfmon
+        state = self.local_cache.state_of(addr // SUBPAGE_BYTES)
+        sc = self.subcache.access(addr)
+        block_extra = 0.0
         if sc.block_allocated:
-            self.perfmon.subcache_block_allocs += 1
+            perfmon.subcache_block_allocs += 1
+            block_extra = lat.block_alloc_cycles
         if state is not None and state.writable:
             if sc.hit:
-                self.perfmon.subcache_hits += 1
+                perfmon.subcache_hits += 1
                 end = now + lat.subcache_hit_cycles
             else:
-                self.perfmon.subcache_misses += 1
-                self.perfmon.local_cache_hits += 1
+                perfmon.subcache_misses += 1
+                perfmon.local_cache_hits += 1
                 end = now + lat.local_cache_hit_cycles + lat.local_write_extra_cycles + block_extra
             self._complete_write(process, op, now, end, "local")
             return
-        self.perfmon.subcache_misses += 1
+        perfmon.subcache_misses += 1
         if state is not None and state.valid:
-            self.perfmon.local_cache_hits += 1  # data present, rights missing
+            perfmon.local_cache_hits += 1  # data present, rights missing
         else:
-            self.perfmon.local_cache_misses += 1
-        process.waiting_on = f"write(0x{op.addr:x})"
+            perfmon.local_cache_misses += 1
+        process.waiting_on = f"write(0x{addr:x})"
+        self._await_miss(process, op, now, block_extra)
+        self.protocol.acquire_exclusive(self.cell_id, addr // SUBPAGE_BYTES, now, self._write_owned)
 
-        def owned(done: float) -> None:
-            extra = block_extra + self._take_page_alloc_penalty()
-            base = max(done, now + lat.local_cache_hit_cycles)
-            end = base + lat.remote_write_extra_cycles + extra
-            self._complete_write(process, op, now, end, "remote" if done > now else "cold")
-            process.waiting_on = None
-
-        self.protocol.acquire_exclusive(self.cell_id, sp, now, owned)
+    def _write_owned(self, done: float) -> None:
+        process = self._miss_process
+        start = self._miss_start
+        end = self._miss_end(done, self.config.latency.remote_write_extra_cycles)
+        self._complete_write(process, self._miss_op, start, end, "remote" if done > start else "cold")
+        process.waiting_on = None
 
     def _complete_write(
         self, process: Process, op: Write, start: float, end: float, detail: str
     ) -> None:
-        self._trace("write", op.addr, start, end, detail)
+        if self.trace is not None:
+            self._trace("write", op.addr, start, end, detail)
+        self.engine.schedule_at(end, self._commit_write, process, op)
 
-        def commit() -> None:
-            self.protocol.poke(op.addr, op.value)
-            self.protocol.notify_write(subpage_of(op.addr), self.cell_id, self.engine.now)
-            self._advance(process, None)
-
-        self.engine.schedule_at(end, commit)
+    def _commit_write(self, process: Process, op: Write) -> None:
+        addr = op.addr
+        self.protocol.poke(addr, op.value)
+        self.protocol.notify_write(addr // SUBPAGE_BYTES, self.cell_id, self.engine.now)
+        self._advance(process, None)
 
     def _take_page_alloc_penalty(self) -> float:
         if self.pending_page_alloc:

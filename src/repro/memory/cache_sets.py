@@ -8,14 +8,15 @@ subpages on demand.  Replacement is random (the paper blames this
 policy for sub-cache thrashing in SP).
 
 This module models exactly that: frames are tagged by allocation unit,
-each frame tracks which of its lines are present, and an access report
-says whether the line hit, whether the frame had to be allocated, and
-what was evicted.
+each frame is the set of its present lines, and an access report says
+whether the line hit, whether the frame had to be allocated, and what
+was evicted.  The three outcomes without an eviction are shared frozen
+constants, so the common accesses allocate nothing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -23,10 +24,10 @@ import numpy as np
 from repro.errors import MemoryModelError
 from repro.machine.config import CacheConfig
 
-__all__ = ["AccessResult", "Frame", "SetAssociativeCache"]
+__all__ = ["AccessResult", "SetAssociativeCache", "LINE_HIT", "LINE_FILL", "FRAME_ALLOC"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AccessResult:
     """Outcome of one line access.
 
@@ -39,7 +40,7 @@ class AccessResult:
     ``evicted_alloc_id``
         Allocation unit that was displaced to make room, or ``None``.
     ``evicted_lines``
-        Line ids that were present in the displaced frame (the
+        Line ids that were present in the displaced frame, sorted (the
         coherence layer must drop their state).
     """
 
@@ -54,12 +55,12 @@ class AccessResult:
         return not self.line_hit
 
 
-@dataclass
-class Frame:
-    """One allocated frame: an allocation unit plus its present lines."""
-
-    alloc_id: int
-    lines: set[int] = field(default_factory=set)
+#: The line was present.
+LINE_HIT = AccessResult(line_hit=True, frame_allocated=False)
+#: The frame was present, the line was filled into it.
+LINE_FILL = AccessResult(line_hit=False, frame_allocated=False)
+#: A frame was allocated into a free way (nothing evicted).
+FRAME_ALLOC = AccessResult(line_hit=False, frame_allocated=True)
 
 
 class SetAssociativeCache:
@@ -102,11 +103,13 @@ class SetAssociativeCache:
         self.lines_per_alloc = config.lines_per_alloc
         self.n_sets = config.n_sets
         self.ways = config.ways
-        # sets[i] maps alloc_id -> Frame; kept small (<= ways entries).
-        # Python dicts preserve insertion order, which doubles as the
-        # LRU order: on a frame touch we re-insert the key at the end,
-        # so the first key is always the least recently used.
-        self._sets: list[dict[int, Frame]] = [dict() for _ in range(self.n_sets)]
+        self._lru = policy == "lru"
+        # sets[i] maps alloc_id -> the frame's present lines; kept small
+        # (<= ways entries).  Python dicts preserve insertion order,
+        # which doubles as the LRU order: on a frame touch we re-insert
+        # the key at the end, so the first key is always the least
+        # recently used.
+        self._sets: list[dict[int, set[int]]] = [dict() for _ in range(self.n_sets)]
         self.n_accesses = 0
         self.n_line_hits = 0
         self.n_frame_allocs = 0
@@ -114,52 +117,46 @@ class SetAssociativeCache:
 
     # ------------------------------------------------------------------
 
-    def _set_of(self, alloc_id: int) -> dict[int, Frame]:
-        return self._sets[alloc_id % self.n_sets]
-
     def access(self, line_id: int) -> AccessResult:
         """Touch ``line_id``: fill it (allocating/evicting as needed).
 
-        Returns an :class:`AccessResult`; the caller charges latency
-        and informs the coherence layer about evicted lines.
+        Returns an :class:`AccessResult` — one of the shared constants
+        unless a frame was evicted; the caller charges latency and
+        informs the coherence layer about evicted lines.
         """
         if line_id < 0:
             raise MemoryModelError(f"negative line id {line_id}")
         self.n_accesses += 1
         alloc_id = line_id // self.lines_per_alloc
-        cache_set = self._set_of(alloc_id)
-        frame = cache_set.get(alloc_id)
-        if frame is not None:
-            if self.policy == "lru":
+        cache_set = self._sets[alloc_id % self.n_sets]
+        lines = cache_set.get(alloc_id)
+        if lines is not None:
+            if self._lru:
                 # re-insert at the back: dict order is recency order
-                cache_set.pop(alloc_id)
-                cache_set[alloc_id] = frame
-            if line_id in frame.lines:
+                del cache_set[alloc_id]
+                cache_set[alloc_id] = lines
+            if line_id in lines:
                 self.n_line_hits += 1
-                return AccessResult(line_hit=True, frame_allocated=False)
-            frame.lines.add(line_id)
-            return AccessResult(line_hit=False, frame_allocated=False)
+                return LINE_HIT
+            lines.add(line_id)
+            return LINE_FILL
         # Frame miss: allocate, evicting per policy if the set is full.
-        evicted_alloc: Optional[int] = None
-        evicted_lines: tuple[int, ...] = ()
-        if len(cache_set) >= self.ways:
-            if self.policy == "lru":
-                victim_key = next(iter(cache_set))
-            else:
-                victim_key = list(cache_set.keys())[
-                    int(self.rng.integers(len(cache_set)))
-                ]
-            victim = cache_set.pop(victim_key)
-            evicted_alloc = victim.alloc_id
-            evicted_lines = tuple(sorted(victim.lines))
-            self.n_evictions += 1
-        cache_set[alloc_id] = Frame(alloc_id, {line_id})
         self.n_frame_allocs += 1
+        if len(cache_set) < self.ways:
+            cache_set[alloc_id] = {line_id}
+            return FRAME_ALLOC
+        if self._lru:
+            victim_key = next(iter(cache_set))
+        else:
+            victim_key = list(cache_set)[int(self.rng.integers(len(cache_set)))]
+        victim = cache_set.pop(victim_key)
+        self.n_evictions += 1
+        cache_set[alloc_id] = {line_id}
         return AccessResult(
             line_hit=False,
             frame_allocated=True,
-            evicted_alloc_id=evicted_alloc,
-            evicted_lines=evicted_lines,
+            evicted_alloc_id=victim_key,
+            evicted_lines=tuple(sorted(victim)),
         )
 
     # ------------------------------------------------------------------
@@ -168,31 +165,30 @@ class SetAssociativeCache:
 
     def contains_line(self, line_id: int) -> bool:
         """Whether ``line_id`` is currently present."""
-        frame = self._set_of(line_id // self.lines_per_alloc).get(
-            line_id // self.lines_per_alloc
-        )
-        return frame is not None and line_id in frame.lines
+        alloc_id = line_id // self.lines_per_alloc
+        lines = self._sets[alloc_id % self.n_sets].get(alloc_id)
+        return lines is not None and line_id in lines
 
     def contains_frame(self, alloc_id: int) -> bool:
         """Whether the allocation unit has a frame (even if the
         requested line is absent)."""
-        return alloc_id in self._set_of(alloc_id)
+        return alloc_id in self._sets[alloc_id % self.n_sets]
 
     def drop_line(self, line_id: int) -> bool:
         """Remove one line (keeps the frame).  Returns whether present."""
         alloc_id = line_id // self.lines_per_alloc
-        frame = self._set_of(alloc_id).get(alloc_id)
-        if frame is None or line_id not in frame.lines:
+        lines = self._sets[alloc_id % self.n_sets].get(alloc_id)
+        if lines is None or line_id not in lines:
             return False
-        frame.lines.discard(line_id)
+        lines.discard(line_id)
         return True
 
     def drop_frame(self, alloc_id: int) -> tuple[int, ...]:
         """Remove a whole frame; returns the lines that were present."""
-        frame = self._set_of(alloc_id).pop(alloc_id, None)
-        if frame is None:
+        lines = self._sets[alloc_id % self.n_sets].pop(alloc_id, None)
+        if lines is None:
             return ()
-        return tuple(sorted(frame.lines))
+        return tuple(sorted(lines))
 
     @property
     def n_frames_used(self) -> int:

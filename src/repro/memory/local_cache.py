@@ -52,12 +52,20 @@ class SubpageState(enum.Enum):
         return self in (SubpageState.EXCLUSIVE, SubpageState.ATOMIC)
 
 
-@dataclass(frozen=True)
+_INVALID = SubpageState.INVALID
+
+
+@dataclass(frozen=True, slots=True)
 class LocalCacheFill:
     """Outcome of filling a subpage into the local cache."""
 
     page_allocated: bool
     evicted_subpages: tuple[int, ...] = ()
+
+
+# Shared outcomes of the fills that evict nothing.
+_FILLED = LocalCacheFill(page_allocated=False)
+_PAGE_ALLOCATED = LocalCacheFill(page_allocated=True)
 
 
 class LocalCache:
@@ -83,8 +91,7 @@ class LocalCache:
 
     def is_valid(self, subpage_id: int) -> bool:
         """Whether a readable copy is present."""
-        state = self._states.get(subpage_id)
-        return state is not None and state.valid
+        return self._states.get(subpage_id, _INVALID) is not _INVALID
 
     def valid_subpages(self) -> list[int]:
         """All subpages with a readable copy (diagnostics/tests)."""
@@ -104,21 +111,20 @@ class LocalCache:
         if state is SubpageState.INVALID:
             raise ProtocolError("cannot fill a subpage in INVALID state")
         result = self._cache.access(subpage_id)
-        evicted: tuple[int, ...] = ()
-        if result.evicted_lines:
-            evicted = result.evicted_lines
-            for sp in evicted:
-                self._states.pop(sp, None)
+        evicted = result.evicted_lines
+        for sp in evicted:
+            self._states.pop(sp, None)
         self._states[subpage_id] = state
         self.n_fills += 1
-        return LocalCacheFill(page_allocated=result.frame_allocated, evicted_subpages=evicted)
+        if evicted:
+            return LocalCacheFill(page_allocated=True, evicted_subpages=evicted)
+        return _PAGE_ALLOCATED if result.frame_allocated else _FILLED
 
     def set_state(self, subpage_id: int, state: SubpageState) -> None:
         """Change the state of a *present* subpage."""
         if subpage_id not in self._states:
             raise ProtocolError(
-                f"state change on absent subpage {subpage_id} "
-                f"({self._states.get(subpage_id)})"
+                f"state change to {state.name} on absent subpage {subpage_id}"
             )
         self._states[subpage_id] = state
 

@@ -18,20 +18,27 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.machine.config import CacheConfig, SUBBLOCK_BYTES, SUBPAGE_BYTES
-from repro.memory.cache_sets import SetAssociativeCache
+from repro.memory.cache_sets import FRAME_ALLOC, LINE_FILL, LINE_HIT, SetAssociativeCache
 
 __all__ = ["SubCacheAccess", "SubCache"]
 
 _SUBBLOCKS_PER_SUBPAGE = SUBPAGE_BYTES // SUBBLOCK_BYTES
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SubCacheAccess:
     """Outcome of a sub-cache word access."""
 
     hit: bool
     block_allocated: bool
     evicted_subblocks: tuple[int, ...] = ()
+
+
+# Shared outcomes of the accesses that evict nothing (only an eviction
+# allocates a result).
+_HIT = SubCacheAccess(hit=True, block_allocated=False)
+_FILL = SubCacheAccess(hit=False, block_allocated=False)
+_ALLOC = SubCacheAccess(hit=False, block_allocated=True)
 
 
 class SubCache:
@@ -43,10 +50,14 @@ class SubCache:
     def access(self, addr: int) -> SubCacheAccess:
         """Touch the sub-block containing byte ``addr``."""
         result = self._cache.access(addr // SUBBLOCK_BYTES)
+        if result is LINE_HIT:
+            return _HIT
+        if result is LINE_FILL:
+            return _FILL
+        if result is FRAME_ALLOC:
+            return _ALLOC
         return SubCacheAccess(
-            hit=result.line_hit,
-            block_allocated=result.frame_allocated,
-            evicted_subblocks=result.evicted_lines,
+            hit=False, block_allocated=True, evicted_subblocks=result.evicted_lines
         )
 
     def contains(self, addr: int) -> bool:

@@ -210,12 +210,22 @@ class Engine:
         return event
 
     def schedule_at(self, time: float, callback: Callable[..., None], *args: Any) -> Event:
-        """Schedule ``callback(*args)`` at absolute ``time``."""
-        if time < self._now:
-            raise SimulationError(
-                f"cannot schedule at t={time} which is before now={self._now}"
-            )
-        return self.schedule(time - self._now, callback, *args)
+        """Schedule ``callback(*args)`` at absolute ``time``.
+
+        The event fires at ``now + (time - now)``, which in floating
+        point need not equal ``time``.  Every pinned table and digest was
+        produced with that expression; firing at ``time`` itself can move
+        events, so it belongs to a change that re-pins them.
+        """
+        now = self._now
+        if time < now:
+            raise SimulationError(f"cannot schedule at t={time} which is before now={now}")
+        seq = self._seq
+        self._seq = seq + 1
+        tie = float(self._tie_rng.random()) if self._tie_rng is not None else float(seq)
+        event = Event(now + (time - now), seq, callback, args, tie)
+        heapq.heappush(self._queue, (event.time, tie, seq, event))
+        return event
 
     # ------------------------------------------------------------------
     # Macro-event batching seams (:mod:`repro.sim.batch`)

@@ -1,12 +1,20 @@
 """Tests for the generic set-associative cache."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import MemoryModelError
 from repro.machine.config import CacheConfig
-from repro.memory.cache_sets import SetAssociativeCache
+from repro.memory.cache_sets import (
+    FRAME_ALLOC,
+    LINE_FILL,
+    LINE_HIT,
+    AccessResult,
+    SetAssociativeCache,
+)
 
 
 def small_cache(ways=2, alloc_bytes=256, line_bytes=64, sets=4, seed=0):
@@ -72,6 +80,43 @@ class TestEviction:
             if r.evicted_alloc_id is not None:
                 victims.add(r.evicted_alloc_id % 2)
         assert victims == {0, 1}
+
+
+class TestSharedResults:
+    """The outcomes without an eviction are shared constants."""
+
+    def test_no_eviction_outcomes_are_the_shared_constants(self):
+        c = small_cache()
+        assert c.access(0) is FRAME_ALLOC
+        assert c.access(1) is LINE_FILL
+        assert c.access(1) is LINE_HIT
+
+    def test_shared_constants_describe_their_outcome(self):
+        assert (LINE_HIT.line_hit, LINE_HIT.frame_allocated) == (True, False)
+        assert (LINE_FILL.line_hit, LINE_FILL.frame_allocated) == (False, False)
+        assert (FRAME_ALLOC.line_hit, FRAME_ALLOC.frame_allocated) == (False, True)
+        for shared in (LINE_HIT, LINE_FILL, FRAME_ALLOC):
+            assert shared.evicted_alloc_id is None and shared.evicted_lines == ()
+
+    @pytest.mark.parametrize("shared", [LINE_HIT, LINE_FILL, FRAME_ALLOC])
+    def test_shared_constants_are_frozen(self, shared):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            shared.line_hit = not shared.line_hit
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            shared.evicted_lines = (1,)
+        # slotted: no per-instance dict to smuggle state into either
+        with pytest.raises((AttributeError, TypeError)):
+            shared.extra = 1
+
+    def test_eviction_allocates_a_fresh_result(self):
+        c = small_cache(ways=1, sets=1)
+        lpa = c.lines_per_alloc
+        c.access(0)
+        r = c.access(lpa)
+        assert type(r) is AccessResult
+        assert all(r is not shared for shared in (LINE_HIT, LINE_FILL, FRAME_ALLOC))
+        assert r.frame_allocated and not r.line_hit
+        assert (r.evicted_alloc_id, r.evicted_lines) == (0, (0,))
 
 
 class TestMaintenance:

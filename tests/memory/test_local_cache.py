@@ -1,5 +1,7 @@
 """Tests for the second-level (local) cache and its coherence states."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -60,7 +62,7 @@ class TestStates:
 
     def test_set_state_requires_presence(self):
         lc = make_local_cache()
-        with pytest.raises(ProtocolError):
+        with pytest.raises(ProtocolError, match="to EXCLUSIVE on absent subpage 3"):
             lc.set_state(3, SubpageState.EXCLUSIVE)
 
     def test_drop_removes_completely(self):
@@ -82,6 +84,15 @@ class TestAllocation:
         first = lc.fill(0, SubpageState.SHARED)  # page 0
         second = lc.fill(1, SubpageState.SHARED)  # same 16 KB page
         assert first.page_allocated and not second.page_allocated
+
+    def test_fills_without_eviction_share_frozen_outcomes(self):
+        lc = make_local_cache()
+        first = lc.fill(0, SubpageState.SHARED)
+        assert lc.fill(128, SubpageState.SHARED) is first  # another fresh page
+        same_page = lc.fill(1, SubpageState.SHARED)
+        assert lc.fill(2, SubpageState.EXCLUSIVE) is same_page
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            first.page_allocated = False
 
     def test_eviction_reports_displaced_subpages(self):
         lc = make_local_cache()

@@ -65,3 +65,40 @@ class TestLru:
             return c.hit_rate
 
         assert hit_rate("lru") == hit_rate("random") == pytest.approx(2 / 3)
+
+
+class TestEvictedLines:
+    """An eviction reports the displaced frame's present lines, sorted,
+    under either policy."""
+
+    @pytest.mark.parametrize("policy", ["random", "lru"])
+    def test_evicted_lines_sorted(self, policy):
+        c = cache(policy)
+        lpa = c.lines_per_alloc
+        # fill units 0 and 4 of set 0 out of order, leaving gaps
+        for line in (3, 0, 2):
+            c.access(0 * lpa + line)
+        for line in (2, 1):
+            c.access(4 * lpa + line)
+        r = c.access(8 * lpa)  # set full: one of the two is displaced
+        assert r.evicted_alloc_id in (0, 4)
+        expected = {0: (0, 2, 3), 4: (4 * lpa + 1, 4 * lpa + 2)}[r.evicted_alloc_id]
+        assert r.evicted_lines == expected
+        assert not any(c.contains_line(line) for line in expected)
+        assert c.contains_line(8 * lpa)
+
+    def test_lru_victim_lines(self):
+        c = cache("lru")
+        lpa = c.lines_per_alloc
+        c.access(1)
+        c.access(0)
+        c.access(4 * lpa)
+        r = c.access(8 * lpa)
+        assert (r.evicted_alloc_id, r.evicted_lines) == (0, (0, 1))
+
+    @pytest.mark.parametrize("policy", ["random", "lru"])
+    def test_drop_frame_reports_sorted_lines(self, policy):
+        c = cache(policy)
+        for line in (3, 1, 2):
+            c.access(line)
+        assert c.drop_frame(0) == (1, 2, 3)

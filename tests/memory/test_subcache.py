@@ -1,5 +1,7 @@
 """Tests for the first-level (sub-)cache model."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -60,6 +62,40 @@ class TestAccessPatterns:
         assert sc.n_accesses == 3
         assert sc.n_misses == 2
         assert sc.hit_rate == pytest.approx(1 / 3)
+
+
+class TestSharedOutcomes:
+    def test_no_eviction_outcomes_are_shared(self):
+        sc = make_subcache()
+        first = sc.access(0x1000)
+        assert first.block_allocated and not first.hit
+        assert sc.access(0x2000) is first  # another fresh block
+        fill = sc.access(0x1000 + SUBBLOCK_BYTES)
+        assert not fill.hit and not fill.block_allocated
+        hit = sc.access(0x1000)
+        assert hit.hit and sc.access(0x1008) is hit
+
+    def test_shared_outcomes_are_frozen(self):
+        sc = make_subcache()
+        for outcome in (sc.access(0), sc.access(64), sc.access(0)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                outcome.hit = not outcome.hit
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                outcome.evicted_subblocks = (1,)
+
+    def test_eviction_reports_the_sorted_subblocks(self):
+        sc = make_subcache()
+        cfg = MachineConfig.ksr1(1).subcache
+        set_stride = cfg.n_sets * cfg.alloc_bytes  # same set, next tag
+        sc.access(3 * SUBBLOCK_BYTES)
+        sc.access(0)
+        sc.access(set_stride)
+        evicting = sc.access(2 * set_stride)  # 2-way set overflows
+        assert evicting.block_allocated and not evicting.hit
+        assert evicting.evicted_subblocks in (
+            (0, 3),
+            (set_stride // SUBBLOCK_BYTES,),
+        )
 
 
 class TestCapacityBehaviour:

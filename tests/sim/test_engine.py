@@ -54,6 +54,41 @@ class TestScheduling:
         eng.run()
         assert fired == ["again"]
 
+    def test_schedule_at_consumes_exactly_one_seq(self):
+        eng = Engine()
+        eng.schedule(1, lambda: None)
+        before = eng.events_scheduled
+        event = eng.schedule_at(5.0, lambda: None)
+        assert eng.events_scheduled == before + 1
+        assert event.seq == before
+        assert eng.schedule(0, lambda: None).seq == before + 1
+
+    def test_schedule_at_before_now_raises_and_consumes_nothing(self):
+        eng = Engine()
+        eng.schedule(10, lambda: None)
+        eng.run()
+        before = eng.events_scheduled
+        with pytest.raises(SimulationError):
+            eng.schedule_at(9.999, lambda: None)
+        assert eng.events_scheduled == before
+        assert eng.pending == 0
+
+    def test_schedule_at_fires_at_now_plus_delay_not_at_time(self):
+        # `now + (time - now)` rounds differently from `time` for these
+        # two values; the engine keeps the former (see the docstring).
+        now, time = 8.194141106127972, 9622.389240556373
+        expected = now + (time - now)
+        assert expected != time
+        eng = Engine()
+        eng.schedule(now, lambda: None)
+        eng.run()
+        assert eng.now == now
+        seen = []
+        event = eng.schedule_at(time, lambda: seen.append(eng.now))
+        assert event.time == expected
+        eng.run()
+        assert seen == [expected]
+
     def test_events_scheduled_from_callbacks(self):
         eng = Engine()
         fired = []
