@@ -1,6 +1,8 @@
 """Engine throughput meter: events/sec on the pinned acceptance workloads.
 
-Two workloads, each run with the macro-event batching core off and on:
+Two workloads, each run on the default machine (macro-event batching
+on) and on the per-event reference (the same machine with
+``protocol.batch_advancer = None``):
 
 * **fig3** — 32 processors fighting over one hardware exclusive lock
   (the paper's Figure 3 point with the most ring traffic; >90 % of
@@ -15,6 +17,9 @@ Measured by the engine's own ``Engine.stats`` counter.  Usable as::
     python benchmarks/engine_bench.py --out bench.json # also write JSON
     python benchmarks/engine_bench.py --check          # exit 1 if batching
                                                        # does not pay on fig3
+
+Rows are labelled ``batching: on`` (default) and ``batching: off``
+(per-event reference).
 
 The JSON entry shape matches the committed ``BENCH_engine.json`` history
 file at the repository root, so a new measurement can be appended
@@ -44,11 +49,19 @@ WORKLOAD_FIG4 = "fig4 counter-barrier workload: 16 procs, 40 reps, seed 404"
 _INTER_EPISODE_OPS = 20
 
 
-def _record(machine: KsrMachine, workload: str, batching: bool) -> dict:
+def _machine(config: MachineConfig, reference: bool) -> KsrMachine:
+    """The default machine, or with ``reference`` its per-event twin."""
+    machine = KsrMachine(config)
+    if reference:
+        machine.protocol.batch_advancer = None
+    return machine
+
+
+def _record(machine: KsrMachine, workload: str) -> dict:
     stats = machine.engine.stats
     return {
         "workload": workload,
-        "batching": "on" if batching else "off",
+        "batching": "off" if machine.protocol.batch_advancer is None else "on",
         "events": stats.events_fired,
         "batched_events": stats.batched_events,
         "wall_seconds": round(stats.wall_seconds, 4),
@@ -57,21 +70,19 @@ def _record(machine: KsrMachine, workload: str, batching: bool) -> dict:
 
 
 def measure(
-    n_procs: int = 32, ops: int = 30, seed: int = 303, *, batching: bool = False
+    n_procs: int = 32, ops: int = 30, seed: int = 303, *, reference: bool = False
 ) -> dict:
     """Run the fig3 lock workload once; return engine throughput stats."""
-    machine = KsrMachine(
-        MachineConfig.ksr1(n_cells=n_procs, seed=seed, enable_batching=batching)
-    )
+    machine = _machine(MachineConfig.ksr1(n_cells=n_procs, seed=seed), reference)
     mem = SharedMemory(machine)
     lock = HardwareExclusiveLock(mem)
     params = LockWorkloadParams(ops_per_processor=ops, read_fraction=0.0, seed=seed)
     run_lock_workload(machine, lock, params, n_threads=n_procs)
-    return _record(machine, WORKLOAD, batching)
+    return _record(machine, WORKLOAD)
 
 
 def measure_fig4(
-    n_procs: int = 16, reps: int = 40, seed: int = 404, *, batching: bool = False
+    n_procs: int = 16, reps: int = 40, seed: int = 404, *, reference: bool = False
 ) -> dict:
     """Run the fig4 counter-barrier workload once; return engine stats.
 
@@ -79,13 +90,9 @@ def measure_fig4(
     inter-episode compute) so the event population is the one the
     figure-4 sweep generates.
     """
-    machine = KsrMachine(
-        MachineConfig.ksr1(
-            n_cells=n_procs,
-            seed=seed,
-            timer=TimerConfig(enabled=False),
-            enable_batching=batching,
-        )
+    machine = _machine(
+        MachineConfig.ksr1(n_cells=n_procs, seed=seed, timer=TimerConfig(enabled=False)),
+        reference,
     )
     mem = SharedMemory(machine)
     barrier = make_barrier("counter", mem, n_procs)
@@ -98,16 +105,16 @@ def measure_fig4(
     for i in range(n_procs):
         machine.spawn(f"bar-{i}", body(i), i)
     machine.run()
-    return _record(machine, WORKLOAD_FIG4, batching)
+    return _record(machine, WORKLOAD_FIG4)
 
 
 def run_all() -> list[dict]:
-    """All four pinned measurements: both workloads, batching off/on."""
+    """All four pinned measurements: both workloads, reference and default."""
     return [
-        measure(batching=False),
-        measure(batching=True),
-        measure_fig4(batching=False),
-        measure_fig4(batching=True),
+        measure(reference=True),
+        measure(),
+        measure_fig4(reference=True),
+        measure_fig4(),
     ]
 
 

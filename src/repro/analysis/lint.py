@@ -32,13 +32,12 @@ coding rules that nothing in Python enforces:
     with an explicit seed is fine — the rule targets the stateful
     legacy constructors.)  ``util/rng.py`` itself is exempt.
 
-``KSR114`` — ring grant heaps are mutated only by the blessed sites.
+``KSR114`` — ring grant heaps are mutated only by the one grant site.
     A sub-ring's ``(free_time, slot)`` heap (the ``_free`` table of
     :class:`~repro.ring.slotted_ring.SlottedRing`) is replaced-into by
-    exactly two pieces of code: ``SlottedRing._claim`` (the per-event
-    grant) and the macro-event ``BatchAdvancer`` (its bit-exact
-    closed-form inline).  A ``heapreplace`` against ``_free`` anywhere
-    else is a third copy of the grant arithmetic waiting to drift.
+    ``SlottedRing._claim`` alone; the macro-event ``BatchAdvancer``
+    calls that method too.  A ``heapreplace`` against ``_free`` anywhere
+    else is a second copy of the grant arithmetic waiting to drift.
 
 The pass is a heuristic AST walk.  Direct spellings and the
 single-assignment alias (``cache = cell.local_cache; cache.fill(...)``,
@@ -88,10 +87,8 @@ TIME_ATTRS = frozenset(
 TIME_NAMES = frozenset({"now"})
 #: The grant-heap attribute guarded by KSR114.
 GRANT_HEAP_ATTR = "_free"
-#: Classes whose bodies may ``heapreplace`` a grant heap (KSR114): the
-#: per-event claim path and the macro-event batch advancers.
-GRANT_HEAP_CLASSES = frozenset({"BatchAdvancer"})
-#: (class, method) sites likewise allowed.
+#: The (class, method) sites that may ``heapreplace`` a grant heap
+#: (KSR114): the slot claim every ring transaction goes through.
 GRANT_HEAP_METHODS = frozenset({("SlottedRing", "_claim")})
 
 
@@ -173,8 +170,6 @@ class _Visitor(ast.NodeVisitor):
 
     def _grant_heap_site(self) -> bool:
         """Whether the current scope may mutate a grant heap."""
-        if any(cls in GRANT_HEAP_CLASSES for cls in self._class_stack):
-            return True
         return any(
             cls in self._class_stack and fn in self._func_stack
             for cls, fn in GRANT_HEAP_METHODS
@@ -274,8 +269,8 @@ class _Visitor(ast.NodeVisitor):
                 node,
                 "KSR114",
                 "heapreplace on a ring grant heap (_free) outside "
-                "SlottedRing._claim / BatchAdvancer — the grant arithmetic "
-                "lives in exactly those two places",
+                "SlottedRing._claim — the grant arithmetic lives in "
+                "exactly that one place",
             )
         self.generic_visit(node)
 

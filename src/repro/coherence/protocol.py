@@ -118,9 +118,9 @@ class CoherenceProtocol:
         #: transaction and touch no fault counters.
         self.fault_accounting = False
         #: The macro-event layer (:class:`repro.ring.batch.BatchAdvancer`),
-        #: wired by :class:`~repro.machine.ksr.KsrMachine` when
-        #: ``MachineConfig.enable_batching`` is set; ``None`` keeps the
-        #: per-event retry closures.
+        #: always wired by :class:`~repro.machine.ksr.KsrMachine`.
+        #: ``None`` — standalone protocols, or a test forcing the
+        #: reference — keeps the per-event retry closures.
         self.batch_advancer: Optional[Any] = None
 
     # ------------------------------------------------------------------

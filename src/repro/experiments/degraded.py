@@ -110,21 +110,18 @@ def degraded_lock_point(
     seed: int = 303,
     plan: FaultPlan = FaultPlan(),
     obs: ObsSpec | None = None,
-    batching: bool = False,
 ) -> DegradedPoint:
     """The figure-3 lock point under ``plan``.
 
     Mirrors :func:`repro.experiments.locks.measure_lock` exactly —
     same config, seeding and workload — so a zero plan reproduces the
     clean measurement to the bit (pinned by the fault tests).
-    ``batching`` enables the macro-event core; with a non-trivial plan
-    attached, every fault seam forces the per-event path, so the point
-    is byte-identical either way (pinned by the equivalence tests).
+    With a non-trivial plan attached, every fault seam forces the
+    per-event retry path, so the macro-event core never changes the
+    point (pinned by the equivalence tests).
     """
     _check_dead_cells_clear(plan, n_procs)
-    config = MachineConfig.ksr1(
-        n_cells=_machine_cells(plan, n_procs), seed=seed, enable_batching=batching
-    )
+    config = MachineConfig.ksr1(n_cells=_machine_cells(plan, n_procs), seed=seed)
     machine = KsrMachine(config)
     injector = FaultInjector(plan).attach(machine)
     observer = Observer(obs).attach(machine) if obs is not None else None

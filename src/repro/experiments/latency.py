@@ -65,12 +65,9 @@ class LatencyMeasurement:
         return self.mean_latency_s * 20e6
 
 
-def _quiet(n_procs: int, seed: int, batching: bool = False) -> KsrMachine:
+def _quiet(n_procs: int, seed: int) -> KsrMachine:
     config = MachineConfig.ksr1(
-        n_cells=max(2, n_procs),
-        seed=seed,
-        timer=TimerConfig(enabled=False),
-        enable_batching=batching,
+        n_cells=max(2, n_procs), seed=seed, timer=TimerConfig(enabled=False)
     )
     return KsrMachine(config)
 
@@ -103,7 +100,6 @@ def measure_latencies(
     seed: int = 101,
     samples: int = _SAMPLES,
     obs: ObsSpec | None = None,
-    batching: bool = False,
 ) -> LatencyMeasurement | tuple[LatencyMeasurement, ObsCapture]:
     """One (level, op, P) measurement on a fresh machine.
 
@@ -122,7 +118,7 @@ def measure_latencies(
         raise ConfigError(f"unknown op {op!r}")
     if stride_bytes is None:
         stride_bytes = SUBBLOCK_BYTES if level == "local" else SUBPAGE_BYTES
-    machine = _quiet(n_procs, seed, batching)
+    machine = _quiet(n_procs, seed)
     observer = Observer(obs).attach(machine) if obs is not None else None
     mem = SharedMemory(machine)
     # the timed sweep must never wrap, or revisits become cache hits

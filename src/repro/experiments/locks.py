@@ -42,19 +42,14 @@ def measure_lock(
     ops: int = _DEFAULT_OPS,
     seed: int = 303,
     obs: ObsSpec | None = None,
-    batching: bool = False,
 ) -> float | tuple[float, ObsCapture]:
     """Total seconds for one (lock kind, P, read fraction) point.
 
     With ``obs`` set, an :class:`~repro.obs.Observer` rides along (the
     probes are read-only, so the timing is unchanged) and the return
-    value becomes ``(seconds, capture)``.  ``batching`` turns on the
-    macro-event core (:mod:`repro.sim.batch`) — byte-identical results,
-    faster wall clock; the equivalence tests pin the identity.
+    value becomes ``(seconds, capture)``.
     """
-    config = MachineConfig.ksr1(
-        n_cells=max(2, n_procs), seed=seed, enable_batching=batching
-    )
+    config = MachineConfig.ksr1(n_cells=max(2, n_procs), seed=seed)
     machine = KsrMachine(config)
     observer = Observer(obs).attach(machine) if obs is not None else None
     mem = SharedMemory(machine)

@@ -38,7 +38,6 @@ from typing import Sequence
 
 from repro.errors import ConfigError
 from repro.machine.config import MachineConfig
-from repro.kernels.vectorized import MemoizedAnalyticCache
 from repro.memory.analytic_cache import AnalyticCache
 from repro.memory.streams import AccessStream
 from repro.ring.contention import RingLoadModel
@@ -136,12 +135,8 @@ class KernelCostModel:
 
     def __init__(self, config: MachineConfig):
         self.config = config
-        # With batching enabled, cache simulations are memoized by
-        # stream content — same floats, fewer fixpoint solves (see
-        # repro.kernels.vectorized for the exactness argument).
-        cache_cls = MemoizedAnalyticCache if config.enable_batching else AnalyticCache
-        self.subcache_model = cache_cls(config.subcache)
-        self.local_model = cache_cls(config.local_cache)
+        self.subcache_model = AnalyticCache(config.subcache)
+        self.local_model = AnalyticCache(config.local_cache)
         self.load_model = RingLoadModel(config.ring)
 
     def phase_cost(self, work: PhaseWork) -> PhaseCost:

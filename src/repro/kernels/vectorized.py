@@ -1,123 +1,31 @@
-"""Vectorized kernel-phase pricing: memoized cache simulation and
-translated stream construction.
+"""Translated stream construction for per-processor kernel phases.
 
-The NAS kernel models price every processor's phase through
-:meth:`repro.memory.analytic_cache.AnalyticCache.simulate`, which is a
-pure function of the stream *content* (subpage ids, weights, write
-fraction) and the iteration count.  Sweeps evaluate the same content
-over and over: SP's y and z sweeps build identical per-processor
-streams, poststore/prefetch/padding variants differ only in scalars
-applied *outside* the cache model, and ``scaling()`` re-runs every
-processor count of a ladder.  :class:`MemoizedAnalyticCache` exploits
-that purity with a content-addressed result cache.
+The NAS kernel models give every processor its own stream, and most of
+those streams are processor 0's moved up the address space.
+:func:`shift_stream` builds them by translation: any stream translated
+by a whole number of subpages equals the stream rebuilt at the shifted
+base (every builder in :mod:`repro.memory.streams` maps words to
+subpages by integer division, so a subpage-aligned shift moves all ids
+uniformly and preserves every run boundary).  Kernels use it to derive
+per-processor streams from processor 0's without re-running
+``arange``/``_compress``.
 
-Two refinements make the memo hit far more often than literal equality
-would:
-
-* **translation invariance** — the model depends on subpage ids only
-  through equality patterns (reuse distances, run boundaries) and
-  frame ids ``subpages // alloc_subpages``.  Translating every id by a
-  multiple of the allocation unit changes neither, so the memo key is
-  the digest of the *relative* id array plus ``first_subpage mod
-  alloc_subpages``: processor ``p``'s stream, a shifted copy of
-  processor 0's, prices once for all ``p`` whenever the shift is
-  frame-aligned.
-* **digest caching** — :class:`~repro.memory.streams.AccessStream` is
-  frozen but not slotted, so the digest is computed once per stream
-  object and pinned on it (``object.__setattr__``), making repeat
-  lookups O(1).
-
-:func:`shift_stream` is the construction-side dual: any stream
-translated by a whole number of subpages equals the stream rebuilt at
-the shifted base (every builder in :mod:`repro.memory.streams` maps
-words to subpages by integer division, so a subpage-aligned shift
-moves all ids uniformly and preserves every run boundary).  Kernels
-use it to derive per-processor streams from processor 0's without
-re-running ``arange``/``_compress``.
-
-Everything here is exact — memoized pricing returns the very float
-values the unmemoized model computes, and shifted construction the very
-arrays direct construction builds — so only the memo (a memory-for-time
-trade) is gated behind ``MachineConfig.enable_batching``; shifted
-construction is unconditional.  ``tests/kernels/test_vectorized.py``
-pins both equalities.
+It is the construction-side dual of the pricing memo in
+:class:`repro.memory.analytic_cache.AnalyticCache`, which keys on
+content relative to the first id: a frame-aligned shift prices from the
+memo.  Shifted construction builds the very arrays direct construction
+builds; ``tests/kernels/test_vectorized.py`` pins that equality and the
+memo's.
 """
 
 from __future__ import annotations
 
-import struct
-from hashlib import blake2b
-
 import numpy as np
 
-from repro.machine.config import SUBPAGE_BYTES, CacheConfig
-from repro.memory.analytic_cache import AnalyticCache, CacheModelResult
+from repro.machine.config import SUBPAGE_BYTES
 from repro.memory.streams import AccessStream
 
-__all__ = ["MemoizedAnalyticCache", "shift_stream", "stream_fingerprint"]
-
-#: Attribute name the cached fingerprint is pinned under (the stream
-#: dataclass is frozen; ``object.__setattr__`` bypasses that for this
-#: derived, content-determined value).
-_FP_ATTR = "_vectorized_fingerprint"
-
-
-def stream_fingerprint(stream: AccessStream) -> tuple[bytes, int]:
-    """``(relative-content digest, first subpage id)`` of a stream.
-
-    The digest covers the subpage ids *relative to the first*, the
-    weights and the write fraction — everything
-    :meth:`AnalyticCache.simulate` reads except the absolute position,
-    which re-enters the memo key only modulo the cache's allocation
-    unit.  Computed once per stream object, then cached on it.
-    """
-    cached = getattr(stream, _FP_ATTR, None)
-    if cached is not None:
-        return cached
-    ids = stream.subpages
-    first = int(ids[0]) if ids.size else 0
-    h = blake2b(digest_size=16)
-    h.update(np.ascontiguousarray(ids - first).tobytes())
-    h.update(np.ascontiguousarray(stream.weights).tobytes())
-    h.update(struct.pack("<d", stream.write_fraction))
-    fingerprint = (h.digest(), first)
-    object.__setattr__(stream, _FP_ATTR, fingerprint)
-    return fingerprint
-
-
-class MemoizedAnalyticCache(AnalyticCache):
-    """An :class:`AnalyticCache` with a content-addressed result memo.
-
-    Safe to substitute anywhere: :class:`CacheModelResult` is frozen,
-    and two streams hash to the same key only when the model provably
-    computes identical results for them (same relative content, same
-    frame alignment, same iteration count).  Installed by
-    :class:`repro.kernels.costmodel.KernelCostModel` when the machine
-    config enables batching.
-    """
-
-    def __init__(self, config: CacheConfig):
-        super().__init__(config)
-        self._memo: dict[tuple[bytes, int, int], CacheModelResult] = {}
-        #: Memo telemetry (read by benchmarks and tests).
-        self.memo_hits = 0
-        self.memo_misses = 0
-
-    def simulate(self, stream: AccessStream, *, iterations: int = 1) -> CacheModelResult:
-        """Memo-served :meth:`AnalyticCache.simulate` — identical result,
-        keyed by (relative-content digest, frame offset, iterations)."""
-        if not stream.subpages.size:
-            return super().simulate(stream, iterations=iterations)
-        digest, first = stream_fingerprint(stream)
-        key = (digest, first % self.alloc_subpages, iterations)
-        result = self._memo.get(key)
-        if result is not None:
-            self.memo_hits += 1
-            return result
-        result = super().simulate(stream, iterations=iterations)
-        self._memo[key] = result
-        self.memo_misses += 1
-        return result
+__all__ = ["shift_stream"]
 
 
 def shift_stream(stream: AccessStream, delta_bytes: int) -> AccessStream | None:

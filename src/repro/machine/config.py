@@ -33,6 +33,12 @@ The KSR-2 differs *only* in CPU clock speed (the paper, section 2 and
 their latencies are constant in *seconds* and therefore double when
 expressed in the KSR-2's CPU cycles; the sub-cache is part of the CPU
 pipeline and stays at 2 cycles.
+
+Only the modelled machine is configured here.  The simulator's
+byte-identical speed-ups — macro-event batching of hardware retries
+(:mod:`repro.ring.batch`) and memoized kernel pricing
+(:class:`repro.memory.analytic_cache.AnalyticCache`) — are not options:
+every machine runs them.
 """
 
 from __future__ import annotations
@@ -273,12 +279,6 @@ class MachineConfig:
     #: revalidation) is a headline KSR feature; disable for ablation
     #: studies of what the global-wakeup barriers owe to it.
     enable_snarfing: bool = True
-    #: Macro-event batching (:mod:`repro.ring.batch`): coalesce
-    #: contention-free hardware-retry runs into closed-form advances and
-    #: memoize analytic kernel phase pricing.  Off by default; when on,
-    #: every simulated outcome is byte-identical to the per-event path
-    #: (pinned by the batch-equivalence tests) — only wall-clock changes.
-    enable_batching: bool = False
 
     def __post_init__(self) -> None:
         if self.n_cells < 1:
@@ -356,7 +356,6 @@ class MachineConfig:
         *,
         seed: int = 20130101,
         timer: TimerConfig | None = None,
-        enable_batching: bool = False,
     ) -> "MachineConfig":
         """The published 20 MHz KSR-1 (default: the paper's 32-cell ring).
 
@@ -395,7 +394,6 @@ class MachineConfig:
             latency=LatencyConfig(),
             timer=timer if timer is not None else TimerConfig(),
             seed=seed,
-            enable_batching=enable_batching,
         )
 
     @staticmethod
@@ -404,7 +402,6 @@ class MachineConfig:
         *,
         seed: int = 20130101,
         timer: TimerConfig | None = None,
-        enable_batching: bool = False,
     ) -> "MachineConfig":
         """The 40 MHz KSR-2 (default: the paper's two-ring 64-cell box).
 
@@ -413,9 +410,7 @@ class MachineConfig:
         double when expressed in CPU cycles, while the pipeline-coupled
         sub-cache stays at 2 cycles.
         """
-        base = MachineConfig.ksr1(
-            n_cells=32, seed=seed, timer=timer, enable_batching=enable_batching
-        )
+        base = MachineConfig.ksr1(n_cells=32, seed=seed, timer=timer)
         ring = replace(
             base.ring,
             hop_cycles=base.ring.hop_cycles * 2,

@@ -58,8 +58,7 @@ class KsrMachine:
         self.engine = Engine()
         self.hierarchy = RingHierarchy(config, self.seeds)
         self.protocol = CoherenceProtocol(config, self.engine, self.hierarchy)
-        if config.enable_batching:
-            self.protocol.batch_advancer = BatchAdvancer(self.engine, self.hierarchy)
+        self.protocol.batch_advancer = BatchAdvancer(self.engine, self.hierarchy)
         self.trace = trace
         self.cells = [
             Cell(i, config, self.engine, self.protocol, self.seeds, trace)

@@ -38,7 +38,9 @@ Accuracy is validated against the exact event-level caches of
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
+from hashlib import blake2b
 
 import numpy as np
 
@@ -52,31 +54,64 @@ __all__ = [
     "time_distances",
     "fixpoint_miss_ratio",
     "set_full_probability",
+    "stream_fingerprint",
 ]
 
+#: Attribute name the cached fingerprint is pinned under (the stream
+#: dataclass is frozen; ``object.__setattr__`` bypasses that for this
+#: derived, content-determined value).
+_FP_ATTR = "_stream_fingerprint"
 
-def time_distances(ids: np.ndarray) -> tuple[np.ndarray, int]:
+
+def time_distances(ids: np.ndarray, iterations: int = 1) -> tuple[np.ndarray, int]:
     """Per-access distance (in accesses) to the previous touch of the
     same id; cold (first) touches get distance -1.
 
     Returns ``(distances, n_cold)``.  Vectorized: group positions by id
     via a stable argsort, difference within groups.
+
+    With ``iterations = k > 1`` the distances are those of ``ids``
+    played ``k`` times back to back and run-length compressed (what
+    :meth:`AccessStream.repeated` builds), derived from the one sort of
+    one copy.  Copy 1 keeps its own distances.  In every later copy a
+    repeat touch keeps its in-copy distance, and an id's first touch
+    reaches back to its last touch in the previous copy, ``period -
+    last + i`` accesses earlier.  The period is the copy length, or one
+    less when the first id equals the last: compression then fuses each
+    copy's first touch into the previous copy's last, so the k-fold
+    stream is ``ids[0]`` followed by ``ids[1:]`` k times.
     """
     ids = np.ascontiguousarray(ids)
+    if iterations > 1 and ids.size > 1:
+        runs = ids[1:] != ids[:-1]
+        if not runs.all():
+            ids = ids[np.concatenate(([True], runs))]
     n = ids.size
     if n == 0:
         return np.empty(0, dtype=np.int64), 0
     order = np.argsort(ids, kind="stable")  # groups ids, positions ascending
     sorted_ids = ids[order]
-    sorted_pos = order.astype(np.int64)
-    prev = np.empty(n, dtype=np.int64)
-    prev[1:] = np.where(sorted_ids[1:] == sorted_ids[:-1], sorted_pos[:-1], -1)
-    prev[0] = -1
-    dist_sorted = np.where(prev >= 0, sorted_pos - prev, -1)
-    distances = np.empty(n, dtype=np.int64)
-    distances[order] = dist_sorted
-    n_cold = int(np.count_nonzero(distances < 0))
-    return distances, n_cold
+    # group starts in sorted order: the first touch of each id
+    firsts = np.concatenate(([0], np.flatnonzero(sorted_ids[1:] != sorted_ids[:-1]) + 1))
+    gap = np.empty(n, dtype=np.int64)
+    np.subtract(order[1:], order[:-1], out=gap[1:])
+    gap[firsts] = -1
+    fused = int(iterations > 1 and ids[0] == ids[-1])
+    period = n - fused
+    distances = np.empty(n + (iterations - 1) * period, dtype=np.int64)
+    distances[order] = gap
+    if iterations == 1:
+        return distances, firsts.size
+    distances[n:n + period] = distances[fused:n]
+    first_pos = order[firsts]
+    lasts = np.append(firsts[1:], n) - 1  # group ends in sorted order
+    wrap = period - order[lasts] + first_pos
+    if fused:  # ids[0]'s first touch is fused into copy 1's last
+        keep = first_pos > 0
+        first_pos, wrap = first_pos[keep], wrap[keep]
+    distances[n - fused + first_pos] = wrap
+    distances[n:].reshape(iterations - 1, period)[1:] = distances[n:n + period]
+    return distances, firsts.size
 
 
 def set_full_probability(n_distinct: int, n_sets: int, ways: int, n_frames: int) -> float:
@@ -165,6 +200,30 @@ class CacheModelResult:
         return self.n_word_accesses - self.expected_line_misses
 
 
+def stream_fingerprint(stream: AccessStream) -> tuple[bytes, int]:
+    """``(relative-content digest, first subpage id)`` of a stream.
+
+    The digest covers the subpage ids *relative to the first*, the
+    weights and the write fraction — everything
+    :meth:`AnalyticCache.simulate` reads except the absolute position,
+    which re-enters the memo key only modulo the cache's allocation
+    unit.  Computed once per stream object, then cached on it (the
+    stream's arrays are read-only, so the digest cannot go stale).
+    """
+    cached = getattr(stream, _FP_ATTR, None)
+    if cached is not None:
+        return cached
+    ids = stream.subpages
+    first = int(ids[0]) if ids.size else 0
+    h = blake2b(digest_size=16)
+    h.update(np.ascontiguousarray(ids - first).tobytes())
+    h.update(np.ascontiguousarray(stream.weights).tobytes())
+    h.update(struct.pack("<d", stream.write_fraction))
+    fingerprint = (h.digest(), first)
+    object.__setattr__(stream, _FP_ATTR, fingerprint)
+    return fingerprint
+
+
 class AnalyticCache:
     """The model bound to one cache geometry.
 
@@ -172,6 +231,16 @@ class AnalyticCache:
     half a subpage) a reported line miss corresponds to two sub-block
     fills — the cost model in :mod:`repro.kernels.costmodel` applies
     that factor, this class reports subpage-granular misses.
+
+    Results are memoized per instance by stream content.  The model
+    reads subpage ids only through equality patterns (reuse distances,
+    run boundaries) and frame ids ``subpages // alloc_subpages``, so
+    translating a stream by whole allocation units changes neither: the
+    key is the stream's :func:`stream_fingerprint` digest, its first id
+    modulo ``alloc_subpages``, and the iteration count.  Processor
+    ``p``'s stream, a frame-aligned shift of processor 0's, therefore
+    prices once for all ``p``, and a hit returns the very result object
+    the computed call produced.
     """
 
     def __init__(self, config: CacheConfig):
@@ -180,58 +249,61 @@ class AnalyticCache:
         self.n_frames = config.n_frames
         self.n_sets = config.n_sets
         self.ways = config.ways
+        self._memo: dict[tuple[bytes, int, int], CacheModelResult] = {}
+        #: Memo telemetry (read by benchmarks and tests).
+        self.memo_hits = 0
+        self.memo_misses = 0
 
     def simulate(self, stream: AccessStream, *, iterations: int = 1) -> CacheModelResult:
         """Expected misses of ``stream`` (optionally iterated to reach a
         warm steady state; results describe the *last* iteration)."""
         if iterations < 1:
             raise MemoryModelError("iterations must be >= 1")
-        full = stream.repeated(iterations) if iterations > 1 else stream
-        ids = full.subpages
-        n = ids.size
-        if n == 0:
+        if not stream.subpages.size:
             return CacheModelResult(0, 0, 0.0, 0, 0.0, 0.0)
+        digest, first = stream_fingerprint(stream)
+        key = (digest, first % self.alloc_subpages, iterations)
+        result = self._memo.get(key)
+        if result is not None:
+            self.memo_hits += 1
+            return result
+        result = self._price(stream, iterations)
+        self._memo[key] = result
+        self.memo_misses += 1
+        return result
+
+    def _price(self, stream: AccessStream, iterations: int) -> CacheModelResult:
+        """The model proper, over the ``iterations``-fold stream."""
         # --- frame level: the only level at which capacity acts -------
-        frame_ids = full.mapped(self.alloc_subpages)
-        n_distinct_frames = int(np.unique(frame_ids).size)
-        p_evict = set_full_probability(
-            n_distinct_frames, self.n_sets, self.ways, self.n_frames
-        )
-        f_dist, f_cold = time_distances(frame_ids)
+        f_dist, f_cold = time_distances(stream.mapped(self.alloc_subpages), iterations)
+        # every distinct frame has exactly one cold touch
+        p_evict = set_full_probability(f_cold, self.n_sets, self.ways, self.n_frames)
         m_f, p_frame_miss = fixpoint_miss_ratio(
             f_dist, f_cold, self.n_frames, evict_prob=p_evict
         )
         # --- line level: hit iff seen before and frame survived -------
-        distances, n_cold = time_distances(ids)
-        warm = distances >= 0
-        frame_rate = frame_ids.size / n
+        distances, _ = time_distances(stream.subpages, iterations)
+        frame_rate = f_dist.size / distances.size
+        # Only the last iteration is reported, so only its touches are
+        # priced.  In a fused k-fold stream (first id equal to the last)
+        # this slice starts k - 2 touches into the last copy.
+        touches = stream.n_touches
+        last = distances[(iterations - 1) * touches:]
+        warm = last >= 0
         log_survive = math.log1p(-p_evict / self.n_frames) if p_evict > 0 else 0.0
-        p_miss = np.ones(n)
+        p_miss = np.ones(last.size)
         if log_survive != 0.0:
-            exponent = m_f * frame_rate * distances[warm].astype(np.float64)
+            exponent = m_f * frame_rate * last[warm].astype(np.float64)
             p_miss[warm] = -np.expm1(exponent * log_survive)
         else:
             p_miss[warm] = 0.0
-        if iterations > 1:
-            per_iter = stream.n_touches
-            tail = slice((iterations - 1) * per_iter, None)
-            misses = float(p_miss[tail].sum())
-            cold = int(np.count_nonzero(distances[tail] < 0))
-            touches = per_iter
-            words = stream.n_word_accesses
-            frame_allocs = (f_cold + float(p_frame_miss[f_dist >= 0].sum())) / iterations
-        else:
-            misses = float(p_miss.sum())
-            cold = n_cold
-            touches = n
-            words = full.n_word_accesses
-            frame_allocs = f_cold + float(p_frame_miss[f_dist >= 0].sum())
-        miss_ratio = misses / touches if touches else 0.0
+        misses = float(p_miss.sum())
+        frame_allocs = (f_cold + float(p_frame_miss[f_dist >= 0].sum())) / iterations
         return CacheModelResult(
             n_touches=touches,
-            n_word_accesses=words,
+            n_word_accesses=stream.n_word_accesses,
             expected_line_misses=misses,
-            cold_line_misses=cold,
+            cold_line_misses=last.size - int(np.count_nonzero(warm)),
             expected_frame_allocs=frame_allocs,
-            miss_ratio=miss_ratio,
+            miss_ratio=misses / touches,
         )

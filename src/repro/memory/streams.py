@@ -40,6 +40,10 @@ class AccessStream:
         Fraction of the represented word accesses that are writes
         (kept scalar: the paper's kernels read and write whole arrays
         per phase, so per-touch write flags add nothing).
+
+    Both arrays are made read-only on construction: the analytic cache
+    memoizes pricing by a content digest cached on the stream, so an
+    in-place write after pricing would be served a stale result.
     """
 
     subpages: np.ndarray
@@ -53,6 +57,8 @@ class AccessStream:
             raise MemoryModelError("write_fraction must be in [0, 1]")
         if self.subpages.size and np.any(self.subpages < 0):
             raise MemoryModelError("negative subpage id in stream")
+        self.subpages.setflags(write=False)
+        self.weights.setflags(write=False)
 
     @property
     def n_touches(self) -> int:

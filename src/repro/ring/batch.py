@@ -28,14 +28,16 @@ Observability probes are *not* a fallback condition: the ring probe is
 invoked inside the step and the engine probe once per virtual fire, so
 an observed batched run captures byte-identical series.
 
-The grant arithmetic below is the one other place besides
-:meth:`SlottedRing._claim` allowed to ``heapreplace`` a ring's grant
-heap — enforced by lint rule KSR114 (``ksr-analyze lint``).
+Every machine installs the advancer; the per-event retry closure
+remains the path of audits, tie shuffling and fault seams, and the
+reference the equivalence tests compare against.  A step claims its
+slot through :meth:`SlottedRing._claim` itself, the one site lint rule
+KSR114 (``ksr-analyze lint``) lets mutate a grant heap, so the grant
+arithmetic exists once.
 """
 
 from __future__ import annotations
 
-from heapq import heapreplace
 from typing import TYPE_CHECKING
 
 from repro.sim.batch import MacroAdvancer, MacroChain
@@ -57,11 +59,10 @@ class _GspRetryChain(MacroChain):
 class BatchAdvancer(MacroAdvancer):
     """Advances ``get_subpage`` retry chains in closed form.
 
-    Wired by :class:`repro.machine.ksr.KsrMachine` onto
-    ``CoherenceProtocol.batch_advancer`` when
-    ``MachineConfig.enable_batching`` is set; otherwise the protocol
-    keeps its per-event retry closures and this class is never
-    instantiated.
+    Wired by every :class:`repro.machine.ksr.KsrMachine` onto
+    ``CoherenceProtocol.batch_advancer``.  Setting that attribute to
+    ``None`` (standalone protocols, tests forcing the reference) keeps
+    the per-event retry closures.
     """
 
     def __init__(self, engine: Engine, hierarchy: "RingHierarchy"):
@@ -112,31 +113,18 @@ class BatchAdvancer(MacroAdvancer):
     def _step(self, chain: MacroChain, at: float) -> float:
         """One retry: claim a slot, charge the monitors, self-clock.
 
-        Bit-exact inline of the per-event path — the protocol's
+        Bit-exact shortcut of the per-event path — the protocol's
         ``hardware_retry`` closure calling ``RingHierarchy.transact``
-        (same-ring, no injector) calling ``SlottedRing._claim`` — with
-        identical float operations in identical order and the same
-        jitter-buffer consumption.  Only the ``RingGrant``/``PathTiming``
-        result objects, which that path immediately discards, are not
-        built.
+        (same-ring, no injector) calling ``SlottedRing._claim`` — that
+        calls the same claim with the same arguments (``fault_jitter``
+        is ``None`` under the chain guard).  Only the ``RingGrant`` /
+        ``PathTiming`` result objects, which that path immediately
+        discards, are not built.
         """
         perfmon = chain.perfmon  # type: ignore[attr-defined]
         perfmon.get_subpage_retries += 1
         ring = chain.ring  # type: ignore[attr-defined]
-        buf = ring._jitter
-        if not buf:
-            ring._refill_jitter()
-        earliest = at + buf.pop()
-        heap = ring._free[chain.subring]  # type: ignore[attr-defined]
-        free, slot = heap[0]
-        injected = earliest if earliest > free else free
-        heapreplace(heap, (injected + ring._hold, slot))
-        completed = injected + ring._circuit + ring._overhead
-        ring.n_transactions += 1
-        ring.total_wait_cycles += injected - at
-        ring.total_transit_cycles += completed - injected
-        if ring.probe is not None:
-            ring.probe(ring, at, injected - at, completed - injected)
+        _, completed = ring._claim(at, chain.subring, ring._overhead)  # type: ignore[attr-defined]
         perfmon.ring_transactions += 1
         delta = completed - at
         perfmon.ring_cycles += delta

@@ -20,11 +20,15 @@ absorbed into it.  The window closes at the first real event boundary,
 the run horizon, or the event budget; every chain still virtual is then
 re-materialized under its original ``(time, seq)`` key.
 
-The contract is **byte-identity**: a run with batching enabled fires
-the same events at the same times in the same order, consumes the same
-RNG values, and leaves every counter equal to the per-event run —
-``Engine.stats`` merely reports how many fires were closed-form under
-``batched_events``.  Guarantees and fallbacks:
+The layer is always on: every :class:`~repro.machine.ksr.KsrMachine`
+installs it.  The per-event path remains for audits, tie shuffling and
+fault seams (below), and as the reference the equivalence tests run by
+clearing ``CoherenceProtocol.batch_advancer``.  The contract is
+**byte-identity**: a batched run fires the same events at the same
+times in the same order, consumes the same RNG values, and leaves every
+counter equal to the per-event run — ``Engine.stats`` merely reports
+how many fires were closed-form under ``batched_events``.  Guarantees
+and fallbacks:
 
 * ``seq`` parity — each virtual schedule consumes one engine sequence
   number (:meth:`Engine._consume_seq`), so FIFO tie-break keys of all

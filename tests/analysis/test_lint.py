@@ -233,7 +233,9 @@ class TestKSR114GrantHeapMutation:
         )
         assert violations == []
 
-    def test_batch_advancer_is_allowed(self):
+    def test_batch_advancer_is_flagged(self):
+        """The macro-event advancer claims slots through
+        ``SlottedRing._claim``; a grant-heap write of its own is a copy."""
         violations = _lint(
             """
             from heapq import heapreplace
@@ -244,7 +246,7 @@ class TestKSR114GrantHeapMutation:
             """,
             "ring/batch.py",
         )
-        assert violations == []
+        assert _codes(violations) == ["KSR114"]
 
     def test_other_heaps_pass(self):
         violations = _lint(

@@ -1,14 +1,20 @@
-"""Batch-on vs batch-off equivalence on the paper's figure workloads.
+"""Default (batched) vs per-event equivalence on the paper's figure workloads.
 
 The macro-event core must be invisible in every result the experiments
 produce: figure points, observability captures (compared as pickled
 bytes — the strongest equality the obs layer offers) and degraded-mode
 campaigns.  A Hypothesis sweep over random small workloads backs the
 hand-picked points.
+
+The per-event reference comes from clearing
+``machine.protocol.batch_advancer`` where a test builds the machine,
+and from the :func:`per_event` fixture where an experiment builds it.
 """
 
+import contextlib
 import pickle
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.experiments.barriers import measure_barrier
@@ -20,6 +26,7 @@ from repro.machine.api import SharedMemory
 from repro.machine.config import MachineConfig, TimerConfig
 from repro.machine.ksr import KsrMachine
 from repro.obs import ObsSpec
+from repro.ring.batch import BatchAdvancer
 from repro.sync.locks import (
     HardwareExclusiveLock,
     LockWorkloadParams,
@@ -28,62 +35,84 @@ from repro.sync.locks import (
 )
 
 
+@pytest.fixture
+def per_event(monkeypatch):
+    """A context manager inside which no retry chain may batch, so
+    machines an experiment builds internally run per-event."""
+
+    @contextlib.contextmanager
+    def forced():
+        with monkeypatch.context() as patch:
+            patch.setattr(BatchAdvancer, "gsp_chain_allowed", lambda self: False)
+            yield
+
+    return forced
+
+
+class TestReference:
+    def test_per_event_fixture_disables_batching(self, per_event):
+        with per_event():
+            machine = KsrMachine(MachineConfig.ksr1(n_cells=4, seed=5))
+            lock = HardwareExclusiveLock(SharedMemory(machine))
+            params = LockWorkloadParams(ops_per_processor=3, read_fraction=0.0, seed=5)
+            run_lock_workload(machine, lock, params, n_threads=4)
+        assert machine.engine.stats.events_fired > 0
+        assert machine.engine.stats.batched_events == 0
+
+
 class TestFigurePoints:
     """One representative point per figure, captures compared as bytes."""
 
-    def test_fig2_latency_point(self):
-        off, cap_off = measure_latencies(4, "network", "read", samples=40, obs=ObsSpec())
-        on, cap_on = measure_latencies(
-            4, "network", "read", samples=40, obs=ObsSpec(), batching=True
-        )
+    def test_fig2_latency_point(self, per_event):
+        with per_event():
+            off, cap_off = measure_latencies(
+                4, "network", "read", samples=40, obs=ObsSpec()
+            )
+        on, cap_on = measure_latencies(4, "network", "read", samples=40, obs=ObsSpec())
         assert on == off
         assert pickle.dumps(cap_on) == pickle.dumps(cap_off)
 
-    def test_fig3_lock_point(self):
-        off, cap_off = measure_lock("hardware", 8, 0.0, ops=6, obs=ObsSpec())
-        on, cap_on = measure_lock(
-            "hardware", 8, 0.0, ops=6, obs=ObsSpec(), batching=True
-        )
+    def test_fig3_lock_point(self, per_event):
+        with per_event():
+            off, cap_off = measure_lock("hardware", 8, 0.0, ops=6, obs=ObsSpec())
+        on, cap_on = measure_lock("hardware", 8, 0.0, ops=6, obs=ObsSpec())
         assert on == off
         assert pickle.dumps(cap_on) == pickle.dumps(cap_off)
 
-    def test_fig3_rw_lock_point(self):
-        off, cap_off = measure_lock("rw", 6, 0.4, ops=6, obs=ObsSpec())
-        on, cap_on = measure_lock("rw", 6, 0.4, ops=6, obs=ObsSpec(), batching=True)
+    def test_fig3_rw_lock_point(self, per_event):
+        with per_event():
+            off, cap_off = measure_lock("rw", 6, 0.4, ops=6, obs=ObsSpec())
+        on, cap_on = measure_lock("rw", 6, 0.4, ops=6, obs=ObsSpec())
         assert on == off
         assert pickle.dumps(cap_on) == pickle.dumps(cap_off)
 
-    def test_fig4_barrier_point(self):
-        def point(batching: bool):
+    def test_fig4_barrier_point(self, per_event):
+        def point():
             config = MachineConfig.ksr1(
-                n_cells=8,
-                seed=404,
-                timer=TimerConfig(enabled=False),
-                enable_batching=batching,
+                n_cells=8, seed=404, timer=TimerConfig(enabled=False)
             )
             return measure_barrier(
                 "counter", 8, machine_config=config, reps=4, obs=ObsSpec()
             )
 
-        off, cap_off = point(False)
-        on, cap_on = point(True)
+        with per_event():
+            off, cap_off = point()
+        on, cap_on = point()
         assert on == off
         assert pickle.dumps(cap_on) == pickle.dumps(cap_off)
 
-    def test_fig5_two_ring_barrier_point(self):
-        def point(batching: bool):
+    def test_fig5_two_ring_barrier_point(self, per_event):
+        def point():
             config = MachineConfig.ksr2(
-                n_cells=36,
-                seed=404,
-                timer=TimerConfig(enabled=False),
-                enable_batching=batching,
+                n_cells=36, seed=404, timer=TimerConfig(enabled=False)
             )
             return measure_barrier(
                 "tree", 34, machine_config=config, reps=3, obs=ObsSpec()
             )
 
-        off, cap_off = point(False)
-        on, cap_on = point(True)
+        with per_event():
+            off, cap_off = point()
+        on, cap_on = point()
         assert on == off
         assert pickle.dumps(cap_on) == pickle.dumps(cap_off)
 
@@ -92,27 +121,28 @@ class TestDegradedCampaign:
     """F1 degraded points: fault seams force the per-event path, and the
     result is identical either way."""
 
-    def test_f1_zero_plan_point(self):
-        off = degraded_lock_point("rw", 6, 0.2, ops=5, obs=ObsSpec())
-        on = degraded_lock_point("rw", 6, 0.2, ops=5, obs=ObsSpec(), batching=True)
+    def test_f1_zero_plan_point(self, per_event):
+        with per_event():
+            off = degraded_lock_point("rw", 6, 0.2, ops=5, obs=ObsSpec())
+        on = degraded_lock_point("rw", 6, 0.2, ops=5, obs=ObsSpec())
         assert on.seconds == off.seconds
         assert on.faults == off.faults
         assert pickle.dumps(on.capture) == pickle.dumps(off.capture)
 
-    def test_f1_faulted_point(self):
+    def test_f1_faulted_point(self, per_event):
         plan = FaultPlan(corruption_rate=0.02, stall_rate=2e-6, seed_salt=3)
-        off = degraded_lock_point("rw", 6, 0.2, ops=5, plan=plan, obs=ObsSpec())
-        on = degraded_lock_point(
-            "rw", 6, 0.2, ops=5, plan=plan, obs=ObsSpec(), batching=True
-        )
+        with per_event():
+            off = degraded_lock_point("rw", 6, 0.2, ops=5, plan=plan, obs=ObsSpec())
+        on = degraded_lock_point("rw", 6, 0.2, ops=5, plan=plan, obs=ObsSpec())
         assert on.seconds == off.seconds
         assert on.faults == off.faults
         assert pickle.dumps(on.capture) == pickle.dumps(off.capture)
 
-    def test_f1_dead_cell_point(self):
+    def test_f1_dead_cell_point(self, per_event):
         plan = FaultPlan(dead_cells=(7,))
-        off = degraded_lock_point("hardware", 4, 0.0, ops=5, plan=plan)
-        on = degraded_lock_point("hardware", 4, 0.0, ops=5, plan=plan, batching=True)
+        with per_event():
+            off = degraded_lock_point("hardware", 4, 0.0, ops=5, plan=plan)
+        on = degraded_lock_point("hardware", 4, 0.0, ops=5, plan=plan)
         assert on.seconds == off.seconds
         assert on.faults == off.faults
 
@@ -125,9 +155,9 @@ def _run_history(
     plan: FaultPlan | None,
     batching: bool,
 ) -> tuple:
-    machine = KsrMachine(
-        MachineConfig.ksr1(n_cells=n_procs, seed=seed, enable_batching=batching)
-    )
+    machine = KsrMachine(MachineConfig.ksr1(n_cells=n_procs, seed=seed))
+    if not batching:
+        machine.protocol.batch_advancer = None
     if plan is not None:
         FaultInjector(plan).attach(machine)
     history: list[float] = []

@@ -1,22 +1,30 @@
-"""The vectorized-pricing layer is exact: memoized results equal the
-plain model's, shifted streams equal directly built ones."""
+"""Kernel pricing is exact: memo-served results equal the computed
+ones, shifted streams equal directly built ones.
+
+The memo reference is the first, computed call of a fresh
+:class:`AnalyticCache`, which has nothing to serve it from.
+"""
 
 import numpy as np
 import pytest
 
-from repro.kernels.vectorized import (
-    MemoizedAnalyticCache,
-    shift_stream,
-    stream_fingerprint,
-)
+from repro.kernels.vectorized import shift_stream
 from repro.machine.config import SUBPAGE_BYTES, MachineConfig
-from repro.memory.analytic_cache import AnalyticCache
+from repro.memory.analytic_cache import AnalyticCache, stream_fingerprint
 from repro.memory.streams import concat, gather, sequential, strided
 
 
 def _configs():
     cfg = MachineConfig.ksr1(n_cells=2)
     return cfg.subcache, cfg.local_cache
+
+
+def _computed(config, stream, iterations=1):
+    """``stream`` priced by a fresh cache: a computed result, never a memo hit."""
+    cache = AnalyticCache(config)
+    result = cache.simulate(stream, iterations=iterations)
+    assert cache.memo_hits == 0
+    return result
 
 
 def _streams():
@@ -34,16 +42,16 @@ class TestMemoizedCache:
     @pytest.mark.parametrize("iterations", [1, 3])
     def test_results_match_plain_model(self, iterations):
         for config in _configs():
-            plain = AnalyticCache(config)
-            memo = MemoizedAnalyticCache(config)
+            memo = AnalyticCache(config)
             for stream in _streams():
-                assert memo.simulate(stream, iterations=iterations) == plain.simulate(
-                    stream, iterations=iterations
-                )
+                computed = _computed(config, stream, iterations)
+                for _ in range(2):  # priced, then served from the memo
+                    assert memo.simulate(stream, iterations=iterations) == computed
+            assert memo.memo_hits >= len(_streams())
 
     def test_repeat_simulation_hits_the_memo(self):
         config = _configs()[0]
-        memo = MemoizedAnalyticCache(config)
+        memo = AnalyticCache(config)
         stream = sequential(0, 2048, write_fraction=0.25)
         first = memo.simulate(stream)
         assert memo.memo_hits == 0
@@ -55,41 +63,37 @@ class TestMemoizedCache:
         """Processor p's stream — processor 0's shifted by whole
         allocation frames — must price from the memo."""
         config = _configs()[1]
-        memo = MemoizedAnalyticCache(config)
-        plain = AnalyticCache(config)
+        memo = AnalyticCache(config)
         base = sequential(0, 4096, write_fraction=0.5)
         frame_bytes = memo.alloc_subpages * SUBPAGE_BYTES
         translated = sequential(3 * frame_bytes, 4096, write_fraction=0.5)
         result0 = memo.simulate(base)
         result3 = memo.simulate(translated)
         assert memo.memo_hits == 1
-        assert result3 == result0 == plain.simulate(translated)
+        assert result3 == result0 == _computed(config, translated)
 
     def test_unaligned_translation_misses_but_stays_exact(self):
         config = _configs()[1]
-        memo = MemoizedAnalyticCache(config)
-        plain = AnalyticCache(config)
+        memo = AnalyticCache(config)
         memo.simulate(sequential(0, 4096))
         shifted = sequential(SUBPAGE_BYTES, 4096)
-        assert memo.simulate(shifted) == plain.simulate(shifted)
+        assert memo.simulate(shifted) == _computed(config, shifted)
+        assert memo.memo_hits == 0
 
     def test_iterations_key_separately(self):
         config = _configs()[0]
-        memo = MemoizedAnalyticCache(config)
-        plain = AnalyticCache(config)
+        memo = AnalyticCache(config)
         stream = strided(0, 600, 17)
-        assert memo.simulate(stream, iterations=1) == plain.simulate(stream)
-        assert memo.simulate(stream, iterations=4) == plain.simulate(
-            stream, iterations=4
-        )
+        assert memo.simulate(stream, iterations=1) == _computed(config, stream)
+        assert memo.simulate(stream, iterations=4) == _computed(config, stream, 4)
         assert memo.memo_hits == 0
 
     def test_empty_stream_bypasses_memo(self):
         config = _configs()[0]
-        memo = MemoizedAnalyticCache(config)
-        plain = AnalyticCache(config)
+        memo = AnalyticCache(config)
         empty = concat([])
-        assert memo.simulate(empty) == plain.simulate(empty)
+        assert memo.simulate(empty) == _computed(config, empty)
+        assert memo.simulate(empty) == _computed(config, empty)
         assert memo.memo_hits == memo.memo_misses == 0
 
 

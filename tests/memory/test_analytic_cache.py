@@ -1,6 +1,8 @@
 """Tests for the StatCache-style analytic model, including validation
 against the exact event-level cache simulator."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,11 +11,13 @@ from repro.errors import MemoryModelError
 from repro.machine.config import CacheConfig, SUBPAGE_BYTES, WORD_BYTES
 from repro.memory.analytic_cache import (
     AnalyticCache,
+    CacheModelResult,
     fixpoint_miss_ratio,
+    set_full_probability,
     time_distances,
 )
 from repro.memory.cache_sets import SetAssociativeCache
-from repro.memory.streams import gather, sequential
+from repro.memory.streams import concat, gather, sequential
 
 WORDS_PER_SUBPAGE = SUBPAGE_BYTES // WORD_BYTES
 
@@ -135,3 +139,133 @@ class TestAnalyticCacheResults:
     def test_bad_iterations(self):
         with pytest.raises(MemoryModelError):
             AnalyticCache(self.CONFIG).simulate(sequential(0, 16), iterations=0)
+
+
+def _reference_distances(ids: np.ndarray) -> tuple[np.ndarray, int]:
+    """Reuse distances by one stable sort of the whole array."""
+    n = ids.size
+    if n == 0:
+        return np.empty(0, dtype=np.int64), 0
+    order = np.argsort(ids, kind="stable")
+    sorted_ids = ids[order]
+    sorted_pos = order.astype(np.int64)
+    prev = np.empty(n, dtype=np.int64)
+    prev[1:] = np.where(sorted_ids[1:] == sorted_ids[:-1], sorted_pos[:-1], -1)
+    prev[0] = -1
+    dist_sorted = np.where(prev >= 0, sorted_pos - prev, -1)
+    distances = np.empty(n, dtype=np.int64)
+    distances[order] = dist_sorted
+    return distances, int(np.count_nonzero(distances < 0))
+
+
+def _reference_simulate(cache: AnalyticCache, stream, iterations: int) -> CacheModelResult:
+    """The warm model priced over ``stream.repeated(iterations)`` — the
+    tiled, run-length compressed k-fold stream — sorted in full."""
+    full = stream.repeated(iterations) if iterations > 1 else stream
+    ids = full.subpages
+    n = ids.size
+    if n == 0:
+        return CacheModelResult(0, 0, 0.0, 0, 0.0, 0.0)
+    frame_ids = full.mapped(cache.alloc_subpages)
+    p_evict = set_full_probability(
+        int(np.unique(frame_ids).size), cache.n_sets, cache.ways, cache.n_frames
+    )
+    f_dist, f_cold = _reference_distances(frame_ids)
+    m_f, p_frame_miss = fixpoint_miss_ratio(
+        f_dist, f_cold, cache.n_frames, evict_prob=p_evict
+    )
+    distances, n_cold = _reference_distances(ids)
+    warm = distances >= 0
+    log_survive = math.log1p(-p_evict / cache.n_frames) if p_evict > 0 else 0.0
+    p_miss = np.ones(n)
+    if log_survive != 0.0:
+        exponent = m_f * (frame_ids.size / n) * distances[warm].astype(np.float64)
+        p_miss[warm] = -np.expm1(exponent * log_survive)
+    else:
+        p_miss[warm] = 0.0
+    allocs = f_cold + float(p_frame_miss[f_dist >= 0].sum())
+    if iterations > 1:
+        tail = slice((iterations - 1) * stream.n_touches, None)
+        misses = float(p_miss[tail].sum())
+        cold = int(np.count_nonzero(distances[tail] < 0))
+        touches = stream.n_touches
+        allocs /= iterations
+    else:
+        misses = float(p_miss.sum())
+        cold = n_cold
+        touches = n
+    return CacheModelResult(
+        touches, stream.n_word_accesses, misses, cold, allocs, misses / touches
+    )
+
+
+#: A thrashable cache (capacity acts) and a roomy one (it does not).
+_WARM_CONFIGS = (
+    CacheConfig(total_bytes=8 * 1024, ways=2, line_bytes=128, alloc_bytes=1024),
+    CacheConfig(total_bytes=64 * 1024, ways=4, line_bytes=128, alloc_bytes=2048),
+)
+
+
+class TestWarmPricingExact:
+    """``simulate(stream, iterations=k)`` prices the k-fold stream from
+    one sorted copy; it must return the very floats the full sort of
+    ``stream.repeated(k)`` gives."""
+
+    def _check(self, stream):
+        for config in _WARM_CONFIGS:
+            for k in (1, 2, 3):
+                got = AnalyticCache(config).simulate(stream, iterations=k)
+                want = _reference_simulate(AnalyticCache(config), stream, k)
+                assert repr(got) == repr(want), (config, k)
+
+    @given(
+        words=st.lists(st.integers(min_value=0, max_value=3000), min_size=1, max_size=300),
+        close=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_random_gathers(self, words, close):
+        if close:  # the first id equals the last: copies fuse when tiled
+            words = words + [words[0]]
+        self._check(gather(0, np.array(words)))
+
+    def test_first_id_equals_last(self):
+        stream = gather(0, np.array([0, 16, 32, 16, 300, 0]))
+        assert stream.subpages[0] == stream.subpages[-1]
+        self._check(stream)
+
+    def test_frames_fuse_but_lines_do_not(self):
+        stream = gather(0, np.array([0, 16, 2000, 48]))
+        assert stream.subpages[0] != stream.subpages[-1]
+        self._check(stream)
+
+    def test_single_touch_stream(self):
+        self._check(sequential(0, 1))
+        self._check(sequential(0, 16))
+
+    def test_sequential_and_concat(self):
+        self._check(sequential(0, 4096))
+        self._check(concat([sequential(0, 512), gather(8192, np.arange(0, 900, 7))]))
+
+    def test_empty_stream(self):
+        self._check(sequential(0, 0))
+
+    def test_zero_iterations_still_raise(self):
+        for stream in (sequential(0, 0), sequential(0, 64)):
+            with pytest.raises(MemoryModelError):
+                AnalyticCache(_WARM_CONFIGS[0]).simulate(stream, iterations=0)
+
+
+class TestRepeatedTimeDistances:
+    @given(
+        ids_list=st.lists(st.integers(min_value=0, max_value=12), min_size=1, max_size=60),
+        k=st.integers(min_value=2, max_value=4),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_full_sort_of_the_compressed_repeat(self, ids_list, k):
+        ids = np.array(ids_list, dtype=np.int64)
+        tiled = np.tile(ids, k)
+        keep = np.concatenate(([True], tiled[1:] != tiled[:-1]))
+        want = _reference_distances(tiled[keep])
+        got = time_distances(ids, k)
+        assert got[1] == want[1]
+        assert np.array_equal(got[0], want[0])

@@ -120,3 +120,16 @@ class TestValidation:
         s = sequential(0, 4096)  # 256 subpages = 2 pages
         pages = s.mapped(128)
         assert list(pages) == [0, 1]
+
+    def test_arrays_are_read_only(self):
+        """Pricing is memoized by a digest cached on the stream, so the
+        arrays must not change after construction."""
+        s = sequential(0, 64)
+        with pytest.raises(ValueError):
+            s.subpages[0] = 7
+        with pytest.raises(ValueError):
+            s.weights[0] = 7
+        ids = np.arange(4, dtype=np.int64)
+        direct = AccessStream(ids, np.ones(4, dtype=np.int64))
+        with pytest.raises(ValueError):
+            direct.subpages[1] = 0

@@ -4,8 +4,9 @@ The contract of :mod:`repro.sim.batch` is that a batched run is
 indistinguishable from a per-event run in everything except wall-clock:
 same fire times in the same order, same RNG consumption, same counters,
 same final state.  These tests drive full :class:`KsrMachine` lock
-workloads (the chain shape the batch layer coalesces) with the flag on
-and off and compare everything observable.
+workloads (the chain shape the batch layer coalesces) on the default
+machine and on its per-event reference (``batch_advancer`` cleared)
+and compare everything observable.
 """
 
 import numpy as np
@@ -26,8 +27,11 @@ from repro.sync.locks import (
 
 
 def _lock_machine(batching: bool, *, n_procs: int = 6, seed: int = 11) -> KsrMachine:
-    config = MachineConfig.ksr1(n_cells=n_procs, seed=seed, enable_batching=batching)
-    return KsrMachine(config)
+    """The default machine, or without ``batching`` its per-event reference."""
+    machine = KsrMachine(MachineConfig.ksr1(n_cells=n_procs, seed=seed))
+    if not batching:
+        machine.protocol.batch_advancer = None
+    return machine
 
 
 def _run_lock(
