@@ -12,13 +12,16 @@ package turns that substrate into a *service* (``ksr-serve``):
   one protocol (inline, persistent process pool, room for remote).
 * :mod:`repro.service.batching` — fan-out slicing, admission pricing
   and identical-request coalescing.
-* :mod:`repro.service.scheduler` — bounded queueing with
-  reject-with-retry-after overload behaviour.
+* :mod:`repro.service.scheduler` — the one job scheduler (daemon and
+  fleet): bounded queueing with reject-with-retry-after overload
+  behaviour.
+* :mod:`repro.service.quotas` — per-tenant token buckets and
+  stride-scheduled weighted fair share.
 * :mod:`repro.service.app` / :mod:`repro.service.cli` — the HTTP/JSON
   surface and the ``ksr-serve`` command line.
 * :mod:`repro.service.fleet` — the federated tier: coordinator +
-  worker fleet with consistent-hash routing, cache replication,
-  per-tenant fair-share admission and the ``--loadgen`` harness.
+  worker fleet with consistent-hash routing, cache replication and
+  the ``--loadgen`` harness.
 
 Responses are byte-identical to the equivalent ``ksr-experiments`` /
 ``ksr-faults`` output: serving changes *where* points compute, never

@@ -13,7 +13,8 @@ Endpoints::
     GET  /v1/experiments     served job kinds and their defaults
     POST /v1/jobs            submit {"kind": ..., "params": {...}}
                              (+"wait": true to block for the result,
-                              +"obs": true for capture summaries)
+                              +"obs": true for capture summaries,
+                              +"tenant": name for quotas and fair share)
     GET  /v1/jobs/<id>       job status / result
 
 Overload surfaces as ``429`` with a ``Retry-After`` header (seconds);
@@ -35,7 +36,8 @@ from typing import Any
 from repro.service.backends import make_backend
 from repro.service.cache2 import ShardedResultCache
 from repro.service.jobs import JobSpec, ServiceError, describe_catalog
-from repro.service.scheduler import RejectedError, Scheduler
+from repro.service.quotas import DEFAULT_TENANT
+from repro.service.scheduler import RejectedError, Scheduler, _JobScheduler
 
 __all__ = ["ServiceApp", "make_server", "version_info", "drain_retry_after",
            "DEFAULT_DRAIN_DEADLINE"]
@@ -82,29 +84,15 @@ def version_info() -> dict[str, str]:
     return _version_info
 
 
-class ServiceApp:
-    """Scheduler + cache + catalog behind one handler-friendly facade."""
+class _JobApp:
+    """Shutdown, 503 pricing and the job API over one scheduler.
 
-    def __init__(
-        self,
-        cache_dir: str,
-        *,
-        backend: str = "process:2",
-        cap_bytes: int | None = None,
-        workers: int = 2,
-        queue_cap: int = 8,
-        max_points: int = 512,
-        max_batch: int = 64,
-    ):
-        self.cache = ShardedResultCache(cache_dir, cap_bytes=cap_bytes)
-        self.scheduler = Scheduler(
-            make_backend(backend),
-            self.cache,
-            workers=workers,
-            queue_cap=queue_cap,
-            max_points=max_points,
-            max_batch=max_batch,
-        )
+    Subclasses own the scheduler and answer their own ``/healthz`` and
+    ``/v1/stats``; everything a submitter sees is shared.
+    """
+
+    def __init__(self, scheduler: _JobScheduler):
+        self.scheduler = scheduler
         self.started_at = time.time()
         self._closing = threading.Event()
         self._drain_ends_at: float | None = None
@@ -128,40 +116,26 @@ class ServiceApp:
         """Seconds a 503'd client should wait before resubmitting."""
         return drain_retry_after(self._drain_ends_at)
 
-    def close(self, *, drain_deadline: float = 30.0) -> int:
-        """Graceful shutdown: stop admitting, drain, flush, release.
+    def close(self, *, drain_deadline: float = DEFAULT_DRAIN_DEADLINE) -> int:
+        """Graceful shutdown: stop admitting, drain, release.
 
         Admission is cut first (503), accepted jobs get up to
-        ``drain_deadline`` seconds to settle, the cache's manifest
-        journal is compacted to one line per live entry, and the
-        backend is released.  Returns the number of jobs stranded by
-        the deadline (0 on a clean exit).
+        ``drain_deadline`` seconds to settle, then the app releases
+        what it owns.  Returns the number of jobs stranded by the
+        deadline (0 on a clean exit).
         """
         self.begin_shutdown(drain_deadline)
         stranded = self.scheduler.close(deadline=drain_deadline)
-        try:
-            self.cache.compact_manifest()
-        except OSError:  # pragma: no cover - advisory index only
-            pass
+        self._release()
         return stranded
+
+    def _release(self) -> None:
+        """Release the app's own resources once the scheduler is closed."""
 
     # -- request handling (pure: dict in, (status, doc, headers) out) --
 
     def handle_get(self, path: str) -> tuple[int, dict[str, Any]]:
         """Route a GET ``path`` to ``(status, json_doc)``."""
-        if path == "/healthz":
-            return 200, {
-                "status": "draining" if self.closing else "ok",
-                "uptime_s": round(time.time() - self.started_at, 3),
-                "cache": self.cache.stats(),
-                "version": version_info(),
-            }
-        if path == "/v1/stats":
-            return 200, {
-                "cache": self.cache.stats(),
-                "scheduler": self.scheduler.stats(),
-                "version": version_info(),
-            }
         if path == "/v1/experiments":
             return 200, describe_catalog()
         if path.startswith("/v1/jobs/"):
@@ -188,9 +162,12 @@ class ServiceApp:
                 {"error": "server is draining; resubmit elsewhere"},
                 {"Retry-After": str(self.drain_retry_after())},
             )
+        tenant = body.get("tenant", DEFAULT_TENANT)
+        if not isinstance(tenant, str) or not tenant:
+            return 400, {"error": "'tenant' must be a non-empty string"}, {}
         try:
             spec = JobSpec.from_request(body)
-            job = self.scheduler.submit(spec)
+            job = self.scheduler.submit(spec, tenant)
         except RejectedError as exc:
             return (
                 exc.status,
@@ -207,10 +184,63 @@ class ServiceApp:
         return 202, job.describe(), {}
 
 
-class _Handler(BaseHTTPRequestHandler):
-    """Thin JSON adapter over :class:`ServiceApp` (one per request)."""
+class ServiceApp(_JobApp):
+    """Scheduler + cache + catalog behind one handler-friendly facade."""
 
-    app: ServiceApp  # set by make_server on the subclass
+    scheduler: Scheduler
+
+    def __init__(
+        self,
+        cache_dir: str,
+        *,
+        backend: str = "process:2",
+        cap_bytes: int | None = None,
+        workers: int = 2,
+        queue_cap: int = 8,
+        max_points: int = 512,
+        max_batch: int = 64,
+    ):
+        self.cache = ShardedResultCache(cache_dir, cap_bytes=cap_bytes)
+        super().__init__(
+            Scheduler(
+                make_backend(backend),
+                self.cache,
+                workers=workers,
+                queue_cap=queue_cap,
+                max_points=max_points,
+                max_batch=max_batch,
+            )
+        )
+
+    def _release(self) -> None:
+        """Compact the cache's manifest journal to one line per live entry."""
+        try:
+            self.cache.compact_manifest()
+        except OSError:  # pragma: no cover - advisory index only
+            pass
+
+    def handle_get(self, path: str) -> tuple[int, dict[str, Any]]:
+        """Route a GET ``path`` to ``(status, json_doc)``."""
+        if path == "/healthz":
+            return 200, {
+                "status": "draining" if self.closing else "ok",
+                "uptime_s": round(time.time() - self.started_at, 3),
+                "cache": self.cache.stats(),
+                "version": version_info(),
+            }
+        if path == "/v1/stats":
+            return 200, {
+                "cache": self.cache.stats(),
+                "scheduler": self.scheduler.stats(),
+                "version": version_info(),
+            }
+        return super().handle_get(path)
+
+
+class _Handler(BaseHTTPRequestHandler):
+    """Thin JSON adapter over a job app (one per request)."""
+
+    app: _JobApp  # set by make_server on the subclass
     verbose = False
     protocol_version = "HTTP/1.1"
 
@@ -234,21 +264,26 @@ class _Handler(BaseHTTPRequestHandler):
         status, doc = self.app.handle_get(self.path)
         self._reply(status, doc)
 
-    def do_POST(self) -> None:  # noqa: N802 - http.server API
-        if self.path != "/v1/jobs":
-            self._reply(404, {"error": f"no such endpoint {self.path!r}"})
-            return
+    def _json_body(self) -> dict[str, Any] | None:
+        """The request's JSON object body, or None once a 400 is sent."""
         try:
             length = int(self.headers.get("Content-Length", "0"))
             body = json.loads(self.rfile.read(length) or b"null")
         except (ValueError, json.JSONDecodeError):
             self._reply(400, {"error": "request body must be valid JSON"})
-            return
+            return None
         if not isinstance(body, dict):
             self._reply(400, {"error": "request body must be a JSON object"})
+            return None
+        return body
+
+    def do_POST(self) -> None:  # noqa: N802 - http.server API
+        if self.path != "/v1/jobs":
+            self._reply(404, {"error": f"no such endpoint {self.path!r}"})
             return
-        status, doc, headers = self.app.handle_submit(body)
-        self._reply(status, doc, headers)
+        body = self._json_body()
+        if body is not None:
+            self._reply(*self.app.handle_submit(body))
 
 
 class _ServiceHTTPServer(ThreadingHTTPServer):

@@ -630,7 +630,7 @@ def run_coordinator(args) -> int:
     )
     coordinator = CoordinatorApp(
         client,
-        exec_workers=max(args.workers, 4),
+        workers=max(args.workers, 4),
         queue_cap=args.queue_cap,
         max_points=args.max_points,
     )
@@ -720,7 +720,7 @@ def run_multihost_smoke(args) -> int:
         )
         coordinator = CoordinatorApp(
             client,
-            exec_workers=4,
+            workers=4,
             queue_cap=args.queue_cap,
             max_points=args.max_points,
             heartbeat_interval=0.5,

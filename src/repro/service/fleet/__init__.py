@@ -9,12 +9,11 @@ workers look like one coherent resource:
   nodes) mapping each ``point_key`` to its owning worker.
 * :mod:`~repro.service.fleet.wire` — the fleet wire protocol (JSON
   control plane, pickled data plane, allowlisted function identity).
-* :mod:`~repro.service.fleet.quotas` — per-tenant token buckets and
-  stride-scheduled weighted fair share.
 * :mod:`~repro.service.fleet.worker` — a ``ServiceApp`` owning one
   cache shard, with cross-worker read-through and async replication.
-* :mod:`~repro.service.fleet.coordinator` — admission, routing,
-  heartbeat/health, key-range handoff on worker death.
+* :mod:`~repro.service.fleet.coordinator` — routing, heartbeat/health,
+  key-range handoff on worker death; jobs are admitted and queued by
+  the single daemon's scheduler, which runs them on the fleet.
 * :mod:`~repro.service.fleet.local` — a one-process fleet harness on
   real loopback sockets (tests, ``--fleet``, smoke, loadgen).
 * :mod:`~repro.service.fleet.loadgen` — the closed-loop multi-process
@@ -37,12 +36,6 @@ from repro.service.fleet.coordinator import (
 )
 from repro.service.fleet.loadgen import run_loadgen
 from repro.service.fleet.local import LocalFleet
-from repro.service.fleet.quotas import (
-    DEFAULT_TENANT,
-    FairShareQueue,
-    TenantPolicy,
-    TokenBucket,
-)
 from repro.service.fleet.ring import HashRing
 from repro.service.fleet.wire import FleetAuth, WireError
 from repro.service.fleet.worker import (
@@ -53,8 +46,6 @@ from repro.service.fleet.worker import (
 
 __all__ = [
     "CoordinatorApp",
-    "DEFAULT_TENANT",
-    "FairShareQueue",
     "FleetAuth",
     "FleetClient",
     "FleetScheduler",
@@ -63,8 +54,6 @@ __all__ = [
     "HashRing",
     "LocalFleet",
     "Registrar",
-    "TenantPolicy",
-    "TokenBucket",
     "WireError",
     "WorkerHandle",
     "make_coordinator_server",

@@ -1,8 +1,12 @@
-"""Fleet coordinator: admission, routing, health, handoff.
+"""Fleet coordinator: routing, health, handoff.
 
-The coordinator is the fleet's single public face.  It keeps the
-single-daemon API contract — same endpoints, same 400/413/429 pricing,
-same byte-identical payloads — and adds the fleet concerns on top:
+The coordinator is the fleet's single public face.  It runs the
+single daemon's job API and scheduler (:mod:`repro.service.app`,
+:mod:`repro.service.scheduler`) — same endpoints, same 400/413/429
+pricing, same tenant quotas and fair share, same byte-identical
+payloads — and plugs the fleet in where one job runs: its
+:class:`FleetScheduler` executes each job on a :class:`FleetSweepRunner`
+whose points go to the workers.  The fleet concerns:
 
 * **Routing** — each job's sweep points are partitioned by the
   consistent-hash ring over their ``point_key`` and posted to the
@@ -15,16 +19,10 @@ same byte-identical payloads — and adds the fleet concerns on top:
   from the ring and its in-flight batches are re-partitioned among the
   survivors.  No job is lost to a worker death — its points are simply
   recomputed (or read through from replicas) at their new owners.
-* **Multi-tenant admission** — on top of the shared 413 pricing and
-  :class:`~repro.service.batching.JobTable` coalescing, each tenant
-  passes a token-bucket quota (429 with the exact token wait as
-  ``Retry-After``) and admitted jobs drain in weighted fair-share
-  order (:class:`~repro.service.fleet.quotas.FairShareQueue`).
 """
 
 from __future__ import annotations
 
-import itertools
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -32,24 +30,13 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
 from repro.experiments.sweep import SweepRunner, point_key
-from repro.obs.summary import capture_summary
-from repro.service.app import (
-    DEFAULT_DRAIN_DEADLINE,
-    drain_retry_after,
-    version_info,
-)
+from repro.service.app import _JobApp, version_info
 from repro.service.backends import harvest_captures
-from repro.service.batching import JobTable, estimate_points
 from repro.service.fleet import wire
-from repro.service.fleet.quotas import (
-    DEFAULT_TENANT,
-    FairShareQueue,
-    TenantPolicy,
-    TokenBucket,
-)
 from repro.service.fleet.ring import DEFAULT_VNODES, HashRing
-from repro.service.jobs import JobSpec, ServiceError, describe_catalog
-from repro.service.scheduler import Job, RejectedError
+from repro.service.jobs import JobSpec, ServiceError
+from repro.service.quotas import TenantPolicy
+from repro.service.scheduler import _JobScheduler
 
 __all__ = ["WorkerHandle", "FleetClient", "FleetSweepRunner", "FleetScheduler",
            "CoordinatorApp", "make_coordinator_server"]
@@ -613,264 +600,63 @@ class FleetSweepRunner(SweepRunner):
         return values
 
 
-class FleetScheduler:
-    """Multi-tenant, fair-share job executor over a worker fleet.
-
-    Shares the single-daemon scheduler's contract (submit → Job,
-    bounded accepted-set, 413 pricing, coalescing, retry-after hints)
-    but admits per tenant and dequeues by weighted fair share.
-    """
+class FleetScheduler(_JobScheduler):
+    """The job scheduler over a worker fleet: jobs run on a :class:`FleetSweepRunner`."""
 
     def __init__(
         self,
         client: FleetClient,
         *,
-        exec_workers: int = 4,
+        workers: int = 4,
         queue_cap: int = 32,
         max_points: int = 512,
         policies: dict[str, TenantPolicy] | None = None,
         default_policy: TenantPolicy | None = None,
     ):
-        if exec_workers < 1:
-            raise ValueError(f"exec_workers must be >= 1, got {exec_workers}")
-        if queue_cap < 1:
-            raise ValueError(f"queue_cap must be >= 1, got {queue_cap}")
         self.client = client
-        self.queue_cap = queue_cap
-        self.max_points = max_points
-        self.policies = dict(policies or {})
-        self.default_policy = default_policy or TenantPolicy()
-        self._buckets: dict[str, TokenBucket] = {}
-        self._fair = FairShareQueue(self.policy_for)
-        self._table = JobTable()
-        self._jobs: dict[str, Job] = {}
-        self._ids = itertools.count(1)
-        self._lock = threading.Lock()
-        self._queued = 0
-        self._recent_seconds: list[float] = []
-        self.submitted = 0
-        self.completed = 0
-        self.failed = 0
-        self.rejected = 0
-        self.rejected_quota = 0
-        self.stranded = 0
-        self._closing = False
-        self._tenants: dict[str, dict[str, int]] = {}
-        self._workers = [
-            threading.Thread(target=self._worker, name=f"fleet-exec-{i}", daemon=True)
-            for i in range(exec_workers)
-        ]
-        for thread in self._workers:
-            thread.start()
+        super().__init__(
+            "fleet",
+            workers=workers,
+            queue_cap=queue_cap,
+            max_points=max_points,
+            policies=policies,
+            default_policy=default_policy,
+        )
 
-    # -- tenancy -------------------------------------------------------
-
-    def policy_for(self, tenant: str) -> TenantPolicy:
-        """The admission policy governing ``tenant``."""
-        return self.policies.get(tenant, self.default_policy)
-
-    def _bucket_for(self, tenant: str) -> TokenBucket | None:
-        policy = self.policy_for(tenant)
-        if policy.rate is None:
-            return None
-        bucket = self._buckets.get(tenant)
-        if bucket is None:
-            bucket = self._buckets[tenant] = TokenBucket(policy.rate, policy.burst)
-        return bucket
-
-    def _tenant_counters(self, tenant: str) -> dict[str, int]:
-        counters = self._tenants.get(tenant)
-        if counters is None:
-            counters = self._tenants[tenant] = {
-                "submitted": 0, "completed": 0, "failed": 0,
-                "rejected_quota": 0, "rejected_queue": 0, "coalesced": 0,
-            }
-        return counters
-
-    # -- submission ----------------------------------------------------
-
-    def _retry_after_locked(self) -> float:
-        recent = self._recent_seconds
-        per_job = (sum(recent) / len(recent)) if recent else 1.0
-        return max(1.0, round(self._queued * per_job / len(self._workers), 1))
-
-    def retry_after(self) -> float:
-        """Public (locking) form of the back-off hint."""
-        with self._lock:
-            return self._retry_after_locked()
-
-    def submit(self, spec: JobSpec, tenant: str = DEFAULT_TENANT) -> Job:
-        """Admit, coalesce or reject one spec for ``tenant``."""
-        points = estimate_points(spec)
-        if points > self.max_points:
-            raise ServiceError(
-                f"job would fan out {points} sweep points, over this "
-                f"fleet's per-job bound of {self.max_points}; split the "
-                f"request",
-                status=413,
-            )
-        with self._lock:
-            if self._closing:
-                raise ServiceError("fleet scheduler is draining", status=503)
-            counters = self._tenant_counters(tenant)
-            self.submitted += 1
-            counters["submitted"] += 1
-            bucket = self._bucket_for(tenant)
-            if bucket is not None:
-                ok, wait = bucket.try_take()
-                if not ok:
-                    self.rejected_quota += 1
-                    counters["rejected_quota"] += 1
-                    raise RejectedError(
-                        f"tenant {tenant!r} is over its admission quota; "
-                        f"retry later",
-                        retry_after=max(wait, 0.1),
-                    )
-            job = Job(
-                job_id=f"job-{next(self._ids)}",
-                spec=spec,
-                tenant=tenant,
-                submitted_at=time.time(),
-            )
-            existing = self._table.claim(spec.canonical(), job)
-            if existing is not None:
-                counters["coalesced"] += 1
-                return existing
-            if self._queued >= self.queue_cap:
-                self.rejected += 1
-                counters["rejected_queue"] += 1
-                self._table.release(spec.canonical())
-                raise RejectedError(
-                    f"fleet queue full ({self.queue_cap} jobs); retry later",
-                    retry_after=self._retry_after_locked(),
-                )
-            self._queued += 1
-            self._jobs[job.job_id] = job
-        self._fair.push(tenant, job)
-        return job
-
-    def get(self, job_id: str) -> Job | None:
-        """Look up an accepted job by id (None if unknown)."""
-        with self._lock:
-            return self._jobs.get(job_id)
-
-    # -- execution -----------------------------------------------------
-
-    def _worker(self) -> None:
-        while True:
-            item = self._fair.pop()
-            if item is None:
-                return
-            _, job = item
-            self._run_job(job)
-
-    def _run_job(self, job: Job) -> None:
-        job.status = "running"
-        job.started_at = time.time()
+    def _execute(self, spec: JobSpec) -> tuple[dict[str, Any], dict[str, Any], list[Any]]:
         runner = FleetSweepRunner(self.client)
-        try:
-            payload = job.spec.execute(runner)
-        except ServiceError as exc:
-            job.status = "failed"
-            job.error = str(exc)
-        except Exception as exc:  # noqa: BLE001 - a job must never kill a worker
-            job.status = "failed"
-            job.error = f"{type(exc).__name__}: {exc}"
-        else:
-            served = runner.fleet_stats
-            job.payload = payload
-            job.cache = {
-                # Same shape the single daemon reports: "hits" is every
-                # cache-served point (own shard or replica), "misses"
-                # is every freshly computed one — what the >=95%
-                # resubmit assertion divides.
-                "hits": served["local_hits"] + served["remote_hits"],
-                "misses": served["computed"],
-                "local_hits": served["local_hits"],
-                "remote_hits": served["remote_hits"],
-                "computed": served["computed"],
-                "points": served["points"],
-                "fleet": True,
-            }
-            job.obs = [capture_summary(c) for c in runner.captures]
-            job.status = "done"
-        finally:
-            job.finished_at = time.time()
-            with self._lock:
-                self._queued -= 1
-                counters = self._tenant_counters(job.tenant)
-                if job.status == "done":
-                    self.completed += 1
-                    counters["completed"] += 1
-                else:
-                    self.failed += 1
-                    counters["failed"] += 1
-                self._recent_seconds.append(job.finished_at - job.started_at)
-                del self._recent_seconds[:-20]
-            self._table.release(job.spec.canonical())
-            job._done.set()
-
-    # -- lifecycle / stats ---------------------------------------------
-
-    def stats(self) -> dict[str, Any]:
-        """Scheduler counters, overall and per tenant."""
-        with self._lock:
-            return {
-                "workers": len(self._workers),
-                "queue_cap": self.queue_cap,
-                "queued": self._queued,
-                "submitted": self.submitted,
-                "completed": self.completed,
-                "failed": self.failed,
-                "rejected": self.rejected,
-                "rejected_quota": self.rejected_quota,
-                "stranded": self.stranded,
-                "coalesced": self._table.coalesced,
-                "max_points": self.max_points,
-                "backend": "fleet",
-                "tenants": {t: dict(c) for t, c in sorted(self._tenants.items())},
-            }
-
-    def drain(self, deadline: float = 30.0) -> int:
-        """Wait (bounded) for the accepted set to empty; returns leftovers."""
-        end = time.monotonic() + max(0.0, deadline)
-        while time.monotonic() < end:
-            with self._lock:
-                if self._queued == 0:
-                    return 0
-            time.sleep(0.02)
-        with self._lock:
-            return self._queued
-
-    def close(self, deadline: float = 30.0) -> int:
-        """Bounded-deadline drain, mirroring ``Scheduler.close``."""
-        with self._lock:
-            already_closing = self._closing
-            self._closing = True
-        if not already_closing:
-            self.drain(deadline)
-            self._fair.close()
-        end = time.monotonic() + max(1.0, deadline / 2)
-        for thread in self._workers:
-            thread.join(timeout=max(0.0, end - time.monotonic()))
-        with self._lock:
-            stranded = self._queued
-            self.stranded = stranded
-        return stranded
+        payload = spec.execute(runner)
+        served = runner.fleet_stats
+        cache = {
+            # Same shape the single daemon reports: "hits" is every
+            # cache-served point (own shard or replica), "misses"
+            # is every freshly computed one — what the >=95%
+            # resubmit assertion divides.
+            "hits": served["local_hits"] + served["remote_hits"],
+            "misses": served["computed"],
+            "local_hits": served["local_hits"],
+            "remote_hits": served["remote_hits"],
+            "computed": served["computed"],
+            "points": served["points"],
+            "fleet": True,
+        }
+        return payload, cache, runner.captures
 
 
-class CoordinatorApp:
-    """The coordinator's HTTP facade (duck-typed like ``ServiceApp``).
+class CoordinatorApp(_JobApp):
+    """The coordinator's HTTP facade: the shared job API over the fleet.
 
-    ``make_server`` from :mod:`repro.service.app` binds it unchanged —
-    the handler only needs ``handle_get`` and ``handle_submit``.
+    ``make_coordinator_server`` binds it; the public job endpoints are
+    the single daemon's, plus the ``/v1/fleet/*`` control plane.
     """
+
+    scheduler: FleetScheduler
 
     def __init__(
         self,
         client: FleetClient,
         *,
-        exec_workers: int = 4,
+        workers: int = 4,
         queue_cap: int = 32,
         max_points: int = 512,
         policies: dict[str, TenantPolicy] | None = None,
@@ -878,42 +664,22 @@ class CoordinatorApp:
         heartbeat_interval: float | None = 2.0,
     ):
         self.client = client
-        self.scheduler = FleetScheduler(
-            client,
-            exec_workers=exec_workers,
-            queue_cap=queue_cap,
-            max_points=max_points,
-            policies=policies,
-            default_policy=default_policy,
+        super().__init__(
+            FleetScheduler(
+                client,
+                workers=workers,
+                queue_cap=queue_cap,
+                max_points=max_points,
+                policies=policies,
+                default_policy=default_policy,
+            )
         )
-        self.started_at = time.time()
-        self._closing = threading.Event()
-        self._drain_ends_at: float | None = None
         if heartbeat_interval:
             client.start_heartbeat(heartbeat_interval)
 
-    @property
-    def closing(self) -> bool:
-        return self._closing.is_set()
-
-    def begin_shutdown(
-        self, drain_deadline: float = DEFAULT_DRAIN_DEADLINE
-    ) -> None:
-        """Flip to draining: new submissions get 503 from now on."""
-        if not self._closing.is_set():
-            self._drain_ends_at = time.monotonic() + max(0.0, drain_deadline)
-        self._closing.set()
-
-    def drain_retry_after(self) -> int:
-        """Seconds a 503'd client should wait before resubmitting."""
-        return drain_retry_after(self._drain_ends_at)
-
-    def close(self, *, drain_deadline: float = 30.0) -> int:
-        """Stop admitting, drain accepted jobs, stop the heartbeat."""
-        self.begin_shutdown(drain_deadline)
-        stranded = self.scheduler.close(deadline=drain_deadline)
+    def _release(self) -> None:
+        """Stop the heartbeat."""
         self.client.close()
-        return stranded
 
     # -- request handling ----------------------------------------------
 
@@ -940,14 +706,7 @@ class CoordinatorApp:
             return 200, self.client.stats()
         if path == "/v1/fleet/replication":
             return 200, self.client.replication_report()
-        if path == "/v1/experiments":
-            return 200, describe_catalog()
-        if path.startswith("/v1/jobs/"):
-            job = self.scheduler.get(path.removeprefix("/v1/jobs/"))
-            if job is None:
-                return 404, {"error": "no such job"}
-            return 200, job.describe()
-        return 404, {"error": f"no such endpoint {path!r}"}
+        return super().handle_get(path)
 
     def handle_register(self, body: dict[str, Any]) -> tuple[int, dict[str, Any]]:
         """Admit one ``POST /v1/fleet/register`` body; ``(status, doc)``.
@@ -976,39 +735,6 @@ class CoordinatorApp:
             return exc.status, {"error": str(exc)}
         return 200, doc
 
-    def handle_submit(
-        self, body: dict[str, Any]
-    ) -> tuple[int, dict[str, Any], dict[str, str]]:
-        """Admit one job submission; ``(status, doc, extra_headers)``."""
-        from repro.service.app import MAX_WAIT_SECONDS
-
-        if self.closing:
-            return (
-                503,
-                {"error": "coordinator is draining; retry later"},
-                {"Retry-After": str(self.drain_retry_after())},
-            )
-        tenant = body.get("tenant", DEFAULT_TENANT)
-        if not isinstance(tenant, str) or not tenant:
-            return 400, {"error": "'tenant' must be a non-empty string"}, {}
-        try:
-            spec = JobSpec.from_request(body)
-            job = self.scheduler.submit(spec, tenant)
-        except RejectedError as exc:
-            return (
-                exc.status,
-                {"error": str(exc), "retry_after": exc.retry_after},
-                {"Retry-After": str(int(exc.retry_after + 0.5) or 1)},
-            )
-        except ServiceError as exc:
-            return exc.status, {"error": str(exc)}, {}
-        if body.get("wait"):
-            timeout = min(float(body.get("timeout", MAX_WAIT_SECONDS)), MAX_WAIT_SECONDS)
-            if not job.wait(timeout):
-                return 202, job.describe(), {}
-            return 200, job.describe(), {}
-        return 202, job.describe(), {}
-
 
 def make_coordinator_server(
     app: CoordinatorApp, host: str = "127.0.0.1", port: int = 0,
@@ -1021,11 +747,11 @@ def make_coordinator_server(
     admits standalone workers, and every ``/v1/fleet/*`` path — reads
     included — rejects requests without a valid ``X-Fleet-Token``.
     """
-    import json as _json
-
     from repro.service.app import _Handler, _ServiceHTTPServer
 
     class Handler(_Handler):
+        app: CoordinatorApp
+
         def _fleet_authorized(self) -> bool:
             presented = self.headers.get(wire.FLEET_TOKEN_HEADER)
             if self.app.client.auth.verify(presented):
@@ -1040,19 +766,8 @@ def make_coordinator_server(
 
         def do_POST(self) -> None:  # noqa: N802 - http.server API
             if self.path == "/v1/fleet/register":
-                if not self._fleet_authorized():
-                    return
-                try:
-                    length = int(self.headers.get("Content-Length", "0"))
-                    body = _json.loads(self.rfile.read(length) or b"null")
-                except (ValueError, _json.JSONDecodeError):
-                    self._reply(400, {"error": "request body must be valid JSON"})
-                    return
-                if not isinstance(body, dict):
-                    self._reply(400, {"error": "request body must be a JSON object"})
-                    return
-                status, doc = self.app.handle_register(body)
-                self._reply(status, doc)
+                if self._fleet_authorized() and (body := self._json_body()) is not None:
+                    self._reply(*self.app.handle_register(body))
                 return
             if self.path.startswith("/v1/fleet/") and not self._fleet_authorized():
                 return

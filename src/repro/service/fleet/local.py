@@ -22,9 +22,9 @@ from repro.service.fleet.coordinator import (
     FleetClient,
     make_coordinator_server,
 )
-from repro.service.fleet.quotas import TenantPolicy
 from repro.service.fleet.wire import FleetAuth
 from repro.service.fleet.worker import FleetWorkerApp, make_worker_server
+from repro.service.quotas import TenantPolicy
 
 __all__ = ["LocalFleet"]
 
@@ -108,7 +108,7 @@ class LocalFleet:
         )
         self.coordinator = CoordinatorApp(
             self.client,
-            exec_workers=exec_workers,
+            workers=exec_workers,
             queue_cap=queue_cap,
             max_points=max_points,
             policies=policies,

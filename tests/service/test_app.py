@@ -89,6 +89,18 @@ class TestEndpoints:
         status, doc, _ = post(base, {"kind": "teleport"})
         assert status == 400 and "unknown job kind" in doc["error"]
 
+    def test_tenant_is_validated_and_counted(self, served):
+        base, _ = served
+        status, doc, _ = post(base, {"kind": "point", "params": {"ops": 3}, "tenant": ""})
+        assert status == 400 and "'tenant'" in doc["error"]
+        status, doc, _ = post(
+            base, {"kind": "point", "params": {"ops": 3}, "tenant": "alpha", "wait": True}
+        )
+        assert status == 200 and doc["tenant"] == "alpha"
+        scheduler = get(base, "/v1/stats")[1]["scheduler"]
+        assert scheduler["tenants"]["alpha"]["completed"] == 1
+        assert scheduler["rejected_quota"] == 0
+
 
 class TestStatusSurfaces:
     def test_healthz_reports_cache_and_version(self, served):

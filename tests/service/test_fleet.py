@@ -14,7 +14,8 @@ import urllib.request
 
 import pytest
 
-from repro.service.fleet import LocalFleet, TenantPolicy
+from repro.service.fleet import LocalFleet
+from repro.service.quotas import TenantPolicy
 
 
 def get(base: str, path: str, token: str | None = None) -> tuple[int, dict]:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.service.fleet.quotas import FairShareQueue, TenantPolicy, TokenBucket
+from repro.service.quotas import FairShareQueue, TenantPolicy, TokenBucket
 
 
 class FakeClock:
@@ -115,5 +115,5 @@ class TestFairShareQueue:
         queue.push("b", 3)
         assert queue.depth() == 3
         assert queue.depths() == {"a": 2, "b": 1}
-        assert sorted(queue.drain()) == [("a", 1), ("a", 2), ("b", 3)]
+        assert sorted(queue.pop(timeout=1) for _ in range(3)) == [("a", 1), ("a", 2), ("b", 3)]
         assert queue.depth() == 0

@@ -1,14 +1,23 @@
-"""Scheduler: lifecycle, admission control, coalescing, determinism."""
+"""Scheduler: lifecycle, admission control, coalescing, determinism.
+
+Every case runs twice: on the single daemon's :class:`Scheduler` (the
+``Test*`` classes) and on the fleet's :class:`FleetScheduler` over an
+in-process fake fleet (their ``TestFleet*`` subclasses).
+"""
 
 from __future__ import annotations
 
 import threading
+import time
+from typing import Any
 
 import pytest
 
 from repro.experiments.locks import run_figure3
+from repro.experiments.sweep import point_key
 from repro.service.backends import InlineBackend
 from repro.service.cache2 import ShardedResultCache
+from repro.service.fleet.coordinator import FleetScheduler
 from repro.service.jobs import JobSpec, ServiceError
 from repro.service.scheduler import RejectedError, Scheduler
 
@@ -19,13 +28,38 @@ def make_scheduler(tmp_path, **kwargs):
     return Scheduler(InlineBackend(), cache, **kwargs)
 
 
+class InlineFleetClient:
+    """A fake fleet: points run inline, repeats are served from a memo."""
+
+    def __init__(self) -> None:
+        self.served: dict[str, Any] = {}
+
+    def map_points(self, func, calls):
+        keys = [point_key(func, call) for call in calls]
+        computed = 0
+        for key, call in zip(keys, calls):
+            if key not in self.served:
+                self.served[key] = func(**call)
+                computed += 1
+        values = [self.served[key] for key in keys]
+        return values, {"points": len(calls), "local_hits": len(calls) - computed,
+                        "remote_hits": 0, "computed": computed}
+
+
+def make_fleet_scheduler(tmp_path, **kwargs):
+    kwargs.setdefault("workers", 1)
+    return FleetScheduler(InlineFleetClient(), **kwargs)
+
+
 def point_spec(**params) -> JobSpec:
     return JobSpec.from_request({"kind": "point", "params": params})
 
 
 class TestLifecycle:
+    make = staticmethod(make_scheduler)
+
     def test_point_job_completes(self, tmp_path):
-        scheduler = make_scheduler(tmp_path)
+        scheduler = self.make(tmp_path)
         try:
             job = scheduler.submit(point_spec(n_procs=2, ops=3))
             assert job.wait(120)
@@ -36,7 +70,7 @@ class TestLifecycle:
             scheduler.close()
 
     def test_resubmit_served_from_cache(self, tmp_path):
-        scheduler = make_scheduler(tmp_path)
+        scheduler = self.make(tmp_path)
         try:
             first = scheduler.submit(point_spec(n_procs=2, ops=3))
             assert first.wait(120)
@@ -48,7 +82,7 @@ class TestLifecycle:
             scheduler.close()
 
     def test_failed_job_reports_error(self, tmp_path):
-        scheduler = make_scheduler(tmp_path)
+        scheduler = self.make(tmp_path)
         try:
             # dead-simple failure: a lock kind the point fn rejects at
             # run time is impossible (validated at parse), so drive a
@@ -61,7 +95,7 @@ class TestLifecycle:
             scheduler.close()
 
     def test_experiment_payload_matches_direct_run(self, tmp_path):
-        scheduler = make_scheduler(tmp_path)
+        scheduler = self.make(tmp_path)
         try:
             spec = JobSpec.from_request({
                 "kind": "experiment", "experiment": "fig3",
@@ -77,7 +111,7 @@ class TestLifecycle:
             scheduler.close()
 
     def test_obs_request_carries_capture_summaries(self, tmp_path):
-        scheduler = make_scheduler(tmp_path)
+        scheduler = self.make(tmp_path)
         try:
             spec = JobSpec.from_request(
                 {"kind": "point", "params": {"n_procs": 2, "ops": 3}, "obs": True}
@@ -107,8 +141,10 @@ def _gate_execute(monkeypatch, gate: threading.Event):
 
 
 class TestAdmission:
+    make = staticmethod(make_scheduler)
+
     def test_queue_full_rejects_with_retry_after(self, tmp_path, monkeypatch):
-        scheduler = make_scheduler(tmp_path, queue_cap=1)
+        scheduler = self.make(tmp_path, queue_cap=1)
         gate = threading.Event()
         _gate_execute(monkeypatch, gate)
         try:
@@ -125,7 +161,7 @@ class TestAdmission:
             scheduler.close()
 
     def test_oversized_job_refused_up_front(self, tmp_path):
-        scheduler = make_scheduler(tmp_path, max_points=5)
+        scheduler = self.make(tmp_path, max_points=5)
         try:
             spec = JobSpec.from_request({
                 "kind": "campaign",
@@ -138,7 +174,7 @@ class TestAdmission:
             scheduler.close()
 
     def test_identical_concurrent_submissions_coalesce(self, tmp_path, monkeypatch):
-        scheduler = make_scheduler(tmp_path, queue_cap=4)
+        scheduler = self.make(tmp_path, queue_cap=4)
         gate = threading.Event()
         _gate_execute(monkeypatch, gate)
         try:
@@ -153,7 +189,7 @@ class TestAdmission:
             scheduler.close()
 
     def test_distinct_specs_do_not_coalesce(self, tmp_path):
-        scheduler = make_scheduler(tmp_path, queue_cap=4)
+        scheduler = self.make(tmp_path, queue_cap=4)
         try:
             a = scheduler.submit(point_spec(ops=3))
             b = scheduler.submit(point_spec(ops=4))
@@ -166,10 +202,12 @@ class TestAdmission:
 class TestConcurrentAdmission:
     """Many threads slam the scheduler with identical specs at once."""
 
+    make = staticmethod(make_scheduler)
+
     def test_identical_specs_from_many_threads_coalesce_to_one_job(
         self, tmp_path, monkeypatch
     ):
-        scheduler = make_scheduler(tmp_path, queue_cap=4)
+        scheduler = self.make(tmp_path, queue_cap=4)
         gate = threading.Event()
         _gate_execute(monkeypatch, gate)
         n_threads = 16
@@ -203,7 +241,7 @@ class TestConcurrentAdmission:
     def test_concurrent_overflow_rejections_price_retry_after(
         self, tmp_path, monkeypatch
     ):
-        scheduler = make_scheduler(tmp_path, queue_cap=2)
+        scheduler = self.make(tmp_path, queue_cap=2)
         gate = threading.Event()
         _gate_execute(monkeypatch, gate)
         n_threads = 8
@@ -244,8 +282,10 @@ class TestConcurrentAdmission:
 
 
 class TestGracefulClose:
+    make = staticmethod(make_scheduler)
+
     def test_close_drains_accepted_jobs_and_reports_zero_stranded(self, tmp_path):
-        scheduler = make_scheduler(tmp_path, queue_cap=8)
+        scheduler = self.make(tmp_path, queue_cap=8)
         jobs = [scheduler.submit(point_spec(ops=3, seed=i)) for i in range(4)]
         stranded = scheduler.close(deadline=120)
         assert stranded == 0
@@ -253,20 +293,84 @@ class TestGracefulClose:
         assert scheduler.stats()["stranded"] == 0
 
     def test_close_is_idempotent(self, tmp_path):
-        scheduler = make_scheduler(tmp_path)
+        scheduler = self.make(tmp_path)
         assert scheduler.close() == 0
         assert scheduler.close() == 0
+
+    def test_submit_after_close_is_refused_with_503(self, tmp_path):
+        scheduler = self.make(tmp_path)
+        scheduler.close()
+        with pytest.raises(ServiceError) as err:
+            scheduler.submit(point_spec(ops=3))
+        assert err.value.status == 503
+        assert scheduler.stats()["queued"] == 0
+
+    def test_close_spends_one_deadline(self, tmp_path, monkeypatch):
+        scheduler = self.make(tmp_path)
+        gate = threading.Event()
+        _gate_execute(monkeypatch, gate)
+        try:
+            scheduler.submit(point_spec(ops=999))  # parks the worker
+            start = time.monotonic()
+            assert scheduler.close(deadline=0.2) == 1
+            assert time.monotonic() - start < 0.7
+            assert scheduler.stats()["stranded"] == 1
+        finally:
+            gate.set()
+            assert scheduler.close(deadline=120) == 0
+
+    def test_drain_waits_for_the_accepted_set(self, tmp_path, monkeypatch):
+        scheduler = self.make(tmp_path)
+        gate = threading.Event()
+        _gate_execute(monkeypatch, gate)
+        try:
+            job = scheduler.submit(point_spec(ops=999))
+            assert scheduler.drain(0.1) == 1
+            gate.set()
+            assert scheduler.drain(120) == 0
+            assert job.status == "done"
+        finally:
+            gate.set()
+            scheduler.close()
 
 
 class TestStats:
+    make = staticmethod(make_scheduler)
+    backend = "inline"
+
     def test_stats_counters(self, tmp_path):
-        scheduler = make_scheduler(tmp_path)
+        scheduler = self.make(tmp_path)
         try:
             job = scheduler.submit(point_spec(ops=3))
             assert job.wait(120)
             stats = scheduler.stats()
             assert stats["submitted"] == 1
             assert stats["completed"] == 1
-            assert stats["backend"] == "inline"
+            assert stats["backend"] == self.backend
+            assert stats["tenants"] == {"default": {
+                "submitted": 1, "completed": 1, "failed": 0,
+                "rejected_quota": 0, "rejected_queue": 0, "coalesced": 0,
+            }}
         finally:
             scheduler.close()
+
+
+class TestFleetLifecycle(TestLifecycle):
+    make = staticmethod(make_fleet_scheduler)
+
+
+class TestFleetAdmission(TestAdmission):
+    make = staticmethod(make_fleet_scheduler)
+
+
+class TestFleetConcurrentAdmission(TestConcurrentAdmission):
+    make = staticmethod(make_fleet_scheduler)
+
+
+class TestFleetGracefulClose(TestGracefulClose):
+    make = staticmethod(make_fleet_scheduler)
+
+
+class TestFleetStats(TestStats):
+    make = staticmethod(make_fleet_scheduler)
+    backend = "fleet"
