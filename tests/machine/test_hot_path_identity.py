@@ -56,6 +56,10 @@ POINTS: dict[str, Callable[[], Any]] = {
     "fig2 network write P=2": _fig2(2, "network", "write"),
     "fig2 local read P=1 stride=2KB": _fig2(1, "local", "read", BLOCK_BYTES),
     "fig2 network read P=2 stride=16KB": _fig2(2, "network", "read", PAGE_BYTES),
+    # P = 8 is the only case where eight cells interleave on one heap.
+    "fig2 local read P=8": _fig2(8, "local", "read"),
+    "fig2 local write P=8": _fig2(8, "local", "write"),
+    "fig2 network write P=8": _fig2(8, "network", "write"),
     "fig3 rw 40% P=4": lambda: measure_lock("rw", 4, 0.4, ops=8, seed=303),
     "fig4 mcs P=4": lambda: figure4_point("mcs", 4, 4, 404),
 }
