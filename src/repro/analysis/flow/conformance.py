@@ -763,7 +763,7 @@ class _RecordingDirectory(Directory):
         self.calls.append(("demote_owner",))
         super().demote_owner(subpage_id)
 
-    def invalidate_others(self, subpage_id: int, keep_cell: int) -> set[int]:
+    def invalidate_others(self, subpage_id: int, keep_cell: int) -> frozenset[int]:
         self.calls.append(("invalidate_others",))
         return super().invalidate_others(subpage_id, keep_cell)
 

@@ -147,9 +147,9 @@ class CoherenceModel:
             if st is None:
                 continue
             if st is SubpageState.INVALID:
-                entry.placeholders.add(c)
+                entry.placeholder_mask |= 1 << c
             else:
-                entry.sharers.add(c)
+                entry.sharer_mask |= 1 << c
             if st in (SubpageState.EXCLUSIVE, SubpageState.ATOMIC):
                 entry.owner = c
                 entry.atomic = st is SubpageState.ATOMIC
@@ -308,9 +308,8 @@ class CoherenceModel:
             return
         for holder in sorted(entry.placeholders):
             cells.set_state(holder, SubpageState.SHARED, fresh=True)
-        revived = set(entry.placeholders)
-        entry.sharers |= revived
-        entry.placeholders.clear()
+        entry.sharer_mask |= entry.placeholder_mask
+        entry.placeholder_mask = 0
         entry.check()
 
     # ------------------------------------------------------------------

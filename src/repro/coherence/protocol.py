@@ -260,9 +260,8 @@ class CoherenceProtocol:
             holder_cell = self._cell(holder)
             if holder_cell.local_cache.snarf(subpage_id):
                 holder_cell.perfmon.snarfs += 1
-        revived = set(entry.placeholders)
-        entry.sharers |= revived
-        entry.placeholders.clear()
+        entry.sharer_mask |= entry.placeholder_mask
+        entry.placeholder_mask = 0
         entry.check()
 
     # ------------------------------------------------------------------

@@ -177,14 +177,14 @@ class MacroAdvancer:
         # event fires and nothing is scheduled while the window runs, so
         # once a non-anchor head is found it bounds the whole window.
         while queue:
-            entry = queue[0]
-            head_event = entry[3]
-            if head_event.cancelled:
-                heappop(queue)
+            head = queue[0]
+            head_cb = head[3]
+            if head_cb is None:
+                heappop(queue)  # cancelled
                 continue
-            if head_event.callback is anchor_cb:
+            if head_cb is anchor_cb:
                 heappop(queue)
-                other = head_event.args[0]
+                other = head[4][0]
                 other.event = None
                 heappush(vheap, (other.time, other.seq, other))
                 virtual.append(other)

@@ -104,8 +104,8 @@ class _SnarfsPastOwner(CoherenceModel):
         entry = d.entry(SUBPAGE)
         for holder in sorted(entry.placeholders):
             cells.set_state(holder, SubpageState.SHARED, fresh=False)
-        entry.sharers |= set(entry.placeholders)
-        entry.placeholders.clear()
+        entry.sharer_mask |= entry.placeholder_mask
+        entry.placeholder_mask = 0
 
 
 class _SingleStepAtomicFill(CoherenceModel):

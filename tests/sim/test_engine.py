@@ -1,10 +1,12 @@
 """Tests for the discrete-event engine."""
 
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import SimulationError
-from repro.sim.engine import Engine
+from repro.sim.engine import Engine, Event
 
 
 class TestScheduling:
@@ -160,7 +162,7 @@ class TestRunControl:
 
 
 class TestFastPath:
-    """The inlined run() loop and the tuple-keyed heap."""
+    """The inlined run() loop and the list-keyed heap."""
 
     def test_same_instant_fifo_survives_interleaved_delays(self):
         eng = Engine()
@@ -249,6 +251,177 @@ class TestFastPath:
         assert eng.step() is True
         assert fired == ["keep"]
         assert eng.step() is False
+
+
+class TestNanTimes:
+    """A NaN time compares false with everything, so it must be refused
+    up front: queued, it would fire out of order and poison the clock."""
+
+    def test_schedule_rejects_nan_delay(self):
+        eng = Engine()
+        with pytest.raises(SimulationError):
+            eng.schedule(math.nan, lambda: None)
+        assert eng.events_scheduled == 0
+        assert eng.pending == 0
+
+    def test_schedule_at_rejects_nan_time(self):
+        eng = Engine()
+        eng.schedule(1, lambda: None)
+        with pytest.raises(SimulationError):
+            eng.schedule_at(math.nan, lambda: None)
+        eng.run()
+        assert eng.now == 1.0
+        assert eng.events_scheduled == 1
+
+    def test_infinite_delay_still_allowed(self):
+        eng = Engine()
+        assert eng.schedule(math.inf, lambda: None).time == math.inf
+
+
+class TestBudgetedFastLoop:
+    """run(max_events=n) without hook, probe or horizon: the fast loop."""
+
+    @staticmethod
+    def _guarded_calls(eng):
+        calls = []
+        inner = eng._run_guarded
+
+        def recording(until, max_events):
+            calls.append((until, max_events))
+            inner(until, max_events)
+
+        eng._run_guarded = recording
+        return calls
+
+    def test_fires_exactly_n_and_leaves_the_next_queued(self):
+        eng = Engine()
+        calls = self._guarded_calls(eng)
+        fired = []
+        for i in range(5):
+            eng.schedule(i, fired.append, i)
+        eng.run(max_events=3)
+        assert fired == [0, 1, 2]
+        assert eng.events_fired == 3
+        assert eng.pending == 2
+        assert eng.now == 2.0
+        assert calls == []  # the fast loop served it
+        eng.run(max_events=3)
+        assert fired == [0, 1, 2, 3, 4]
+
+    def test_cancelled_entries_are_skipped_and_not_counted(self):
+        eng = Engine()
+        fired = []
+        events = [eng.schedule(i, fired.append, i) for i in range(5)]
+        events[1].cancel()
+        events[2].cancel()
+        eng.run(max_events=2)
+        assert fired == [0, 3]
+        assert eng.events_fired == 2
+        assert eng.pending == 1
+
+    @pytest.mark.parametrize("budget", [0, 1, 2, 3, 6])
+    def test_matches_the_guarded_loop(self, budget):
+        def history(guarded):
+            eng = Engine()
+            if guarded:
+                eng.audit_hook = lambda event: None
+            fired = []
+            events = [eng.schedule(d, fired.append, d) for d in (4, 1, 1, 3, 2)]
+            events[1].cancel()
+            eng.run(max_events=budget)
+            return fired, eng.events_fired, eng.pending, eng.now
+
+        assert history(False) == history(True)
+
+    def test_callbacks_see_the_fire_limit_and_it_is_restored(self):
+        eng = Engine()
+        seen = []
+        for i in range(3):
+            eng.schedule(i, lambda: seen.append((eng._fire_limit, eng._active_until)))
+        eng.run(max_events=2)
+        assert seen == [(2, None), (2, None)]
+        assert eng._fire_limit is None
+        eng.run(max_events=5)
+        assert seen[-1] == (7, None)  # absolute: 2 fired before + budget 5
+        assert eng._fire_limit is None
+
+    def test_fire_limit_restored_when_a_callback_raises(self):
+        eng = Engine()
+
+        def boom():
+            raise RuntimeError("boom")
+
+        eng.schedule(1, boom)
+        with pytest.raises(RuntimeError):
+            eng.run(max_events=4)
+        assert eng._fire_limit is None
+        assert eng._active_until is None
+
+    def test_until_audit_hook_and_probe_take_the_guarded_loop(self):
+        eng = Engine()
+        calls = self._guarded_calls(eng)
+        eng.schedule(1, lambda: None)
+        eng.run(until=5, max_events=9)
+        eng.audit_hook = lambda event: None
+        eng.schedule(1, lambda: None)
+        eng.run(max_events=9)
+        eng.audit_hook = None
+        eng.probe = lambda time: None
+        eng.schedule(1, lambda: None)
+        eng.run()
+        assert calls == [(5, 9), (None, 9), (None, None)]
+
+
+class TestEventIsTheHeapEntry:
+    def test_properties_and_cancel(self):
+        eng = Engine()
+        eng.schedule(1, lambda: None)
+
+        def callback(a, b):
+            pass
+
+        event = eng.schedule(3, callback, "a", "b")
+        assert isinstance(event, Event)
+        assert any(entry is event for entry in eng._queue)
+        assert event.time == 3.0
+        assert event.seq == 1
+        assert event.tie == 1.0
+        assert event.callback is callback
+        assert event.args == ("a", "b")
+        assert not event.cancelled
+        event.cancel()
+        assert event.cancelled
+        assert event.callback is None
+        assert event.time == 3.0 and event.seq == 1  # the key is unchanged
+        eng.run()
+        assert eng.events_fired == 1
+
+    def test_cancel_after_firing_is_a_no_op(self):
+        eng = Engine()
+        fired = []
+        event = eng.schedule(1, fired.append, "x")
+        eng.run()
+        event.cancel()
+        assert fired == ["x"]
+        assert eng.events_fired == 1
+
+    def test_heap_order_under_shuffled_ties(self):
+        class Draws:
+            def __init__(self, values):
+                self.values = iter(values)
+
+            def random(self):
+                return next(self.values)
+
+        eng = Engine()
+        eng.shuffle_same_time_ties(Draws([0.7, 0.2, 0.9, 0.1, 0.5]))
+        fired = []
+        for tag, delay in zip("abcde", (5, 5, 5, 5, 1)):
+            event = eng.schedule(delay, fired.append, tag)
+            assert event.tie == {"a": 0.7, "b": 0.2, "c": 0.9, "d": 0.1, "e": 0.5}[tag]
+        eng.run()
+        # time first, then the drawn tie key, whatever the schedule order
+        assert fired == ["e", "d", "b", "a", "c"]
 
 
 class TestDeterminism:
