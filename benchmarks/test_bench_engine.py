@@ -11,7 +11,7 @@ from repro.sim.engine import Engine
 
 
 def test_bench_engine_raw_dispatch(benchmark):
-    """Upper bound: null-callback events through the tuple-keyed heap."""
+    """Upper bound: null-callback events through the engine heap."""
 
     def spin(n: int = 200_000) -> Engine:
         eng = Engine()

@@ -57,10 +57,10 @@ class TestEngineHooks:
         assert fired == ["early", "late"]
 
     def test_shuffle_and_audit_compose_on_large_tie_groups(self):
-        # regression for the tuple-keyed heap: the perturbation harness
-        # relies on shuffled tie keys and the audit hook seeing every
-        # event; both must keep working with heap entries that are
-        # (time, tie, seq, event) tuples rather than bare Events.
+        # regression for the keyed heap: the perturbation harness relies
+        # on shuffled tie keys and the audit hook seeing every event;
+        # both must keep working with heap entries that are the Events
+        # themselves, lists keyed by (time, tie, seq).
         engine = Engine()
         engine.shuffle_same_time_ties(np.random.default_rng(7))
         audited = []
