@@ -21,7 +21,7 @@ package turns that substrate into a *service* (``ksr-serve``):
   surface and the ``ksr-serve`` command line.
 * :mod:`repro.service.fleet` — the federated tier: coordinator +
   worker fleet with consistent-hash routing, cache replication and
-  the ``--loadgen`` harness.
+  multi-host membership.
 
 Responses are byte-identical to the equivalent ``ksr-experiments`` /
 ``ksr-faults`` output: serving changes *where* points compute, never

@@ -287,9 +287,9 @@ class _Handler(BaseHTTPRequestHandler):
 
 
 class _ServiceHTTPServer(ThreadingHTTPServer):
-    # The stdlib default listen backlog (5) resets connections the
-    # moment hundreds of closed-loop clients connect at once; size it
-    # for the --loadgen concurrency instead.
+    # The stdlib default listen backlog (5) resets connections as soon
+    # as more than five clients connect before the accept loop catches
+    # up; a deep backlog queues such a burst instead of refusing it.
     request_queue_size = 1024
 
 

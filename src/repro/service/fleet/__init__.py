@@ -15,9 +15,7 @@ workers look like one coherent resource:
   key-range handoff on worker death; jobs are admitted and queued by
   the single daemon's scheduler, which runs them on the fleet.
 * :mod:`~repro.service.fleet.local` — a one-process fleet harness on
-  real loopback sockets (tests, ``--fleet``, smoke, loadgen).
-* :mod:`~repro.service.fleet.loadgen` — the closed-loop multi-process
-  load generator behind ``ksr-serve --loadgen``.
+  real loopback sockets (tests and ``ksr-serve --fleet``).
 
 The invariant the whole package leans on is the same one the cache
 leans on: every sweep point is a pure function of its arguments, so
@@ -34,7 +32,6 @@ from repro.service.fleet.coordinator import (
     WorkerHandle,
     make_coordinator_server,
 )
-from repro.service.fleet.loadgen import run_loadgen
 from repro.service.fleet.local import LocalFleet
 from repro.service.fleet.ring import HashRing
 from repro.service.fleet.wire import FleetAuth, WireError
@@ -58,5 +55,4 @@ __all__ = [
     "WorkerHandle",
     "make_coordinator_server",
     "make_worker_server",
-    "run_loadgen",
 ]

@@ -1,13 +1,12 @@
 """One-process fleet harness: coordinator + N workers on real sockets.
 
-Tests, ``ksr-serve --fleet``, the fleet smoke and the load generator
-all need the same thing: a coordinator and a handful of workers, each
-bound to its own ephemeral loopback port, each owning its own cache
-shard directory, wired together and torn down cleanly.  Running them
-as threads in one process keeps the harness fast and debuggable while
-every byte still crosses a real HTTP socket — the wire protocol, the
-routing, the read-through and the replication paths are all exercised
-exactly as they would be across machines.
+Tests and ``ksr-serve --fleet`` need the same thing: a coordinator and
+a handful of workers, each bound to its own loopback port, each owning
+its own cache shard directory, wired together and torn down cleanly.
+Running them as threads in one process keeps the harness fast and
+debuggable while every byte still crosses a real HTTP socket — the
+wire protocol, the routing, the read-through and the replication paths
+are all exercised exactly as they would be across machines.
 """
 
 from __future__ import annotations
@@ -28,6 +27,11 @@ from repro.service.quotas import TenantPolicy
 
 __all__ = ["LocalFleet"]
 
+#: Seconds between ``serve_forever``'s shutdown checks.  Every stop
+#: waits out up to one tick, and teardown stops the members one after
+#: another, so the stdlib's 0.5 s tick would cost seconds per fleet.
+_POLL_S = 0.05
+
 
 class _Member:
     """One running server (app + HTTP server + serving thread)."""
@@ -35,7 +39,9 @@ class _Member:
     def __init__(self, app: Any, server: ThreadingHTTPServer):
         self.app = app
         self.server = server
-        self.thread = threading.Thread(target=server.serve_forever, daemon=True)
+        self.thread = threading.Thread(
+            target=server.serve_forever, args=(_POLL_S,), daemon=True
+        )
         self.thread.start()
 
     @property
@@ -58,7 +64,13 @@ class _Member:
 
 
 class LocalFleet:
-    """Coordinator + ``n_workers`` fleet on loopback, context-managed."""
+    """Coordinator + ``n_workers`` fleet on loopback, context-managed.
+
+    Workers bind ephemeral ports on ``host``; the coordinator binds
+    ``host:port`` (``port=0``: ephemeral).  ``n_workers=0`` starts the
+    coordinator with an empty ring, for workers that join over
+    ``POST /v1/fleet/register``.
+    """
 
     def __init__(
         self,
@@ -66,6 +78,7 @@ class LocalFleet:
         *,
         n_workers: int = 3,
         backend: str = "inline",
+        cap_bytes: int | None = None,
         replication: int = 2,
         queue_cap: int = 32,
         exec_workers: int = 4,
@@ -76,11 +89,13 @@ class LocalFleet:
         default_policy: TenantPolicy | None = None,
         heartbeat_interval: float | None = 1.0,
         host: str = "127.0.0.1",
+        port: int = 0,
+        verbose: bool = False,
         dead_interval: float = 10.0,
         auth: FleetAuth | None = None,
     ):
-        if n_workers < 1:
-            raise ValueError(f"n_workers must be >= 1, got {n_workers}")
+        if n_workers < 0:
+            raise ValueError(f"n_workers must be >= 0, got {n_workers}")
         cache_root = Path(cache_root)
         # Even the loopback harness runs with a real shared secret:
         # the auth path is then exercised by every fleet test for free.
@@ -93,6 +108,7 @@ class LocalFleet:
                 str(cache_root / worker_id),
                 worker_id=worker_id,
                 backend=backend,
+                cap_bytes=cap_bytes,
                 workers=worker_threads,
                 queue_cap=queue_cap,
                 max_points=max_points,
@@ -116,7 +132,8 @@ class LocalFleet:
             heartbeat_interval=heartbeat_interval,
         )
         self._coord = _Member(
-            self.coordinator, make_coordinator_server(self.coordinator, host, 0)
+            self.coordinator,
+            make_coordinator_server(self.coordinator, host, port, verbose=verbose),
         )
 
     @property
@@ -152,14 +169,18 @@ class LocalFleet:
             member.app, make_worker_server(member.app, self.host, port)
         )
 
-    def close(self, *, drain_deadline: float = 30.0) -> None:
-        """Graceful teardown: coordinator first (stops routing), then workers."""
-        self._coord.stop(drain_deadline=drain_deadline)
+    def close(self, *, drain_deadline: float = 30.0) -> int:
+        """Graceful teardown: coordinator first (stops routing), then workers.
+
+        Returns how many coordinator jobs the drain left unfinished.
+        """
+        stranded = self._coord.stop(drain_deadline=drain_deadline)
         for member in self.workers.values():
             if member.thread.is_alive():
                 member.stop(drain_deadline=drain_deadline)
             else:  # already killed; still release its scheduler/backend
                 member.app.close(drain_deadline=0)
+        return stranded
 
     def __enter__(self) -> "LocalFleet":
         return self

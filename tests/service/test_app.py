@@ -13,10 +13,12 @@ from repro.service.app import ServiceApp, make_server
 
 
 @pytest.fixture
-def served(tmp_path):
-    """A running server (inline backend: tests stay single-process)."""
+def served(request, tmp_path):
+    """A running server: inline backend (tests stay single-process)
+    unless a test parametrizes the fixture with another backend spec."""
+    backend = getattr(request, "param", "inline")
     app = ServiceApp(
-        str(tmp_path / "cache"), backend="inline", workers=2, queue_cap=4
+        str(tmp_path / "cache"), backend=backend, workers=2, queue_cap=4
     )
     server = make_server(app, "127.0.0.1", 0)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
@@ -265,6 +267,7 @@ class TestJobs:
 class TestAcceptance:
     """The ISSUE's acceptance bar, end to end over real HTTP."""
 
+    @pytest.mark.parametrize("served", ["inline", "process:2"], indirect=True)
     def test_fig2_byte_identical_and_cached(self, served):
         from repro.experiments.latency import run_figure2
 

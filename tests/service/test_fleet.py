@@ -228,29 +228,3 @@ class TestDraining:
         assert fleet.client.workers["worker-1"].reason == "draining"
         assert "worker-1" not in fleet.client.ring
 
-
-class TestLoadgen:
-    def test_small_burst_produces_a_report(self, fleet, tmp_path):
-        from repro.service.fleet.loadgen import run_loadgen
-
-        out = tmp_path / "BENCH_fleet.json"
-        report = run_loadgen(
-            fleet.base_url,
-            clients=8,
-            processes=2,
-            duration_s=1.5,
-            tenants=2,
-            spec_space=4,
-            ops=2,
-            n_procs=2,
-            timeout=60,
-            out_path=str(out),
-        )
-        assert report["totals"]["completed"] > 0
-        assert report["totals"]["throughput_jobs_per_s"] > 0
-        assert 0.0 <= report["cache"]["served_fraction"] <= 1.0
-        assert 0.0 < report["fairness"]["jain_index"] <= 1.0
-        assert set(report["tenants"]) <= {"tenant-0", "tenant-1"}
-        assert report["latency_ms"]["p50"] <= report["latency_ms"]["p99"]
-        on_disk = json.loads(out.read_text())
-        assert on_disk["benchmark"] == "fleet-loadgen"

@@ -5,21 +5,27 @@ These tests drive the dynamic-membership surface the ``--worker
 handshake, the shared-secret gate on every fleet-plane endpoint, the
 rejoin-triggers-repair path, and the dead-interval reaper that
 restores the replication factor after a permanent loss.  All over real
-loopback sockets via :class:`LocalFleet`.
+loopback sockets via :class:`LocalFleet`; :class:`TestWorkerProcesses`
+joins real ``ksr-serve --worker`` OS processes and SIGKILLs one.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import time
 import urllib.error
 import urllib.request
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.service.app import version_info
 from repro.service.fleet import LocalFleet, Registrar, WorkerHandle
-from repro.service.fleet.wire import FLEET_TOKEN_HEADER
+from repro.service.fleet.wire import FLEET_TOKEN_ENV, FLEET_TOKEN_HEADER
 
 
 def get(base: str, path: str, token: str | None = None) -> tuple[int, dict]:
@@ -63,6 +69,12 @@ def settle_replication(fleet: LocalFleet, deadline: float = 20.0) -> dict:
 
 
 POINT = {"kind": "point", "params": {"ops": 3, "n_procs": 2}, "wait": True}
+FIG2 = {
+    "kind": "experiment",
+    "experiment": "fig2",
+    "params": {"procs": [1, 2], "samples": 50},
+    "wait": True,
+}
 
 
 @pytest.fixture
@@ -315,3 +327,92 @@ def post_fleet_job(base: str, body: dict) -> tuple[int, dict]:
             return response.status, json.loads(response.read())
     except urllib.error.HTTPError as err:
         return err.code, json.loads(err.read())
+
+
+def spawn_worker(coordinator: LocalFleet, worker_id: str, shard: Path) -> subprocess.Popen:
+    """A ``ksr-serve --worker --join`` OS process registering every second."""
+    env = dict(os.environ)
+    env[FLEET_TOKEN_ENV] = coordinator.auth.secret
+    package_root = str(Path(repro.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (package_root, env.get("PYTHONPATH")) if p
+    )
+    return subprocess.Popen(
+        [
+            sys.executable, "-m", "repro.service.cli",
+            "--worker", "--join", coordinator.base_url,
+            "--worker-id", worker_id,
+            "--port", "0",
+            "--backend", "inline",
+            "--cache-dir", str(shard),
+            "--register-interval", "1",
+        ],
+        env=env,
+    )
+
+
+class TestWorkerProcesses:
+    """Worker OS processes join over real sockets and survive a SIGKILL."""
+
+    def test_join_sigkill_repair_and_cached_resubmit(self, tmp_path):
+        from repro.experiments.latency import run_figure2
+
+        with LocalFleet(
+            tmp_path / "coordinator", n_workers=0, heartbeat_interval=None,
+            dead_interval=0.2,
+        ) as fleet:
+            client = fleet.client
+            procs = {
+                f"proc-worker-{i}": spawn_worker(
+                    fleet, f"proc-worker-{i}", tmp_path / f"shard-{i}"
+                )
+                for i in range(3)
+            }
+            try:
+                deadline = time.monotonic() + 60
+                while len(client.alive_workers()) < len(procs):
+                    assert time.monotonic() < deadline, "workers never registered"
+                    assert all(p.poll() is None for p in procs.values())
+                    time.sleep(0.05)
+
+                status, first = post_fleet_job(fleet.base_url, FIG2)
+                assert status == 200 and first["status"] == "done"
+                direct = run_figure2(proc_counts=[1, 2], samples=50)
+                assert first["result"]["rendered"] == direct.render()
+                before = client.repair()
+                assert before["keys"] > 0 and before["under_replicated"] == 0
+
+                victim = next(
+                    wid for wid, handle in client.workers.items()
+                    if get(handle.base_url, "/v1/fleet/keys",
+                           token=fleet.auth.secret)[1]["count"] > 0
+                )
+                procs[victim].kill()
+                procs[victim].wait(timeout=10)
+                for _ in range(client.max_failures):
+                    client.check_health()
+                assert victim not in client.ring
+                time.sleep(0.25)  # past the 0.2s dead interval
+                assert client.reap_dead() is True
+                after = client.last_replication
+                assert after["alive"] == 2 and after["pushed"] > 0
+                assert after["keys"] == before["keys"]
+                assert after["under_replicated"] == 0
+
+                status, second = post_fleet_job(fleet.base_url, FIG2)
+                assert status == 200 and second["status"] == "done"
+                assert json.dumps(second["result"], sort_keys=True) == json.dumps(
+                    first["result"], sort_keys=True
+                )
+                stats = second["cache"]
+                assert stats["hits"] / (stats["hits"] + stats["misses"]) >= 0.95
+            finally:
+                for proc in procs.values():
+                    if proc.poll() is None:
+                        proc.terminate()
+                for proc in procs.values():
+                    try:
+                        proc.wait(timeout=15)
+                    except subprocess.TimeoutExpired:
+                        proc.kill()
+                        proc.wait()
