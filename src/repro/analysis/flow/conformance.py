@@ -374,6 +374,7 @@ class _ProtocolExtractor:
         "has_valid_copy": "has_valid",
         "created": "created",
         "placeholders": "placeholders",
+        "placeholder_mask": "placeholders",
     }
 
     def _formula(self, node: ast.expr, frame: _Frame) -> Optional[Formula]:

@@ -17,7 +17,7 @@ Invariants enforced here (violations raise
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import KeysView, Optional
 
 from repro.errors import ProtocolError
 from repro.memory.cache_sets import bit_ids
@@ -105,6 +105,10 @@ class Directory:
     def known(self, subpage_id: int) -> bool:
         """Whether the subpage has an entry at all."""
         return subpage_id in self._entries
+
+    def subpage_ids(self) -> KeysView[int]:
+        """Every subpage that has an entry (a live view)."""
+        return self._entries.keys()
 
     # ------------------------------------------------------------------
     # Transitions (each keeps the entry consistent and re-checks)

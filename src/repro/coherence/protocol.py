@@ -291,7 +291,7 @@ class CoherenceProtocol:
                 cell.local_cache.set_state(subpage_id, SubpageState.ATOMIC)
             cont(now)
             return
-        if not entry.has_valid_copy and not entry.placeholders and not entry.created:
+        if not entry.has_valid_copy and not entry.placeholder_mask and not entry.created:
             # Cold first touch straight to exclusive ownership.
             self._fill(
                 cell_id,

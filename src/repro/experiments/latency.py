@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, SimulationError
 from repro.experiments.base import ExperimentResult
 from repro.experiments.sweep import SweepRunner
 from repro.machine.api import SharedArray, SharedMemory
@@ -37,7 +37,7 @@ from repro.machine.ksr import KsrMachine
 from repro.obs import Observer, ObsCapture, ObsSpec, trace_sink
 from repro.sim.process import Op, Read, Write
 
-__all__ = ["LatencyMeasurement", "measure_latencies", "run_figure2"]
+__all__ = ["LatencyMeasurement", "measure_cell_run", "measure_latencies", "run_figure2"]
 
 #: Private array size per processor: comfortably larger than the
 #: 256 KB sub-cache so it cannot be held there, small enough to keep
@@ -65,11 +65,10 @@ class LatencyMeasurement:
         return self.mean_latency_s * 20e6
 
 
-def _quiet(n_procs: int, seed: int) -> KsrMachine:
-    config = MachineConfig.ksr1(
+def _config(n_procs: int, seed: int) -> MachineConfig:
+    return MachineConfig.ksr1(
         n_cells=max(2, n_procs), seed=seed, timer=TimerConfig(enabled=False)
     )
-    return KsrMachine(config)
 
 
 def _sweep(arr: SharedArray, stride_bytes: int, samples: int, *, write: bool) -> Iterator[Op]:
@@ -89,6 +88,57 @@ def _first_touch(arr: SharedArray) -> Iterator[Op]:
     """Touch every subpage once so the array is owned locally."""
     for word in range(0, len(arr), SUBPAGE_BYTES // 8):
         yield Write(arr.addr(word), 0)
+
+
+class _Layout:
+    """A fresh timer-off machine of a P-processor point with its arrays.
+
+    Every processor ``i`` gets a private array ``A{i}`` and, at the
+    local level, a fill array ``B{i}``; :meth:`body` is processor
+    ``i``'s thread and records its timed cycles in :attr:`timings`.
+    """
+
+    def __init__(
+        self, n_procs: int, level: str, op: str, stride_bytes: int, seed: int, samples: int
+    ):
+        self.machine = KsrMachine(_config(n_procs, seed))
+        self.level, self.op = level, op
+        self.stride_bytes, self.samples = stride_bytes, samples
+        mem = SharedMemory(self.machine)
+        # the timed sweep must never wrap, or revisits become cache hits
+        words = max(_ARRAY_BYTES, (samples + 1) * stride_bytes) // 8
+        self.arrays_a = [mem.page_array(f"A{i}", words) for i in range(n_procs)]
+        self.arrays_b = (
+            [mem.page_array(f"B{i}", _ARRAY_BYTES // 8) for i in range(n_procs)]
+            if level == "local"
+            else []
+        )
+        self.timings: dict[int, float] = {}
+
+    def body(self, pid: int) -> Iterator[Op]:
+        mine_a = self.arrays_a[pid]
+        yield from _first_touch(mine_a)
+        if self.level == "local":
+            mine_b = self.arrays_b[pid]
+            yield from _first_touch(mine_b)
+            # fill the sub-cache with B by reading it repeatedly
+            for _ in range(_FILL_SWEEPS):
+                yield from _sweep(
+                    mine_b, SUBBLOCK_BYTES, len(mine_b) // (SUBBLOCK_BYTES // 8), write=False
+                )
+            target = mine_a
+        else:
+            # the network case times accesses to the neighbour's array
+            target = self.arrays_a[(pid + 1) % len(self.arrays_a)]
+        engine = self.machine.engine
+        start = engine.now
+        yield from _sweep(target, self.stride_bytes, self.samples, write=(self.op == "write"))
+        self.timings[pid] = engine.now - start
+
+
+def _check_op(op: str) -> None:
+    if op not in ("read", "write"):
+        raise ConfigError(f"unknown op {op!r}")
 
 
 def measure_latencies(
@@ -114,50 +164,16 @@ def measure_latencies(
     """
     if level not in ("local", "network"):
         raise ConfigError(f"unknown level {level!r}")
-    if op not in ("read", "write"):
-        raise ConfigError(f"unknown op {op!r}")
+    _check_op(op)
     if stride_bytes is None:
         stride_bytes = SUBBLOCK_BYTES if level == "local" else SUBPAGE_BYTES
-    machine = _quiet(n_procs, seed)
+    layout = _Layout(n_procs, level, op, stride_bytes, seed, samples)
+    machine = layout.machine
     observer = Observer(obs).attach(machine) if obs is not None else None
-    mem = SharedMemory(machine)
-    # the timed sweep must never wrap, or revisits become cache hits
-    words = max(_ARRAY_BYTES, (samples + 1) * stride_bytes) // 8
-    arrays_a = [mem.page_array(f"A{i}", words) for i in range(n_procs)]
-    fill_words = _ARRAY_BYTES // 8
-    arrays_b = (
-        [mem.page_array(f"B{i}", fill_words) for i in range(n_procs)]
-        if level == "local"
-        else []
-    )
-    timings: dict[int, float] = {}
-
-    def body(pid: int) -> Iterator[Op]:
-        mine_a = arrays_a[pid]
-        yield from _first_touch(mine_a)
-        if level == "local":
-            mine_b = arrays_b[pid]
-            yield from _first_touch(mine_b)
-            # fill the sub-cache with B by reading it repeatedly
-            for _ in range(_FILL_SWEEPS):
-                yield from _sweep(
-                    mine_b,
-                    SUBBLOCK_BYTES,
-                    fill_words // (SUBBLOCK_BYTES // 8),
-                    write=False,
-                )
-            target = mine_a
-        else:
-            # the network case times accesses to the neighbour's array
-            target = arrays_a[(pid + 1) % n_procs]
-        start = machine.engine.now
-        yield from _sweep(target, stride_bytes, samples, write=(op == "write"))
-        timings[pid] = machine.engine.now - start
-
     for i in range(n_procs):
-        machine.spawn(f"lat-{i}", body(i), i)
+        machine.spawn(f"lat-{i}", layout.body(i), i)
     machine.run()
-    mean_cycles = sum(timings.values()) / (n_procs * samples)
+    mean_cycles = sum(layout.timings.values()) / (n_procs * samples)
     measurement = LatencyMeasurement(
         n_procs=n_procs,
         level=level,
@@ -176,6 +192,79 @@ def measure_latencies(
     return measurement
 
 
+def measure_cell_run(
+    cell: int, op: str, *, stride_bytes: int, seed: int = 101, samples: int = _SAMPLES
+) -> float:
+    """Timed cycles of processor ``cell`` in a local-level point, run alone.
+
+    The machine and the array layout are those of the ``P = cell + 1``
+    point, but only ``lat-{cell}`` runs.  At the local level a
+    processor touches only its own arrays, draws only from its own
+    cell's random streams and makes no ring transaction, so its timing
+    is the same in every point with ``P > cell``.  The run checks that
+    claim and raises :class:`~repro.errors.SimulationError` if it made
+    a ring transaction or created a directory entry outside its own
+    ``A{cell}``/``B{cell}`` subpages.
+    """
+    _check_op(op)
+    if cell < 0:
+        raise ConfigError(f"cell must be >= 0, got {cell}")
+    layout = _Layout(cell + 1, "local", op, stride_bytes, seed, samples)
+    machine = layout.machine
+    machine.spawn(f"lat-{cell}", layout.body(cell), cell)
+    machine.run()
+    if machine.total_perf().ring_transactions:
+        raise SimulationError(f"fig2 cell-run {cell} made ring transactions")
+    own: set[int] = set()
+    for arr in (layout.arrays_a[cell], layout.arrays_b[cell]):
+        first, last = arr.addr(0) // SUBPAGE_BYTES, arr.addr(len(arr) - 1) // SUBPAGE_BYTES
+        own.update(range(first, last + 1))
+    stray = machine.protocol.directory.subpage_ids() - own
+    if stray:
+        raise SimulationError(
+            f"fig2 cell-run {cell} touched subpage 0x{min(stray):x} outside its own arrays"
+        )
+    return layout.timings[cell]
+
+
+def _assemble_local(calls: list[dict], runner: SweepRunner) -> list[LatencyMeasurement]:
+    """The points of ``calls``, local ones assembled from cell-runs.
+
+    A local point's mean is the sum of its processors' cell-run cycles
+    over ``P * samples``: the same formula :func:`measure_latencies`
+    applies to the same whole-cycle timings, so the value is identical.
+    Network points, whose cells share the ring, stay whole-machine runs.
+    """
+    cell_calls = [
+        dict(
+            cell=cell, op=c["op"], stride_bytes=c.get("stride_bytes", SUBBLOCK_BYTES),
+            seed=c["seed"], samples=c["samples"],
+        )
+        for c in calls
+        if c["level"] == "local"
+        for cell in range(c["n_procs"])
+    ]
+    cycles = iter(runner.map(measure_cell_run, cell_calls))
+    network = iter(runner.map(measure_latencies, [c for c in calls if c["level"] == "network"]))
+    values = []
+    for call in calls:
+        if call["level"] == "network":
+            values.append(next(network))
+            continue
+        p, samples = call["n_procs"], call["samples"]
+        mean_cycles = sum(next(cycles) for _ in range(p)) / (p * samples)
+        values.append(
+            LatencyMeasurement(
+                n_procs=p,
+                level="local",
+                op=call["op"],
+                stride_bytes=call.get("stride_bytes", SUBBLOCK_BYTES),
+                mean_latency_s=_config(p, call["seed"]).seconds(mean_cycles),
+            )
+        )
+    return values
+
+
 def run_figure2(
     proc_counts: list[int] | None = None,
     *,
@@ -187,12 +276,18 @@ def run_figure2(
 ) -> ExperimentResult:
     """Reproduce Figure 2 plus the allocation-overhead call-outs.
 
-    Each (level, op, P) point runs on a fresh, point-seeded machine, so
-    ``runner`` may compute them in parallel and/or from the result
-    cache — the assembled table is byte-identical regardless.
+    A network point runs on a fresh, point-seeded machine.  A local
+    point is assembled from one :func:`measure_cell_run` per processor:
+    its cells share no state, so cell ``c``'s timing is the same at
+    every P and is simulated once per (op, stride) for the whole table.
+    Either way ``runner`` may compute the sweep units in parallel and/or
+    from the result cache, and the assembled table is byte-identical to
+    running every point through :func:`measure_latencies`.
 
     ``trace_dir`` (implies a default ``obs``) writes one Chrome-trace
     file per point into that directory without changing the table.
+    With ``obs`` set every point, local ones included, runs as one
+    whole machine, so each point yields one capture.
     """
     if proc_counts is None:
         proc_counts = [1, 2, 4, 8, 16, 24, 32]
@@ -230,9 +325,11 @@ def run_figure2(
     if obs is not None:
         for call in calls:
             call["obs"] = obs
-    sink = trace_sink("FIG2", trace_dir) if trace_dir is not None else None
-    raw = runner.map(measure_latencies, calls, on_result=sink)
-    values = iter(r[0] if obs is not None else r for r in raw)
+        sink = trace_sink("FIG2", trace_dir) if trace_dir is not None else None
+        raw = runner.map(measure_latencies, calls, on_result=sink)
+        values = iter(r[0] for r in raw)
+    else:
+        values = iter(_assemble_local(calls, runner))
     for p in proc_counts:
         row = [p]
         for level in ("local", "network"):

@@ -17,6 +17,16 @@ def square(x: int) -> int:
     return x * x
 
 
+#: Arguments :func:`counted_square` was evaluated with, in order.
+EVALUATED: list[int] = []
+
+
+def counted_square(x: int) -> int:
+    """``square`` that records each in-process evaluation."""
+    EVALUATED.append(x)
+    return x * x
+
+
 def audit_fingerprint(seed: int) -> dict:
     """Fingerprint of the default audit workload (ignores the seed arg,
     which only exists to make distinct cache keys)."""
@@ -219,6 +229,34 @@ class TestSweepRunner:
         second = runner.map(square, calls)
         assert second == first
         assert cache.hits == 5 and cache.misses == 5
+
+    def test_duplicate_calls_computed_once(self):
+        EVALUATED.clear()
+        seen = []
+        values = SweepRunner().map(
+            counted_square,
+            [dict(x=i) for i in (3, 1, 3, 2, 1)],
+            on_result=lambda i, kwargs, value: seen.append((i, kwargs["x"], value)),
+        )
+        assert values == [9, 1, 9, 4, 1]
+        assert EVALUATED == [3, 1, 2]
+        assert seen == [(0, 3, 9), (1, 1, 1), (2, 3, 9), (3, 2, 4), (4, 1, 1)]
+
+    def test_duplicates_keep_cache_counts(self, tmp_path):
+        EVALUATED.clear()
+        cache = ResultCache(tmp_path / "cache")
+        runner = SweepRunner(cache=cache)
+        calls = [dict(x=i) for i in (3, 1, 3)]
+        assert runner.map(counted_square, calls) == [9, 1, 9]
+        assert EVALUATED == [3, 1]
+        assert cache.misses == 3 and cache.hits == 0
+        assert runner.map(counted_square, calls) == [9, 1, 9]
+        assert EVALUATED == [3, 1]
+        assert cache.hits == 3 and cache.misses == 3
+
+    def test_parallel_duplicates_match_serial(self):
+        calls = [dict(x=i) for i in (2, 5, 2, 5, 7)]
+        assert SweepRunner(jobs=2).map(square, calls) == [4, 25, 4, 25, 49]
 
     def test_parallel_matches_serial(self):
         calls = [dict(x=i) for i in range(6)]
