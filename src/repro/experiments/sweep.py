@@ -16,7 +16,10 @@ arguments.  That purity is what makes the two features here sound:
   under ``.ksr-cache/`` (override with ``$KSR_CACHE_DIR``), keyed by a
   SHA-256 of (code version, function identity, canonical arguments).
   The code version hashes every source file of the installed ``repro``
-  package, so any code change invalidates the whole cache.
+  package, so any code change invalidates the whole cache.  The same
+  class serves ``ksr-serve`` and its fleet workers, which add a size
+  cap, pinning and peer read-through.  Every pickle the program reads
+  decodes through one allowlisted unpickler (:func:`safe_loads`).
 
 This module deliberately lives *outside* the KSR100-linted simulator
 packages (``sim``/``machine``/``ring``/``coherence``/``sync``): process
@@ -26,15 +29,26 @@ leak into simulated time.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
+import io
 import os
 import pickle
 import re
+import threading
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
-__all__ = ["ResultCache", "SweepRunner", "code_version", "point_key"]
+__all__ = [
+    "CACHE_FORMAT_VERSION",
+    "ResultCache",
+    "SweepRunner",
+    "code_version",
+    "point_key",
+    "safe_loads",
+]
 
 # Determinism sinks for `ksr-analyze flow` (KSR110): anything keyed
 # into the result cache must be reproducible across processes.
@@ -44,6 +58,11 @@ __ksr_flow_sinks__ = ("point_key",)
 CACHE_DIR_DEFAULT = ".ksr-cache"
 #: Environment variable overriding the cache location.
 CACHE_DIR_ENV = "KSR_CACHE_DIR"
+#: Bumped when the on-disk layout changes; a cache directory marked
+#: with another format is refused rather than misread.
+CACHE_FORMAT_VERSION = 2
+#: The shape of every :func:`point_key` (a SHA-256 hex digest).
+_KEY = re.compile(r"[0-9a-f]{64}")
 
 _code_version: str | None = None
 
@@ -153,83 +172,316 @@ def point_key(func: Callable[..., Any], kwargs: dict[str, Any]) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
+class _DataclassUnpickler(pickle.Unpickler):
+    """Unpickler that resolves only dataclasses defined under ``repro``.
+
+    Every pickle the program reads — cache entries on disk and fleet
+    payloads off the wire — decodes through this class.  Builtin
+    containers and scalars need no class lookup; anything else a
+    payload names (``os.system``, a ``repro`` function, a class with
+    side effects in its constructor) raises :class:`pickle.UnpicklingError`
+    instead of being imported and called.
+    """
+
+    def find_class(self, module: str, name: str) -> Any:
+        found = super().find_class(module, name) if module.startswith("repro.") else None
+        if isinstance(found, type) and dataclasses.is_dataclass(found):
+            if found.__module__ == module:  # defined there, not re-exported
+                return found
+        raise pickle.UnpicklingError(
+            f"refusing to unpickle {module}.{name}: only repro dataclasses are allowed"
+        )
+
+
+def safe_loads(data: bytes) -> Any:
+    """Decode one pickle through the allowlisted :class:`_DataclassUnpickler`."""
+    return _DataclassUnpickler(io.BytesIO(data)).load()
+
+
 class ResultCache:
     """Pickle-per-point cache under one directory.
 
-    Writes are atomic (tempfile + rename), so concurrent sweeps sharing
-    a cache directory can only ever observe complete entries.  A
-    corrupt or unreadable entry degrades to a miss, is counted in
-    :attr:`corrupt`, and the poisoned file is deleted so it cannot mask
-    a subsequent good write.
+    * **Layout** — entries live at ``objects/ab/cd/<key>.pkl``, so no
+      directory grows large enough to make ``readdir`` a hot spot.  A
+      ``CACHE_FORMAT`` marker names the layout; another format is
+      refused rather than misread.  Keys must look like
+      :func:`point_key` digests, so no key can name a path outside the
+      root.
+    * **Atomic writes** — tempfile + ``os.replace``, so concurrent
+      sweeps sharing a directory only ever observe complete entries.
+    * **Corruption is a miss** — an entry that fails to read or decode
+      is counted in :attr:`corrupt` and unlinked, so it cannot mask a
+      later store.
+    * **Size cap** — ``cap_bytes`` bounds the resident set by evicting
+      least-recently-*used* entries (a read bumps the file's mtime),
+      skipping keys pinned by an open :meth:`pin_session`.
+    * **Read-through** — :attr:`remote_fetch` lets a fleet worker ask
+      its replica peers before counting a miss; :meth:`peek` is the
+      local-only read a peer answers with.
 
-    The root is resolved to an absolute path once at construction:
-    ``ResultCache("./.ksr-cache")`` denotes the *same* cache no matter
-    which directory later code (or a worker process) runs from.
+    The root is resolved to an absolute path once at construction, so
+    a relative root names the same cache whichever directory later code
+    runs from.  Counters, pins and eviction share one lock, so the
+    service's threads can share an instance.
     """
 
-    def __init__(self, root: str | os.PathLike[str] = CACHE_DIR_DEFAULT):
+    def __init__(
+        self, root: str | os.PathLike[str] = CACHE_DIR_DEFAULT, *, cap_bytes: int | None = None
+    ):
+        if cap_bytes is not None and cap_bytes <= 0:
+            raise ValueError(f"cap_bytes must be positive or None, got {cap_bytes}")
         self.root = Path(root).resolve()
+        self.cap_bytes = cap_bytes
         self.hits = 0
         self.misses = 0
         #: Entries that existed on disk but failed to read/decode
         #: (always also counted in :attr:`misses`).
         self.corrupt = 0
+        self.evictions = 0
+        #: Misses served by :attr:`remote_fetch` (also counted in :attr:`hits`).
+        self.remote_hits = 0
+        #: Remote read-through seam: ``key -> (hit, value)``, consulted on
+        #: a local miss.  A remote hit is adopted into the local store.
+        #: ``None`` (the default) keeps the cache purely local.
+        self.remote_fetch: Callable[[str], tuple[bool, Any]] | None = None
+        self._lock = threading.Lock()
+        #: Open pin sessions: owning thread id -> stack of key sets.  The
+        #: scheduler runs one job per thread, so keys pin to the job that
+        #: touched them, not to every job in flight.
+        self._pins: dict[int, list[set[str]]] = {}
+        marker = self.root / "CACHE_FORMAT"
+        if marker.exists():
+            found = marker.read_text().strip()
+            if found != str(CACHE_FORMAT_VERSION):
+                raise ValueError(
+                    f"{self.root} holds cache format {found!r}, "
+                    f"this build expects {CACHE_FORMAT_VERSION}"
+                )
+        else:
+            (self.root / "objects").mkdir(parents=True, exist_ok=True)
+            marker.write_text(f"{CACHE_FORMAT_VERSION}\n")
 
     @classmethod
     def default(cls) -> "ResultCache":
         """Cache at ``$KSR_CACHE_DIR`` or ``./.ksr-cache``."""
         return cls(os.environ.get(CACHE_DIR_ENV, CACHE_DIR_DEFAULT))
 
-    def stats(self) -> dict[str, Any]:
-        """Where this cache lives and how it has performed so far."""
-        return {
-            "root": str(self.root),
-            "hits": self.hits,
-            "misses": self.misses,
-            "corrupt": self.corrupt,
-        }
-
     def _path(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.pkl"
+        if not isinstance(key, str) or not _KEY.fullmatch(key):
+            raise ValueError(f"malformed cache key {key!r}: expected 64 lowercase hex digits")
+        return self.root / "objects" / key[:2] / key[2:4] / f"{key}.pkl"
 
-    def load(self, key: str) -> tuple[bool, Any]:
-        """Return ``(hit, value)``; any read/decode failure is a miss.
+    # -- pinning ------------------------------------------------------
 
-        A missing file is a plain miss.  A file that *exists* but fails
-        to read or decode is corrupt: it is counted separately and
-        unlinked, so the poisoned entry cannot shadow a future store.
+    @contextmanager
+    def pin_session(self) -> Iterator[set[str]]:
+        """Pin every key this thread loads or stores until exit.
+
+        Yields the live key set.  Eviction skips the union of all open
+        sessions' keys, so an in-flight job's entries cannot be evicted
+        by concurrent stores, while finished jobs' entries stay ordinary
+        LRU citizens.
+        """
+        ident = threading.get_ident()
+        keys: set[str] = set()
+        with self._lock:
+            self._pins.setdefault(ident, []).append(keys)
+        try:
+            yield keys
+        finally:
+            with self._lock:
+                stack = self._pins[ident]
+                stack.remove(keys)
+                if not stack:
+                    del self._pins[ident]
+
+    def _note_touch(self, key: str) -> None:
+        with self._lock:
+            for keys in self._pins.get(threading.get_ident(), ()):
+                keys.add(key)
+
+    # -- load/store ---------------------------------------------------
+
+    def _read(self, key: str) -> tuple[dict[str, Any] | None, bool]:
+        """``(entry, corrupt)`` for the local file of ``key``.
+
+        A missing file is ``(None, False)``.  A file that exists but
+        fails to read or decode — whatever the exception — is unlinked
+        and reported as ``(None, True)``.  A readable entry bumps LRU
+        recency (any read is a use).
         """
         path = self._path(key)
         try:
-            with open(path, "rb") as fh:
-                entry = pickle.load(fh)
-            value = entry["value"]
+            entry = safe_loads(path.read_bytes())
+            entry = {"value": entry["value"], "meta": entry.get("meta", {})}
         except FileNotFoundError:
-            self.misses += 1
-            return False, None
-        except (OSError, pickle.PickleError, EOFError, KeyError, AttributeError):
-            self.misses += 1
-            self.corrupt += 1
+            return None, False
+        except Exception:  # noqa: BLE001 - any decode failure is a corrupt miss
             try:
                 path.unlink(missing_ok=True)
             except OSError:  # pragma: no cover - unlink race / permissions
                 pass
+            return None, True
+        try:
+            os.utime(path)
+        except OSError:  # pragma: no cover - concurrent eviction
+            pass
+        return entry, False
+
+    def load(self, key: str) -> tuple[bool, Any]:
+        """Return ``(hit, value)``; any read/decode failure is a miss.
+
+        A local miss consults :attr:`remote_fetch` when it is set: a
+        remote hit is stored locally and counted in :attr:`remote_hits`
+        and :attr:`hits`.  A corrupt local entry is a miss even when a
+        peer then serves the point.
+        """
+        self._note_touch(key)
+        entry, corrupt = self._read(key)
+        if entry is not None:
+            with self._lock:
+                self.hits += 1
+            return True, entry["value"]
+        hit, value = False, None
+        if self.remote_fetch is not None:
+            try:
+                hit, value = self.remote_fetch(key)
+            except Exception:  # noqa: BLE001 - a sick peer degrades to a miss
+                hit, value = False, None
+        with self._lock:
+            self.corrupt += corrupt
+            self.misses += corrupt or not hit
+            self.hits += hit
+            self.remote_hits += hit
+        if not hit:
             return False, None
-        self.hits += 1
+        self.store(key, value, meta={"func": "", "origin": "read-through"})
         return True, value
+
+    def peek(self, key: str) -> tuple[bool, Any, dict[str, Any]]:
+        """Local-only read of ``(hit, value, meta)`` for fleet peers.
+
+        No counters move and :attr:`remote_fetch` is *not* consulted —
+        this is what a worker answers when a peer reads through to it,
+        so two workers missing the same key can never ping-pong.
+        """
+        entry, _ = self._read(key)
+        if entry is None:
+            return False, None, {}
+        return True, entry["value"], entry["meta"]
+
+    def contains(self, key: str) -> bool:
+        """Whether ``key`` is resident locally (no counters, no remote)."""
+        return self._path(key).exists()
 
     def store(self, key: str, value: Any, *, meta: dict[str, Any] | None = None) -> None:
         """Persist one point value (best-effort: IO errors are ignored)."""
+        self._note_touch(key)
         path = self._path(key)
         entry = {"value": value, "meta": meta or {}}
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
-            tmp = path.parent / f".tmp-{os.getpid()}-{key[:16]}"
+            tmp = path.parent / f".tmp-{os.getpid()}-{threading.get_ident()}-{key[:16]}"
             with open(tmp, "wb") as fh:
                 pickle.dump(entry, fh, protocol=pickle.HIGHEST_PROTOCOL)
             os.replace(tmp, path)
         except OSError:
-            pass
+            return
+        if self.cap_bytes is not None:
+            self.evict_to_cap()
+
+    # -- residency and eviction ---------------------------------------
+
+    def _resident(self) -> list[tuple[float, int, str, Path]]:
+        """All entries as ``(mtime, size, key, path)``, least recently used first."""
+        out = []
+        for path in (self.root / "objects").glob("*/*/*.pkl"):
+            try:
+                st = path.stat()
+            except OSError:  # pragma: no cover - concurrent eviction
+                continue
+            out.append((st.st_mtime, st.st_size, path.stem, path))
+        out.sort()
+        return out
+
+    def resident_bytes(self) -> int:
+        """Total size of all entries currently on disk."""
+        return sum(size for _, size, _, _ in self._resident())
+
+    def entry_count(self) -> int:
+        """Number of entries currently on disk."""
+        return len(self._resident())
+
+    def keys(self) -> list[str]:
+        """Sorted keys resident on local disk (no counters, no remote).
+
+        The fleet repair planner diffs these lists across workers to
+        find under-replicated keys.
+        """
+        return sorted(key for _, _, key, _ in self._resident())
+
+    def fingerprint(self) -> str:
+        """Digest of the resident key set: two stores holding the same
+        keys fingerprint identically (a worker advertises it when it
+        registers, so a warm rejoin is visible at a glance)."""
+        digest = hashlib.sha256()
+        for key in self.keys():
+            digest.update(key.encode("ascii"))
+            digest.update(b"\n")
+        return digest.hexdigest()[:16]
+
+    def evict_to_cap(self) -> int:
+        """Drop least-recently-used unpinned entries until under the cap.
+
+        Returns the number of entries evicted.  Pinned entries are never
+        dropped, even if that leaves the cache over its cap until their
+        session ends.
+        """
+        if self.cap_bytes is None:
+            return 0
+        entries = self._resident()
+        total = sum(size for _, size, _, _ in entries)
+        if total <= self.cap_bytes:
+            return 0
+        with self._lock:
+            pinned = set().union(*(keys for stack in self._pins.values() for keys in stack))
+        dropped = 0
+        for _, size, key, path in entries:
+            if total <= self.cap_bytes:
+                break
+            if key in pinned:
+                continue
+            try:
+                path.unlink(missing_ok=True)
+            except OSError:  # pragma: no cover
+                continue
+            total -= size
+            dropped += 1
+        with self._lock:
+            self.evictions += dropped
+        return dropped
+
+    def stats(self) -> dict[str, Any]:
+        """Where this cache lives, what it holds and how it has performed."""
+        with self._lock:
+            counters = {
+                "hits": self.hits,
+                "misses": self.misses,
+                "corrupt": self.corrupt,
+                "evictions": self.evictions,
+                "remote_hits": self.remote_hits,
+                "pinned": sum(len(k) for stack in self._pins.values() for k in stack),
+            }
+        entries = self._resident()
+        return {
+            "root": str(self.root),
+            "format": CACHE_FORMAT_VERSION,
+            "cap_bytes": self.cap_bytes,
+            "bytes": sum(size for _, size, _, _ in entries),
+            "entries": len(entries),
+            "shards": len({path.parent for _, _, _, path in entries}),
+            **counters,
+        }
 
 
 class SweepRunner:

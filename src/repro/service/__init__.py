@@ -4,10 +4,10 @@ The paper's methodology is a bag of independent (experiment,
 processor-count) points; everything below this package — the DES, the
 sweep runner, the result cache, fault campaigns, observability — makes
 one such point a pure, cacheable function of its arguments.  This
-package turns that substrate into a *service* (``ksr-serve``):
+package turns that substrate into a *service* (``ksr-serve``), storing
+points in the same :class:`repro.experiments.sweep.ResultCache` the
+CLIs use:
 
-* :mod:`repro.service.cache2` — sharded, size-capped, pinnable result
-  cache (two-level digest fan-out + manifest index).
 * :mod:`repro.service.backends` — pluggable execution backends behind
   one protocol (inline, persistent process pool, room for remote).
 * :mod:`repro.service.batching` — fan-out slicing, admission pricing
@@ -37,7 +37,6 @@ from repro.service.backends import (
     register_backend,
 )
 from repro.service.batching import JobTable, estimate_points, split_batches
-from repro.service.cache2 import ShardedResultCache
 from repro.service.jobs import JobSpec, ServiceError
 from repro.service.scheduler import Job, RejectedError, Scheduler
 
@@ -52,7 +51,6 @@ __all__ = [
     "RejectedError",
     "Scheduler",
     "ServiceError",
-    "ShardedResultCache",
     "estimate_points",
     "make_backend",
     "register_backend",

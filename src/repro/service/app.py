@@ -2,7 +2,7 @@
 
 Stdlib-only (``http.server``): the serving layer must run in the bare
 container the simulator runs in.  A :class:`ServiceApp` owns the
-scheduler + sharded cache; :func:`make_server` binds it to a
+scheduler + result cache; :func:`make_server` binds it to a
 ``ThreadingHTTPServer`` so every request handler thread can block on a
 job without stalling the listener.
 
@@ -33,8 +33,8 @@ import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any
 
+from repro.experiments.sweep import ResultCache
 from repro.service.backends import make_backend
-from repro.service.cache2 import ShardedResultCache
 from repro.service.jobs import JobSpec, ServiceError, describe_catalog
 from repro.service.quotas import DEFAULT_TENANT
 from repro.service.scheduler import RejectedError, Scheduler, _JobScheduler
@@ -200,7 +200,7 @@ class ServiceApp(_JobApp):
         max_points: int = 512,
         max_batch: int = 64,
     ):
-        self.cache = ShardedResultCache(cache_dir, cap_bytes=cap_bytes)
+        self.cache = ResultCache(cache_dir, cap_bytes=cap_bytes)
         super().__init__(
             Scheduler(
                 make_backend(backend),
@@ -211,13 +211,6 @@ class ServiceApp(_JobApp):
                 max_batch=max_batch,
             )
         )
-
-    def _release(self) -> None:
-        """Compact the cache's manifest journal to one line per live entry."""
-        try:
-            self.cache.compact_manifest()
-        except OSError:  # pragma: no cover - advisory index only
-            pass
 
     def handle_get(self, path: str) -> tuple[int, dict[str, Any]]:
         """Route a GET ``path`` to ``(status, json_doc)``."""
@@ -264,12 +257,28 @@ class _Handler(BaseHTTPRequestHandler):
         status, doc = self.app.handle_get(self.path)
         self._reply(status, doc)
 
+    def _body_bytes(self) -> bytes | None:
+        """The raw request body, or None once a 400 is sent.
+
+        ``Content-Length`` must be a plain non-negative integer: a
+        negative length would read to EOF and hold this handler thread
+        for as long as the client keeps the connection open.
+        """
+        length = self.headers.get("Content-Length", "0")
+        if not (length.isascii() and length.isdigit()):
+            self.close_connection = True  # the body's extent is unknown
+            self._reply(400, {"error": "Content-Length must be an integer >= 0"})
+            return None
+        return self.rfile.read(int(length))
+
     def _json_body(self) -> dict[str, Any] | None:
         """The request's JSON object body, or None once a 400 is sent."""
+        data = self._body_bytes()
+        if data is None:
+            return None
         try:
-            length = int(self.headers.get("Content-Length", "0"))
-            body = json.loads(self.rfile.read(length) or b"null")
-        except (ValueError, json.JSONDecodeError):
+            body = json.loads(data or b"null")
+        except (ValueError, RecursionError):
             self._reply(400, {"error": "request body must be valid JSON"})
             return None
         if not isinstance(body, dict):

@@ -1,416 +1,13 @@
-"""Sharded result cache (v2) for the serving layer.
+"""The service's name for the one result cache.
 
-:class:`ShardedResultCache` keeps the contract of
-:class:`repro.experiments.sweep.ResultCache` — ``load``/``store`` by
-point key, atomic pickle-per-entry files — and adds what a long-lived
-server needs that a one-shot CLI run does not:
-
-* **Two-level fan-out** — entries live at ``objects/ab/cd/<key>.pkl``
-  (first two byte-pairs of the SHA-256 key), so a cache holding
-  hundreds of thousands of points never produces a directory large
-  enough to make ``readdir`` a hot spot.
-* **Manifest index** — an append-only ``manifest.jsonl`` journal of
-  stores and evictions.  The object tree stays the source of truth
-  (the journal is advisory and rebuilt on compaction), but the
-  manifest answers "what is in this cache, from which function, how
-  big" without walking every shard.
-* **Size cap with LRU eviction** — ``cap_bytes`` bounds the resident
-  set; eviction drops least-recently-*used* entries (access bumps the
-  entry's mtime) until the cap holds again.
-* **Pinning** — a :meth:`pin_session` marks every key a running job
-  touches; eviction never removes pinned entries, so a campaign in
-  flight cannot have points evicted between its own batches.
-* **Safe concurrency** — all writes are tempfile + ``os.replace``;
-  counters, pins and eviction are guarded by one lock so multiple
-  server workers can share a single instance.
-
-Like ``sweep.py``, this module is harness-side code: wall-clock mtimes
-and filesystem state never touch simulated time.
+The sharded, size-capped, pinnable cache the daemon and the fleet use
+is :class:`repro.experiments.sweep.ResultCache`, the same class every
+CLI uses.  This module only re-exports it under its old name, which
+``benchmarks/e2e`` still imports.
 """
 
-from __future__ import annotations
-
-import hashlib
-import json
-import os
-import pickle
-import threading
-from contextlib import contextmanager
-from pathlib import Path
-from typing import Any, Callable, Iterator
+from repro.experiments.sweep import CACHE_FORMAT_VERSION, ResultCache
 
 __all__ = ["ShardedResultCache", "CACHE_FORMAT_VERSION"]
 
-#: Bumped when the on-disk layout changes; a mismatched cache directory
-#: is refused rather than silently misread.
-CACHE_FORMAT_VERSION = 2
-
-
-class ShardedResultCache:
-    """Two-level sharded, size-capped, pinnable point cache.
-
-    Duck-type compatible with :class:`~repro.experiments.sweep.ResultCache`
-    (``load``/``store``/``hits``/``misses``/``corrupt``/``stats``), so a
-    :class:`~repro.experiments.sweep.SweepRunner` accepts it unchanged.
-
-    Parameters
-    ----------
-    root:
-        Cache directory (resolved to an absolute path at construction,
-        like cache v1 after the PR-5 fix).
-    cap_bytes:
-        Resident-set bound; ``None`` means uncapped.  Enforced after
-        every store, skipping pinned entries.
-    """
-
-    def __init__(self, root: str | os.PathLike[str], *, cap_bytes: int | None = None):
-        if cap_bytes is not None and cap_bytes <= 0:
-            raise ValueError(f"cap_bytes must be positive or None, got {cap_bytes}")
-        self.root = Path(root).resolve()
-        self.cap_bytes = cap_bytes
-        self.hits = 0
-        self.misses = 0
-        self.corrupt = 0
-        self.evictions = 0
-        #: Misses served by :attr:`remote_fetch` (fleet read-through).
-        self.remote_hits = 0
-        #: Remote read-through seam.  When set (the fleet worker wires
-        #: it to its replica peers), a local miss consults this callable
-        #: — ``key -> (hit, value)`` — before being counted as a miss;
-        #: a remote hit is adopted into the local shard so the key is
-        #: served locally from then on.  ``None`` (the default) keeps
-        #: single-daemon behaviour bit-identical.
-        self.remote_fetch: Callable[[str], tuple[bool, Any]] | None = None
-        self._lock = threading.Lock()
-        #: Active pin sessions: owning thread id -> stack of key sets.
-        #: Attribution is thread-local: the scheduler runs one job per
-        #: worker thread, and every cache op of that job (hit checks
-        #: and stores alike) happens on that thread, so keys pin to the
-        #: job that actually touched them — not to every job in flight.
-        self._pins: dict[int, list[set[str]]] = {}
-        self._init_layout()
-
-    # -- layout -------------------------------------------------------
-
-    def _init_layout(self) -> None:
-        objects = self.root / "objects"
-        objects.mkdir(parents=True, exist_ok=True)
-        marker = self.root / "CACHE_FORMAT"
-        if marker.exists():
-            found = marker.read_text().strip()
-            if found != str(CACHE_FORMAT_VERSION):
-                raise ValueError(
-                    f"{self.root} holds cache format {found!r}, "
-                    f"this build expects {CACHE_FORMAT_VERSION}"
-                )
-        else:
-            marker.write_text(f"{CACHE_FORMAT_VERSION}\n")
-
-    def _path(self, key: str) -> Path:
-        return self.root / "objects" / key[:2] / key[2:4] / f"{key}.pkl"
-
-    @property
-    def _manifest_path(self) -> Path:
-        return self.root / "manifest.jsonl"
-
-    def _journal(self, record: dict[str, Any]) -> None:
-        """Append one manifest line (O_APPEND: line-atomic for our sizes)."""
-        line = json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
-        try:
-            with open(self._manifest_path, "a", encoding="utf-8") as fh:
-                fh.write(line)
-        except OSError:  # pragma: no cover - advisory index only
-            pass
-
-    # -- pinning ------------------------------------------------------
-
-    @contextmanager
-    def pin_session(self) -> Iterator[set[str]]:
-        """Pin every key this thread touches until exit.
-
-        Yields the live key set.  ``load`` and ``store`` attribute each
-        key to the calling thread's open session(s), and eviction skips
-        the union of all sessions' keys — so an in-flight job's entries
-        cannot be evicted out from under it by concurrent stores, while
-        entries belonging to *other* (finished or unrelated) jobs stay
-        ordinary LRU citizens.
-        """
-        ident = threading.get_ident()
-        keys: set[str] = set()
-        with self._lock:
-            self._pins.setdefault(ident, []).append(keys)
-        try:
-            yield keys
-        finally:
-            with self._lock:
-                stack = self._pins[ident]
-                stack.remove(keys)
-                if not stack:
-                    del self._pins[ident]
-
-    def _note_touch(self, key: str) -> None:
-        ident = threading.get_ident()
-        with self._lock:
-            for keys in self._pins.get(ident, ()):
-                keys.add(key)
-
-    def _pinned_keys(self) -> set[str]:
-        with self._lock:
-            out: set[str] = set()
-            for stack in self._pins.values():
-                for keys in stack:
-                    out |= keys
-            return out
-
-    # -- load/store (SweepRunner contract) ----------------------------
-
-    def load(self, key: str) -> tuple[bool, Any]:
-        """Return ``(hit, value)``; corrupt entries are counted+dropped.
-
-        A local miss consults :attr:`remote_fetch` (when wired): a
-        remote hit is stored locally, counted in :attr:`remote_hits`
-        *and* :attr:`hits` (the point was cache-served, just not by
-        this shard yet), and returned as a hit.
-        """
-        self._note_touch(key)
-        path = self._path(key)
-        try:
-            with open(path, "rb") as fh:
-                entry = pickle.load(fh)
-            value = entry["value"]
-        except FileNotFoundError:
-            return self._remote_or_miss(key)
-        except (OSError, pickle.PickleError, EOFError, KeyError, AttributeError):
-            with self._lock:
-                self.corrupt += 1
-            try:
-                path.unlink(missing_ok=True)
-            except OSError:  # pragma: no cover
-                pass
-            return self._remote_or_miss(key, count_miss_anyway=True)
-        with self._lock:
-            self.hits += 1
-        try:
-            os.utime(path)  # LRU recency: a hit is a use
-        except OSError:  # pragma: no cover
-            pass
-        return True, value
-
-    def _remote_or_miss(
-        self, key: str, *, count_miss_anyway: bool = False
-    ) -> tuple[bool, Any]:
-        """Resolve a local miss through the remote seam, else count it."""
-        fetch = self.remote_fetch
-        if fetch is not None:
-            try:
-                hit, value = fetch(key)
-            except Exception:  # noqa: BLE001 - a sick peer degrades to a miss
-                hit, value = False, None
-            if hit:
-                with self._lock:
-                    self.remote_hits += 1
-                    self.hits += 1
-                    if count_miss_anyway:
-                        self.misses += 1
-                self.store(key, value, meta={"func": "", "origin": "read-through"})
-                return True, value
-        with self._lock:
-            self.misses += 1
-        return False, None
-
-    def peek(self, key: str) -> tuple[bool, Any, dict[str, Any]]:
-        """Local-only read of ``(hit, value, meta)`` for fleet peers.
-
-        No counters move and :attr:`remote_fetch` is *not* consulted —
-        this is what a worker answers when a peer read-throughs to it,
-        so two workers missing the same key can never ping-pong.  A
-        readable entry still bumps LRU recency (a replica serve is a
-        use).
-        """
-        path = self._path(key)
-        try:
-            with open(path, "rb") as fh:
-                entry = pickle.load(fh)
-            value, meta = entry["value"], entry.get("meta", {})
-        except FileNotFoundError:
-            return False, None, {}
-        except (OSError, pickle.PickleError, EOFError, KeyError, AttributeError):
-            try:
-                path.unlink(missing_ok=True)
-            except OSError:  # pragma: no cover
-                pass
-            return False, None, {}
-        try:
-            os.utime(path)
-        except OSError:  # pragma: no cover
-            pass
-        return True, value, meta
-
-    def contains(self, key: str) -> bool:
-        """Whether ``key`` is resident locally (no counters, no remote)."""
-        return self._path(key).exists()
-
-    def store(self, key: str, value: Any, *, meta: dict[str, Any] | None = None) -> None:
-        """Persist one entry atomically, journal it, enforce the cap."""
-        self._note_touch(key)
-        path = self._path(key)
-        entry = {"value": value, "meta": meta or {}}
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            tmp = path.parent / f".tmp-{os.getpid()}-{threading.get_ident()}-{key[:16]}"
-            with open(tmp, "wb") as fh:
-                pickle.dump(entry, fh, protocol=pickle.HIGHEST_PROTOCOL)
-            os.replace(tmp, path)
-        except OSError:
-            return
-        size = path.stat().st_size if path.exists() else 0
-        self._journal({"op": "store", "key": key, "size": size,
-                       "func": (meta or {}).get("func", "")})
-        if self.cap_bytes is not None:
-            self.evict_to_cap()
-
-    # -- size accounting / eviction -----------------------------------
-
-    def _resident(self) -> list[tuple[float, int, str, Path]]:
-        """All entries as ``(mtime, size, key, path)`` (oldest-use first)."""
-        out = []
-        objects = self.root / "objects"
-        for path in objects.glob("*/*/*.pkl"):
-            try:
-                st = path.stat()
-            except OSError:  # pragma: no cover - concurrent eviction
-                continue
-            out.append((st.st_mtime, st.st_size, path.stem, path))
-        out.sort()
-        return out
-
-    def resident_bytes(self) -> int:
-        """Total size of all entries currently on disk."""
-        return sum(size for _, size, _, _ in self._resident())
-
-    def entry_count(self) -> int:
-        """Number of entries currently on disk."""
-        return len(self._resident())
-
-    def keys(self) -> list[str]:
-        """Sorted point keys currently resident in this shard.
-
-        The fleet repair planner diffs these lists across workers to
-        find under-replicated keys, so the answer is local disk truth
-        — no counters move and :attr:`remote_fetch` is not consulted.
-        """
-        return sorted(key for _, _, key, _ in self._resident())
-
-    def fingerprint(self) -> str:
-        """Digest of the resident key set (shard identity at a glance).
-
-        Workers advertise this at registration so the coordinator can
-        tell a warm rejoin (same fingerprint lineage) from a wiped
-        shard at a glance in its membership surfaces.  Content-only:
-        two shards holding the same keys fingerprint identically.
-        """
-        digest = hashlib.sha256()
-        for key in self.keys():
-            digest.update(key.encode("ascii"))
-            digest.update(b"\n")
-        return digest.hexdigest()[:16]
-
-    def shard_count(self) -> int:
-        """Populated second-level shard directories (``objects/ab/cd``)."""
-        return len({path.parent for _, _, _, path in self._resident()})
-
-    def evict_to_cap(self) -> int:
-        """Drop least-recently-used unpinned entries until under the cap.
-
-        Returns the number of entries evicted.  Pinned entries (of any
-        in-flight :meth:`pin_session`) are never dropped, even if that
-        leaves the cache over its cap until the session ends.
-        """
-        if self.cap_bytes is None:
-            return 0
-        entries = self._resident()
-        total = sum(size for _, size, _, _ in entries)
-        if total <= self.cap_bytes:
-            return 0
-        pinned = self._pinned_keys()
-        dropped = 0
-        for _, size, key, path in entries:
-            if total <= self.cap_bytes:
-                break
-            if key in pinned:
-                continue
-            try:
-                path.unlink(missing_ok=True)
-            except OSError:  # pragma: no cover
-                continue
-            total -= size
-            dropped += 1
-            self._journal({"op": "evict", "key": key, "size": size})
-        with self._lock:
-            self.evictions += dropped
-        return dropped
-
-    # -- manifest -----------------------------------------------------
-
-    def manifest(self) -> dict[str, dict[str, Any]]:
-        """Replay the journal into ``key -> {size, func}`` for live keys.
-
-        Journal lines for keys no longer on disk (evicted by another
-        worker, or dropped as corrupt) are filtered against the object
-        tree, keeping the manifest truthful without locking writers.
-        """
-        state: dict[str, dict[str, Any]] = {}
-        try:
-            with open(self._manifest_path, encoding="utf-8") as fh:
-                for line in fh:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        record = json.loads(line)
-                    except json.JSONDecodeError:  # pragma: no cover - torn line
-                        continue
-                    if record.get("op") == "store":
-                        state[record["key"]] = {
-                            "size": record.get("size", 0),
-                            "func": record.get("func", ""),
-                        }
-                    elif record.get("op") == "evict":
-                        state.pop(record.get("key"), None)
-        except FileNotFoundError:
-            pass
-        return {k: v for k, v in state.items() if self._path(k).exists()}
-
-    def compact_manifest(self) -> None:
-        """Rewrite the journal to one ``store`` line per live entry."""
-        live = self.manifest()
-        tmp = self.root / f".manifest-tmp-{os.getpid()}"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            for key in sorted(live):
-                record = {"op": "store", "key": key, **live[key]}
-                fh.write(json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n")
-        os.replace(tmp, self._manifest_path)
-
-    # -- stats --------------------------------------------------------
-
-    def stats(self) -> dict[str, Any]:
-        """Counters + layout facts for status surfaces and responses."""
-        with self._lock:
-            counters = {
-                "hits": self.hits,
-                "misses": self.misses,
-                "corrupt": self.corrupt,
-                "evictions": self.evictions,
-                "remote_hits": self.remote_hits,
-                "pinned": sum(len(k) for stack in self._pins.values() for k in stack),
-            }
-        entries = self._resident()
-        return {
-            "root": str(self.root),
-            "format": CACHE_FORMAT_VERSION,
-            "cap_bytes": self.cap_bytes,
-            "bytes": sum(size for _, size, _, _ in entries),
-            "entries": len(entries),
-            "shards": len({path.parent for _, _, _, path in entries}),
-            **counters,
-        }
+ShardedResultCache = ResultCache

@@ -37,8 +37,7 @@ Every fleet control/data-plane call carries the shared secret
 (``--fleet-token`` / ``$KSR_FLEET_TOKEN``) in ``X-Fleet-Token``.
 
 On SIGTERM/SIGINT the server drains gracefully: admission stops
-(503), in-flight jobs get a bounded deadline, the cache manifest is
-compacted, then the process exits.
+(503), in-flight jobs get a bounded deadline, then the process exits.
 """
 
 from __future__ import annotations
@@ -48,10 +47,13 @@ import signal
 import sys
 import threading
 
-from repro.experiments.sweep import CACHE_DIR_ENV
+from repro.experiments.sweep import CACHE_DIR_DEFAULT, CACHE_DIR_ENV
 from repro.util.cli import format_cache_stats, install_sigpipe_handler
 
 __all__ = ["main"]
+
+#: Cache root of ``--fleet`` and ``--worker`` without ``--cache-dir``.
+FLEET_CACHE_DEFAULT = ".ksr-fleet-cache"
 
 
 def build_serve_parser() -> argparse.ArgumentParser:
@@ -80,7 +82,9 @@ def build_serve_parser() -> argparse.ArgumentParser:
         "--cache-dir",
         default=None,
         metavar="DIR",
-        help=f"sharded cache root (default $${CACHE_DIR_ENV} or ./.ksr-cache2)",
+        help=f"result cache root (default ${CACHE_DIR_ENV} or ./{CACHE_DIR_DEFAULT}, "
+        f"the cache ksr-experiments uses; ./{FLEET_CACHE_DEFAULT} with --fleet "
+        "or --worker)",
     )
     parser.add_argument(
         "--cache-cap-mb",
@@ -213,10 +217,10 @@ def _make_app(args):
 
     from repro.service.app import ServiceApp
 
-    cache_dir = args.cache_dir or os.environ.get(CACHE_DIR_ENV + "2", ".ksr-cache2")
     backend, cap = _backend_and_cap(args, "process:2")
     return ServiceApp(
-        cache_dir,
+        # the location of ResultCache.default(), shared with the CLIs
+        args.cache_dir or os.environ.get(CACHE_DIR_ENV, CACHE_DIR_DEFAULT),
         backend=backend,
         cap_bytes=cap,
         workers=args.workers,
@@ -227,9 +231,7 @@ def _make_app(args):
 
 
 def _fleet_cache_root(args) -> str:
-    import os
-
-    return args.cache_dir or os.environ.get(CACHE_DIR_ENV + "2", ".ksr-fleet-cache")
+    return args.cache_dir or FLEET_CACHE_DEFAULT
 
 
 def _fleet_auth(args):

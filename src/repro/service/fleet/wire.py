@@ -21,10 +21,12 @@ Trust model: once the fleet leaves the trusted loopback segment every
 fleet control/data-plane call carries a shared-secret token
 (``X-Fleet-Token``, compared constant-time by :class:`FleetAuth`).
 The pickle endpoints are for authenticated fleet peers, not untrusted
-clients — the same stance the process-pool backend already takes with
-its pickled IPC — and the auth seam is pluggable so a TLS-terminating
-proxy can sit in front (hand it a :class:`FleetAuth` with no secret
-and let the proxy enforce identity instead).
+clients, and the auth seam is pluggable so a TLS-terminating proxy can
+sit in front (hand it a :class:`FleetAuth` with no secret and let the
+proxy enforce identity instead).  Even so, :func:`load_payload` decodes
+through :func:`repro.experiments.sweep.safe_loads`, which resolves only
+``repro`` dataclasses: a leaked token cannot make a worker call a
+function it names in a pickle.
 """
 
 from __future__ import annotations
@@ -38,6 +40,8 @@ import secrets
 import urllib.error
 import urllib.request
 from typing import Any, Callable
+
+from repro.experiments.sweep import safe_loads
 
 __all__ = [
     "WireError",
@@ -129,9 +133,13 @@ def dump_payload(obj: Any) -> bytes:
 
 
 def load_payload(data: bytes) -> Any:
-    """Unpickle one fleet payload; malformed bytes raise WireError."""
+    """Unpickle one fleet payload; malformed bytes raise WireError.
+
+    Decodes through the result cache's allowlisted unpickler, so a
+    payload can name only ``repro`` dataclasses, never a callable.
+    """
     try:
-        return pickle.loads(data)
+        return safe_loads(data)
     except Exception as exc:  # noqa: BLE001 - anything unpicklable is a peer fault
         raise WireError(f"malformed fleet payload: {type(exc).__name__}: {exc}") from exc
 

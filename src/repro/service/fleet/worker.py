@@ -18,7 +18,7 @@ fleet twists layered on the same seams:
   before computing it.  After a key-range handoff (a peer died and the
   ring reassigned its range here), the new owner pulls warm entries
   instead of recomputing the range.  Peers answer from
-  :meth:`ShardedResultCache.peek` — local disk only — so two workers
+  :meth:`ResultCache.peek` — local disk only — so two workers
   missing the same key can never ping-pong.
 * **Asynchronous replication** — every point this worker *computed*
   (a genuine miss) is pushed, off the request path, to its replica
@@ -88,7 +88,7 @@ class FleetWorkerApp(ServiceApp):
         self.maps_served = 0
         self.cache.remote_fetch = self._read_through
 
-    # -- read-through (the cache2 seam) --------------------------------
+    # -- read-through (the cache's remote_fetch seam) ------------------
 
     def _read_through(self, key: str) -> tuple[bool, Any]:
         """Ask replica peers for ``key``; first peer with the entry wins."""
@@ -191,8 +191,14 @@ class FleetWorkerApp(ServiceApp):
         }
 
     def handle_fleet_entry_get(self, key: str) -> tuple[int, dict[str, Any] | None]:
-        """Serve one entry to a peer; ``(200, entry)`` or ``(404, None)``."""
-        hit, value, meta = self.cache.peek(key)
+        """Serve one entry to a peer; ``(200, entry)`` or ``(404, None)``.
+
+        A malformed key raises :class:`WireError` (answered 400).
+        """
+        try:
+            hit, value, meta = self.cache.peek(key)
+        except ValueError as exc:
+            raise wire.WireError(str(exc), status=400) from exc
         if not hit:
             return 404, None
         return 200, {"key": key, "value": value, "meta": meta}
@@ -202,7 +208,11 @@ class FleetWorkerApp(ServiceApp):
         key, value = body["key"], body["value"]
         meta = dict(body.get("meta") or {})
         meta.setdefault("origin", "replica")
-        if not self.cache.contains(key):
+        try:
+            present = self.cache.contains(key)
+        except ValueError as exc:
+            raise wire.WireError(str(exc), status=400) from exc
+        if not present:
             self.cache.store(key, value, meta=meta)
             self.replicated_in += 1
         return {"ok": True, "worker_id": self.worker_id}
@@ -293,10 +303,6 @@ class _WorkerHandler(_Handler):
         self.end_headers()
         self.wfile.write(payload)
 
-    def _read_pickle_body(self) -> Any:
-        length = int(self.headers.get("Content-Length", "0"))
-        return wire.load_payload(self.rfile.read(length))
-
     def _fleet_authorized(self) -> bool:
         presented = self.headers.get(wire.FLEET_TOKEN_HEADER)
         if self.app.auth.verify(presented):
@@ -310,7 +316,11 @@ class _WorkerHandler(_Handler):
                 return
             if self.path.startswith("/v1/fleet/entry/"):
                 key = self.path.removeprefix("/v1/fleet/entry/")
-                status, entry = self.app.handle_fleet_entry_get(key)
+                try:
+                    status, entry = self.app.handle_fleet_entry_get(key)
+                except wire.WireError as exc:
+                    self._reply(400, {"error": str(exc)})
+                    return
                 if entry is None:
                     self._reply(status, {"error": "no such entry"})
                 else:
@@ -327,9 +337,12 @@ class _WorkerHandler(_Handler):
         if self.path in ("/v1/fleet/map", "/v1/fleet/entry", "/v1/fleet/repair"):
             if not self._fleet_authorized():
                 return
+            data = self._body_bytes()
+            if data is None:
+                return
             try:
-                body = self._read_pickle_body()
-            except (wire.WireError, ValueError):
+                body = wire.load_payload(data)
+            except wire.WireError:
                 self._reply(400, {"error": "malformed fleet payload"})
                 return
             if self.app.closing and self.path == "/v1/fleet/map":

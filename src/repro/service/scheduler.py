@@ -26,7 +26,7 @@ Only how one job runs differs between schedulers, behind
 ``_execute``.  :class:`Scheduler` runs a
 :class:`~repro.service.backends.BackendSweepRunner` over the shared
 backend + cache with every key the job touches pinned
-(:meth:`ShardedResultCache.pin_session`), so LRU eviction triggered by
+(:meth:`ResultCache.pin_session`), so LRU eviction triggered by
 concurrent stores can never remove an in-flight campaign's own points.
 The fleet's :class:`~repro.service.fleet.coordinator.FleetScheduler`
 routes the same runner seam to its workers.
@@ -40,10 +40,10 @@ import time
 from dataclasses import dataclass, field
 from typing import Any
 
+from repro.experiments.sweep import ResultCache
 from repro.obs.summary import capture_summary
 from repro.service.backends import Backend, BackendSweepRunner
 from repro.service.batching import JobTable, estimate_points
-from repro.service.cache2 import ShardedResultCache
 from repro.service.jobs import JobSpec, ServiceError
 from repro.service.quotas import DEFAULT_TENANT, FairShareQueue, TenantPolicy, TokenBucket
 
@@ -355,7 +355,7 @@ class Scheduler(_JobScheduler):
     def __init__(
         self,
         backend: Backend,
-        cache: ShardedResultCache,
+        cache: ResultCache,
         *,
         workers: int = 2,
         queue_cap: int = 8,

@@ -67,19 +67,16 @@ def format_cache_stats(stats: dict) -> str:
     including the resolved absolute root, which is how a user discovers
     they have been warming a cache in the wrong directory.
     """
-    lookups = stats.get("hits", 0) + stats.get("misses", 0)
+    lookups = stats["hits"] + stats["misses"]
     rate = stats["hits"] / lookups if lookups else 0.0
     parts = [
         f"cache at {stats['root']}:",
-        f"{stats.get('hits', 0)} hits / {stats.get('misses', 0)} misses",
+        f"{stats['hits']} hits / {stats['misses']} misses",
         f"({rate:.0%} hit rate)",
     ]
-    if stats.get("corrupt"):
+    if stats["corrupt"]:
         parts.append(f"[{stats['corrupt']} corrupt entries dropped]")
-    if "evictions" in stats:
-        parts.append(f"{stats['evictions']} evicted")
-    if "bytes" in stats:
-        parts.append(f"{stats['bytes']} bytes resident")
+    parts += [f"{stats['evictions']} evicted", f"{stats['bytes']} bytes resident"]
     return " ".join(parts)
 
 

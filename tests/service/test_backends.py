@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.experiments.locks import measure_lock
-from repro.experiments.sweep import SweepRunner
+from repro.experiments.sweep import ResultCache, SweepRunner
 from repro.obs import ObsSpec
 from repro.service.backends import (
     BackendSweepRunner,
@@ -15,7 +15,6 @@ from repro.service.backends import (
     make_backend,
     register_backend,
 )
-from repro.service.cache2 import ShardedResultCache
 
 from tests.experiments.test_sweep import square
 
@@ -90,7 +89,7 @@ class TestRegistry:
 
 class TestBackendSweepRunner:
     def test_matches_plain_runner_with_cache(self, tmp_path):
-        cache = ShardedResultCache(tmp_path / "c")
+        cache = ResultCache(tmp_path / "c")
         runner = BackendSweepRunner(InlineBackend(), cache=cache)
         calls = [dict(x=i) for i in range(4)]
         assert runner.map(square, calls) == SweepRunner().map(square, calls)

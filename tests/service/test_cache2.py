@@ -1,4 +1,5 @@
-"""Sharded cache v2: layout, manifest, LRU eviction, pinning, corruption."""
+"""The result cache as the service uses it: layout, LRU eviction,
+pinning, peek, read-through and corruption."""
 
 from __future__ import annotations
 
@@ -8,7 +9,7 @@ import threading
 
 import pytest
 
-from repro.service.cache2 import CACHE_FORMAT_VERSION, ShardedResultCache
+from repro.experiments.sweep import CACHE_FORMAT_VERSION, ResultCache
 
 
 def make_key(i: int) -> str:
@@ -20,7 +21,7 @@ def make_key(i: int) -> str:
 
 class TestLayout:
     def test_two_level_fanout_path(self, tmp_path):
-        cache = ShardedResultCache(tmp_path / "c")
+        cache = ResultCache(tmp_path / "c")
         key = make_key(1)
         cache.store(key, "v")
         path = tmp_path / "c" / "objects" / key[:2] / key[2:4] / f"{key}.pkl"
@@ -28,26 +29,26 @@ class TestLayout:
 
     def test_root_is_absolute(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        cache = ShardedResultCache(".c2")
+        cache = ResultCache(".c2")
         assert cache.root.is_absolute()
         assert cache.root == tmp_path / ".c2"
 
     def test_format_marker_written_and_checked(self, tmp_path):
-        ShardedResultCache(tmp_path / "c")
+        ResultCache(tmp_path / "c")
         marker = tmp_path / "c" / "CACHE_FORMAT"
         assert marker.read_text().strip() == str(CACHE_FORMAT_VERSION)
         marker.write_text("999\n")
         with pytest.raises(ValueError, match="format"):
-            ShardedResultCache(tmp_path / "c")
+            ResultCache(tmp_path / "c")
 
     def test_rejects_nonpositive_cap(self, tmp_path):
         with pytest.raises(ValueError):
-            ShardedResultCache(tmp_path / "c", cap_bytes=0)
+            ResultCache(tmp_path / "c", cap_bytes=0)
 
 
 class TestLoadStore:
     def test_roundtrip_counts(self, tmp_path):
-        cache = ShardedResultCache(tmp_path / "c")
+        cache = ResultCache(tmp_path / "c")
         key = make_key(2)
         hit, _ = cache.load(key)
         assert not hit and cache.misses == 1
@@ -57,7 +58,7 @@ class TestLoadStore:
         assert cache.hits == 1
 
     def test_corrupt_entry_counted_and_deleted(self, tmp_path):
-        cache = ShardedResultCache(tmp_path / "c")
+        cache = ResultCache(tmp_path / "c")
         key = make_key(3)
         cache.store(key, "good")
         path = cache._path(key)
@@ -72,7 +73,7 @@ class TestLoadStore:
         assert hit and value == "fresh"
 
     def test_entry_missing_value_field_is_corrupt(self, tmp_path):
-        cache = ShardedResultCache(tmp_path / "c")
+        cache = ResultCache(tmp_path / "c")
         key = make_key(4)
         path = cache._path(key)
         path.parent.mkdir(parents=True)
@@ -85,7 +86,7 @@ class TestLoadStore:
 
         from tests.experiments.test_sweep import square
 
-        cache = ShardedResultCache(tmp_path / "c")
+        cache = ResultCache(tmp_path / "c")
         runner = SweepRunner(cache=cache)
         calls = [dict(x=i) for i in range(4)]
         first = runner.map(square, calls)
@@ -104,7 +105,7 @@ class TestEviction:
         return keys
 
     def test_size_cap_enforced_lru(self, tmp_path):
-        cache = ShardedResultCache(tmp_path / "c", cap_bytes=6000)
+        cache = ResultCache(tmp_path / "c", cap_bytes=6000)
         keys = self._fill(cache, 10)  # ~10x1KB > 6KB cap
         assert cache.resident_bytes() <= 6000
         assert cache.evictions > 0
@@ -113,7 +114,7 @@ class TestEviction:
         assert not cache.load(keys[0])[0]
 
     def test_hit_refreshes_lru_position(self, tmp_path):
-        cache = ShardedResultCache(tmp_path / "c")  # fill uncapped first
+        cache = ResultCache(tmp_path / "c")  # fill uncapped first
         keys = self._fill(cache, 6)
         # make key 0 the most recently used despite oldest store
         now = 2_000_000_000
@@ -126,7 +127,7 @@ class TestEviction:
         assert not cache.load(keys[1])[0], "LRU entry must be evicted"
 
     def test_pinned_entries_survive_eviction(self, tmp_path):
-        cache = ShardedResultCache(tmp_path / "c", cap_bytes=5000)
+        cache = ResultCache(tmp_path / "c", cap_bytes=5000)
         with cache.pin_session():
             campaign_keys = self._fill(cache, 3)  # this job's in-flight points
             # a concurrent job (other thread, no pins) blows the cap
@@ -138,7 +139,7 @@ class TestEviction:
                 assert cache.load(key)[0], "pinned in-flight entry evicted"
 
     def test_pins_released_after_session(self, tmp_path):
-        cache = ShardedResultCache(tmp_path / "c", cap_bytes=2000)
+        cache = ResultCache(tmp_path / "c", cap_bytes=2000)
         with cache.pin_session():
             keys = self._fill(cache, 4)
         # after the session the same keys are ordinary LRU citizens
@@ -146,7 +147,7 @@ class TestEviction:
         assert not all(cache.load(k)[0] for k in keys)
 
     def test_uncapped_never_evicts(self, tmp_path):
-        cache = ShardedResultCache(tmp_path / "c")
+        cache = ResultCache(tmp_path / "c")
         self._fill(cache, 10)
         assert cache.evict_to_cap() == 0
         assert cache.evictions == 0
@@ -154,7 +155,7 @@ class TestEviction:
 
 class TestPeek:
     def test_peek_returns_value_and_meta_without_counters(self, tmp_path):
-        cache = ShardedResultCache(tmp_path / "c")
+        cache = ResultCache(tmp_path / "c")
         key = make_key(20)
         cache.store(key, "v", meta={"func": "tests.square"})
         hit, value, meta = cache.peek(key)
@@ -162,14 +163,14 @@ class TestPeek:
         assert cache.hits == 0 and cache.misses == 0
 
     def test_peek_miss_is_silent(self, tmp_path):
-        cache = ShardedResultCache(tmp_path / "c")
+        cache = ResultCache(tmp_path / "c")
         assert cache.peek(make_key(21)) == (False, None, {})
         assert cache.misses == 0
 
     def test_peek_unlinks_corrupt_entry(self, tmp_path):
         """A poisoned file must not keep shadowing the key: peek drops
         it so the next store (or replica push) is visible again."""
-        cache = ShardedResultCache(tmp_path / "c")
+        cache = ResultCache(tmp_path / "c")
         key = make_key(22)
         cache.store(key, "good")
         path = cache._path(key)
@@ -182,7 +183,7 @@ class TestPeek:
     def test_peek_never_consults_remote(self, tmp_path):
         """Peers answer peeks; a remote-consulting peek could ping-pong
         between two workers missing the same key forever."""
-        cache = ShardedResultCache(tmp_path / "c")
+        cache = ResultCache(tmp_path / "c")
         calls = []
         cache.remote_fetch = lambda key: calls.append(key) or (True, "remote")
         assert cache.peek(make_key(23))[0] is False
@@ -193,7 +194,7 @@ class TestReadThrough:
     """Counter invariants of the fleet read-through seam."""
 
     def test_remote_hit_counts_hit_and_adopts(self, tmp_path):
-        cache = ShardedResultCache(tmp_path / "c")
+        cache = ResultCache(tmp_path / "c")
         key = make_key(30)
         cache.remote_fetch = lambda k: (True, "remote-value")
         hit, value = cache.load(key)
@@ -205,7 +206,7 @@ class TestReadThrough:
         assert (cache.hits, cache.remote_hits, cache.misses) == (2, 1, 0)
 
     def test_remote_miss_counts_plain_miss(self, tmp_path):
-        cache = ShardedResultCache(tmp_path / "c")
+        cache = ResultCache(tmp_path / "c")
         cache.remote_fetch = lambda k: (False, None)
         assert cache.load(make_key(31)) == (False, None)
         assert (cache.hits, cache.remote_hits, cache.misses) == (0, 0, 1)
@@ -213,7 +214,7 @@ class TestReadThrough:
     def test_corrupt_then_remote_hit_counts_both(self, tmp_path):
         """A corrupt local entry resolved remotely is a miss (the local
         copy was lost) AND a hit (the point was still cache-served)."""
-        cache = ShardedResultCache(tmp_path / "c")
+        cache = ResultCache(tmp_path / "c")
         key = make_key(32)
         cache.store(key, "good")
         cache._path(key).write_bytes(b"garbage")
@@ -224,7 +225,7 @@ class TestReadThrough:
         assert (cache.hits, cache.remote_hits, cache.misses) == (1, 1, 1)
 
     def test_raising_remote_degrades_to_miss(self, tmp_path):
-        cache = ShardedResultCache(tmp_path / "c")
+        cache = ResultCache(tmp_path / "c")
 
         def sick_peer(key):
             raise OSError("connection refused")
@@ -236,7 +237,7 @@ class TestReadThrough:
 
 class TestKeysAndFingerprint:
     def test_keys_lists_resident_sorted(self, tmp_path):
-        cache = ShardedResultCache(tmp_path / "c")
+        cache = ResultCache(tmp_path / "c")
         stored = {make_key(i) for i in range(40, 45)}
         for key in stored:
             cache.store(key, key)
@@ -244,8 +245,8 @@ class TestKeysAndFingerprint:
         assert cache.hits == 0 and cache.misses == 0
 
     def test_fingerprint_is_content_only(self, tmp_path):
-        a = ShardedResultCache(tmp_path / "a")
-        b = ShardedResultCache(tmp_path / "b")
+        a = ResultCache(tmp_path / "a")
+        b = ResultCache(tmp_path / "b")
         assert a.fingerprint() == b.fingerprint(), "empty shards match"
         for i in range(50, 53):
             a.store(make_key(i), i)
@@ -255,40 +256,9 @@ class TestKeysAndFingerprint:
         assert a.fingerprint() != b.fingerprint()
 
 
-class TestManifest:
-    def test_manifest_tracks_stores(self, tmp_path):
-        cache = ShardedResultCache(tmp_path / "c")
-        key = make_key(7)
-        cache.store(key, "v", meta={"func": "tests.square"})
-        manifest = cache.manifest()
-        assert key in manifest
-        assert manifest[key]["func"] == "tests.square"
-        assert manifest[key]["size"] > 0
-
-    def test_manifest_drops_evicted(self, tmp_path):
-        cache = ShardedResultCache(tmp_path / "c", cap_bytes=2500)
-        for i in range(6):
-            cache.store(make_key(i), os.urandom(1000))
-        manifest = cache.manifest()
-        assert len(manifest) == cache.entry_count()
-        for key in manifest:
-            assert cache._path(key).exists()
-
-    def test_compact_manifest_round_trips(self, tmp_path):
-        cache = ShardedResultCache(tmp_path / "c")
-        for i in range(5):
-            cache.store(make_key(i), i)
-        before = cache.manifest()
-        cache.compact_manifest()
-        assert cache.manifest() == before
-        # exactly one line per live entry after compaction
-        lines = (tmp_path / "c" / "manifest.jsonl").read_text().splitlines()
-        assert len(lines) == 5
-
-
 class TestConcurrency:
     def test_parallel_stores_and_loads(self, tmp_path):
-        cache = ShardedResultCache(tmp_path / "c")
+        cache = ResultCache(tmp_path / "c")
         errors = []
 
         def work(base):
@@ -310,7 +280,7 @@ class TestConcurrency:
         assert cache.hits == 120
 
     def test_stats_shape(self, tmp_path):
-        cache = ShardedResultCache(tmp_path / "c", cap_bytes=1 << 20)
+        cache = ResultCache(tmp_path / "c", cap_bytes=1 << 20)
         stats = cache.stats()
         for field in ("root", "hits", "misses", "corrupt", "evictions",
                       "bytes", "entries", "cap_bytes", "format"):

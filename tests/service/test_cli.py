@@ -44,3 +44,41 @@ class TestFleetPort:
             assert fleet.base_url == f"http://127.0.0.1:{port}"
             with urllib.request.urlopen(fleet.base_url + "/healthz", timeout=30) as reply:
                 assert json.loads(reply.read())["role"] == "coordinator"
+
+
+class TestCacheLocation:
+    def test_daemon_shares_the_cli_cache(self, tmp_path, monkeypatch):
+        from repro.experiments.sweep import ResultCache
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("KSR_CACHE_DIR", str(tmp_path / "shared"))
+        monkeypatch.setenv("KSR_CACHE_DIR2", str(tmp_path / "ignored"))
+        app = cli._make_app(parse("--backend", "inline"))
+        try:
+            assert app.cache.root == ResultCache.default().root == tmp_path / "shared"
+        finally:
+            app.close(drain_deadline=0)
+        monkeypatch.delenv("KSR_CACHE_DIR")
+        app = cli._make_app(parse("--backend", "inline"))
+        try:
+            assert app.cache.root == tmp_path / ".ksr-cache"
+        finally:
+            app.close(drain_deadline=0)
+        assert not (tmp_path / "ignored").exists()
+
+    @pytest.mark.parametrize(
+        "mode", [["--fleet", "2"], ["--worker", "--join", "http://127.0.0.1:9"]],
+        ids=["fleet", "worker"],
+    )
+    def test_fleet_and_worker_default_root(self, mode, monkeypatch):
+        monkeypatch.setenv("KSR_CACHE_DIR", "/elsewhere")
+        monkeypatch.setenv("KSR_CACHE_DIR2", "/ignored")
+        assert cli._fleet_cache_root(parse(*mode)) == ".ksr-fleet-cache"
+        assert cli._fleet_cache_root(parse(*mode, "--cache-dir", "d")) == "d"
+
+    def test_help_states_the_real_defaults(self):
+        parser = cli.build_serve_parser()
+        (text,) = [a.help for a in parser._actions if "--cache-dir" in a.option_strings]
+        assert "$KSR_CACHE_DIR or ./.ksr-cache," in text
+        assert "./.ksr-fleet-cache with --fleet or --worker" in text
+        assert "$$" not in parser.format_help()

@@ -14,16 +14,15 @@ from typing import Any
 import pytest
 
 from repro.experiments.locks import run_figure3
-from repro.experiments.sweep import point_key
+from repro.experiments.sweep import ResultCache, point_key
 from repro.service.backends import InlineBackend
-from repro.service.cache2 import ShardedResultCache
 from repro.service.fleet.coordinator import FleetScheduler
 from repro.service.jobs import JobSpec, ServiceError
 from repro.service.scheduler import RejectedError, Scheduler
 
 
 def make_scheduler(tmp_path, **kwargs):
-    cache = ShardedResultCache(tmp_path / "cache")
+    cache = ResultCache(tmp_path / "cache")
     kwargs.setdefault("workers", 1)
     return Scheduler(InlineBackend(), cache, **kwargs)
 
