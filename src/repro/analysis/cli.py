@@ -37,6 +37,7 @@ from repro.errors import ReproError
 from repro.util.cli import (
     build_parser,
     install_sigpipe_handler,
+    positive_int,
     print_unknown,
     resolve_selection,
     write_report,
@@ -403,7 +404,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--jobs",
-        type=int,
+        type=positive_int,
         default=1,
         metavar="N",
         help="sweep-runner worker processes for corpus execution (default: 1)",

@@ -127,7 +127,6 @@ def run_corpus(
     """
     from repro.experiments.sweep import SweepRunner
 
-    runner = SweepRunner(jobs=jobs, cache=cache)
     calls: list[dict[str, Any]] = []
     owners: list[tuple[tuple[int, int, int], str]] = []
     for enum in enumerations:
@@ -143,7 +142,8 @@ def run_corpus(
                 }
             )
             owners.append((config, cls.key))
-    results = runner.map(execute_scenario, calls)
+    with SweepRunner(jobs=jobs, cache=cache) as runner:
+        results = runner.map(execute_scenario, calls)
     failures = tuple(
         (config, key, verdict)
         for (config, key), verdict in zip(owners, results)

@@ -27,6 +27,7 @@ from repro.experiments.base import ExperimentResult
 from repro.util.cli import (
     build_parser,
     install_sigpipe_handler,
+    positive_int,
     print_unknown,
     resolve_selection,
     write_report,
@@ -236,7 +237,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--jobs",
-        type=int,
+        type=positive_int,
         default=1,
         metavar="N",
         help="fan independent sweep points across N worker processes "
@@ -262,11 +263,6 @@ def main(argv: list[str] | None = None) -> int:
         "counts after the run",
     )
     args = parser.parse_args(argv)
-    from repro.experiments.sweep import ResultCache, SweepRunner
-
-    args.runner = SweepRunner(
-        jobs=args.jobs, cache=None if args.no_cache else ResultCache.default()
-    )
     if args.list or not args.experiments:
         for key, (title, _) in EXPERIMENTS.items():
             print(f"{key:14s} {title}")
@@ -274,30 +270,35 @@ def main(argv: list[str] | None = None) -> int:
     wanted, unknown = resolve_selection(args.experiments, EXPERIMENTS)
     if unknown:
         return print_unknown(unknown, "experiment")
-    sections: list[str] = []
-    for key in wanted:
-        title, runner = EXPERIMENTS[key]
-        start = time.time()
-        result = runner(args)
-        elapsed = time.time() - start
-        rendered = result.render()
-        if args.chart and result.series:
-            from repro.util.charts import ascii_chart
+    from repro.experiments.sweep import ResultCache, SweepRunner
 
-            rendered += "\n\n" + ascii_chart(
-                result.series,
-                title=f"{result.experiment_id} (series view)",
-                x_label="P",
-                y_label="value",
-            )
-        print(rendered)
-        print(f"  [{key} completed in {elapsed:.1f}s]")
-        print()
-        sections.append(f"```\n{rendered}\n```\n_completed in {elapsed:.1f}s_\n")
-    if args.verbose and args.runner.cache is not None:
+    cache = None if args.no_cache else ResultCache.default()
+    sections: list[str] = []
+    # One runner, so one worker pool, serves every selected experiment.
+    with SweepRunner(jobs=args.jobs, cache=cache) as args.runner:
+        for key in wanted:
+            title, runner = EXPERIMENTS[key]
+            start = time.time()
+            result = runner(args)
+            elapsed = time.time() - start
+            rendered = result.render()
+            if args.chart and result.series:
+                from repro.util.charts import ascii_chart
+
+                rendered += "\n\n" + ascii_chart(
+                    result.series,
+                    title=f"{result.experiment_id} (series view)",
+                    x_label="P",
+                    y_label="value",
+                )
+            print(rendered)
+            print(f"  [{key} completed in {elapsed:.1f}s]")
+            print()
+            sections.append(f"```\n{rendered}\n```\n_completed in {elapsed:.1f}s_\n")
+    if args.verbose and cache is not None:
         from repro.util.cli import format_cache_stats
 
-        print(format_cache_stats(args.runner.cache.stats()))
+        print(format_cache_stats(cache.stats()))
     if args.output:
         write_report(args.output, "ksr-experiments report", sections)
     return 0

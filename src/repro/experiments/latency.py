@@ -37,7 +37,13 @@ from repro.machine.ksr import KsrMachine
 from repro.obs import Observer, ObsCapture, ObsSpec, trace_sink
 from repro.sim.process import Op, Read, Write
 
-__all__ = ["LatencyMeasurement", "measure_cell_run", "measure_latencies", "run_figure2"]
+__all__ = [
+    "LatencyMeasurement",
+    "figure2_units",
+    "measure_cell_run",
+    "measure_latencies",
+    "run_figure2",
+]
 
 #: Private array size per processor: comfortably larger than the
 #: 256 KB sub-cache so it cannot be held there, small enough to keep
@@ -227,6 +233,58 @@ def measure_cell_run(
     return layout.timings[cell]
 
 
+def _figure2_calls(proc_counts: list[int], seed: int, samples: int) -> list[dict]:
+    """The :func:`measure_latencies` calls behind one Figure 2 table.
+
+    One per (P, level, op) cell of the table, then the four
+    allocation-overhead call-outs.
+    """
+    calls: list[dict] = []
+    for p in proc_counts:
+        for level in ("local", "network"):
+            for op in ("read", "write"):
+                if level == "network" and p < 2:
+                    continue  # a 1-processor "neighbour" is itself
+                calls.append(dict(n_procs=p, level=level, op=op, seed=seed, samples=samples))
+    # allocation overhead call-outs at one processor
+    calls.append(dict(n_procs=1, level="local", op="read", seed=seed, samples=samples))
+    calls.append(
+        dict(
+            n_procs=1, level="local", op="read",
+            stride_bytes=BLOCK_BYTES, seed=seed, samples=samples,
+        )
+    )
+    calls.append(dict(n_procs=2, level="network", op="read", seed=seed, samples=samples))
+    calls.append(
+        dict(
+            n_procs=2, level="network", op="read",
+            stride_bytes=PAGE_BYTES, seed=seed, samples=samples,
+        )
+    )
+    return calls
+
+
+def figure2_units(proc_counts: list[int], *, obs: bool = False) -> int:
+    """Distinct points :func:`run_figure2` computes for ``proc_counts``.
+
+    Counted from the call list the figure maps.  With ``obs`` each call
+    is one run; without, a local call is one :func:`measure_cell_run`
+    per processor, and cell ``c`` of an (op, stride) pair is shared by
+    every P above ``c`` (counted, not built: P may be huge).
+    """
+    calls = _figure2_calls(proc_counts, seed=0, samples=0)
+    distinct = {tuple(sorted(c.items())) for c in calls}
+    if obs:
+        return len(distinct)
+    widest: dict[tuple[str, int], int] = {}
+    for c in calls:
+        if c["level"] == "local":
+            pair = (c["op"], c.get("stride_bytes", SUBBLOCK_BYTES))
+            widest[pair] = max(widest.get(pair, 0), c["n_procs"])
+    network = sum(1 for items in distinct if dict(items)["level"] == "network")
+    return sum(widest.values()) + network
+
+
 def _assemble_local(calls: list[dict], runner: SweepRunner) -> list[LatencyMeasurement]:
     """The points of ``calls``, local ones assembled from cell-runs.
 
@@ -300,28 +358,7 @@ def run_figure2(
         title="Read/Write latencies on the KSR (microseconds per access)",
         headers=["P", "local read", "local write", "network read", "network write"],
     )
-    calls: list[dict] = []
-    for p in proc_counts:
-        for level in ("local", "network"):
-            for op in ("read", "write"):
-                if level == "network" and p < 2:
-                    continue  # a 1-processor "neighbour" is itself
-                calls.append(dict(n_procs=p, level=level, op=op, seed=seed, samples=samples))
-    # allocation overhead call-outs at one processor
-    calls.append(dict(n_procs=1, level="local", op="read", seed=seed, samples=samples))
-    calls.append(
-        dict(
-            n_procs=1, level="local", op="read",
-            stride_bytes=BLOCK_BYTES, seed=seed, samples=samples,
-        )
-    )
-    calls.append(dict(n_procs=2, level="network", op="read", seed=seed, samples=samples))
-    calls.append(
-        dict(
-            n_procs=2, level="network", op="read",
-            stride_bytes=PAGE_BYTES, seed=seed, samples=samples,
-        )
-    )
+    calls = _figure2_calls(proc_counts, seed, samples)
     if obs is not None:
         for call in calls:
             call["obs"] = obs

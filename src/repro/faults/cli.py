@@ -28,7 +28,7 @@ import sys
 from repro.experiments.sweep import ResultCache, SweepRunner
 from repro.faults.campaign import DEFAULT_RATES, run_campaign
 from repro.obs import ObsSpec
-from repro.util.cli import build_parser, install_sigpipe_handler, print_unknown
+from repro.util.cli import build_parser, install_sigpipe_handler, positive_int, print_unknown
 
 __all__ = ["main"]
 
@@ -80,7 +80,7 @@ def build_faults_parser():
         help="master seed for every point (default: %(default)s)",
     )
     parser.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
+        "--jobs", type=positive_int, default=1, metavar="N",
         help="worker processes for the sweep (default: %(default)s)",
     )
     parser.add_argument(
@@ -113,8 +113,6 @@ def main(argv: list[str] | None = None) -> int:
     command = args.command[0]
     if command not in _COMMANDS:
         return print_unknown([command], "command")
-    cache = None if args.no_cache else ResultCache.default()
-    runner = SweepRunner(jobs=args.jobs, cache=cache)
     proc_counts = _parse_int_list(args.processors, "processor")
     if command == "smoke":
         proc_counts = proc_counts[:1]
@@ -123,15 +121,17 @@ def main(argv: list[str] | None = None) -> int:
     else:
         fault_rates = _parse_float_list(args.fault_rates, "fault rate")
         ops = args.ops
-    campaign = run_campaign(
-        proc_counts,
-        fault_rates,
-        ops=ops,
-        seed=args.seed,
-        runner=runner,
-        obs=ObsSpec(),
-        trace_dir=args.trace_dir,
-    )
+    cache = None if args.no_cache else ResultCache.default()
+    with SweepRunner(jobs=args.jobs, cache=cache) as runner:
+        campaign = run_campaign(
+            proc_counts,
+            fault_rates,
+            ops=ops,
+            seed=args.seed,
+            runner=runner,
+            obs=ObsSpec(),
+            trace_dir=args.trace_dir,
+        )
     if args.format == "json":
         sys.stdout.write(campaign.to_json())
     else:

@@ -30,6 +30,7 @@ from repro.obs.summary import render_summary
 from repro.util.cli import (
     build_parser,
     install_sigpipe_handler,
+    positive_int,
     print_unknown,
     resolve_selection,
 )
@@ -101,6 +102,10 @@ SUBJECTS: dict[str, tuple[str, Callable]] = {
     "fig5": ("Figure 5 barrier algorithms on the two-ring KSR-2", _fig5),
 }
 
+#: Smallest ``--procs`` each subject can run: a barrier needs two
+#: participants, a latency or lock point one processor.
+_MIN_PROCS = {"fig2": 1, "fig3": 1, "fig4": 2, "fig5": 2}
+
 
 def main(argv: list[str] | None = None) -> int:
     """Entry point of ``ksr-trace``."""
@@ -142,7 +147,7 @@ def main(argv: list[str] | None = None) -> int:
         help="fig4/fig5: barrier episodes per point (default 6)",
     )
     parser.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
+        "--jobs", type=positive_int, default=1, metavar="N",
         help="fan points across N worker processes "
         "(output is byte-identical to the serial run)",
     )
@@ -160,17 +165,19 @@ def main(argv: list[str] | None = None) -> int:
         return print_unknown(unknown, "subject")
     from repro.experiments.sweep import ResultCache, SweepRunner
 
-    runner = SweepRunner(
-        jobs=args.jobs, cache=None if args.no_cache else ResultCache.default()
-    )
+    for key in wanted:
+        if args.procs < _MIN_PROCS[key]:
+            parser.error(f"{key} needs --procs of at least {_MIN_PROCS[key]}, got {args.procs}")
     spec = ObsSpec(
         bucket_cycles=args.bucket,
         max_records=args.max_records if args.max_records > 0 else None,
     )
     captures: list[ObsCapture] = []
-    for key in wanted:
-        _, producer = SUBJECTS[key]
-        captures.extend(producer(args, spec, runner))
+    cache = None if args.no_cache else ResultCache.default()
+    with SweepRunner(jobs=args.jobs, cache=cache) as runner:
+        for key in wanted:
+            _, producer = SUBJECTS[key]
+            captures.extend(producer(args, spec, runner))
     if args.format == "chrome":
         text = export_chrome(captures)
     elif args.format == "csv":

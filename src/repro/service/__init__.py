@@ -8,10 +8,11 @@ package turns that substrate into a *service* (``ksr-serve``), storing
 points in the same :class:`repro.experiments.sweep.ResultCache` the
 CLIs use:
 
-* :mod:`repro.service.backends` — pluggable execution backends behind
-  one protocol (inline, persistent process pool, room for remote).
-* :mod:`repro.service.batching` — fan-out slicing, admission pricing
-  and identical-request coalescing.
+* :mod:`repro.service.backends` — the service's sweep runner over one
+  shared backend (inline or a persistent process pool, both from
+  :mod:`repro.experiments.sweep`), harvesting capture summaries.
+* :mod:`repro.service.batching` — admission pricing and
+  identical-request coalescing.
 * :mod:`repro.service.scheduler` — the one job scheduler (daemon and
   fleet): bounded queueing with reject-with-retry-after overload
   behaviour.
@@ -33,10 +34,8 @@ from repro.service.backends import (
     BackendSweepRunner,
     InlineBackend,
     ProcessPoolBackend,
-    make_backend,
-    register_backend,
 )
-from repro.service.batching import JobTable, estimate_points, split_batches
+from repro.service.batching import JobTable, estimate_points
 from repro.service.jobs import JobSpec, ServiceError
 from repro.service.scheduler import Job, RejectedError, Scheduler
 
@@ -52,7 +51,4 @@ __all__ = [
     "Scheduler",
     "ServiceError",
     "estimate_points",
-    "make_backend",
-    "register_backend",
-    "split_batches",
 ]

@@ -33,8 +33,7 @@ import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any
 
-from repro.experiments.sweep import ResultCache
-from repro.service.backends import make_backend
+from repro.experiments.sweep import ResultCache, backend_for
 from repro.service.jobs import JobSpec, ServiceError, describe_catalog
 from repro.service.quotas import DEFAULT_TENANT
 from repro.service.scheduler import RejectedError, Scheduler, _JobScheduler
@@ -193,22 +192,20 @@ class ServiceApp(_JobApp):
         self,
         cache_dir: str,
         *,
-        backend: str = "process:2",
+        jobs: int = 2,
         cap_bytes: int | None = None,
         workers: int = 2,
         queue_cap: int = 8,
         max_points: int = 512,
-        max_batch: int = 64,
     ):
         self.cache = ResultCache(cache_dir, cap_bytes=cap_bytes)
         super().__init__(
             Scheduler(
-                make_backend(backend),
+                backend_for(jobs),
                 self.cache,
                 workers=workers,
                 queue_cap=queue_cap,
                 max_points=max_points,
-                max_batch=max_batch,
             )
         )
 

@@ -1,34 +1,24 @@
-"""Pluggable execution backends for the serving layer.
+"""The serving layer's sweep runner and its backends.
 
-A backend answers one question: *given a point function and a batch of
-keyword-argument dicts, produce the values* — in order, one per call.
-Because every sweep point is a pure function of its arguments (the
-property the whole cache/fan-out stack rests on), any backend returns
-identical values and the scheduler can treat them interchangeably:
-
-* :class:`InlineBackend` — compute in the serving process.  Zero
-  overhead, right for tests and tiny points.
-* :class:`ProcessPoolBackend` — a *persistent*
-  ``ProcessPoolExecutor``.  Unlike the CLI's per-``map`` pool in
-  :class:`~repro.experiments.sweep.SweepRunner`, workers here survive
-  across requests, so a server amortises interpreter/import start-up
-  over its whole lifetime.
-* Anything registered via :func:`register_backend` — the seam a
-  remote/cluster backend lands in later without touching scheduler
-  code.
-
-:class:`BackendSweepRunner` adapts a backend to the ``SweepRunner``
-interface (same cache semantics, same result order) and additionally
-harvests :class:`~repro.obs.ObsCapture` values from point results so
+:class:`InlineBackend` and :class:`ProcessPoolBackend` live with the
+runner in :mod:`repro.experiments.sweep` and are re-exported here; the
+fleet's backend is :class:`~repro.service.fleet.coordinator.FleetBackend`.
+:class:`BackendSweepRunner` runs a job on a backend its caller owns and
+harvests :class:`~repro.obs.ObsCapture` values from point results, so
 service responses can carry observability summaries.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
-from typing import Any, Callable, Protocol, Sequence
+from typing import Any, Sequence
 
-from repro.experiments.sweep import ResultCache, SweepRunner
+from repro.experiments.sweep import (
+    Backend,
+    InlineBackend,
+    ProcessPoolBackend,
+    ResultCache,
+    SweepRunner,
+)
 from repro.obs.probes import ObsCapture
 
 __all__ = [
@@ -37,88 +27,7 @@ __all__ = [
     "InlineBackend",
     "ProcessPoolBackend",
     "harvest_captures",
-    "make_backend",
-    "register_backend",
 ]
-
-
-class Backend(Protocol):
-    """Executes batches of pure point calls."""
-
-    name: str
-
-    def map(self, func: Callable[..., Any], calls: Sequence[dict[str, Any]]) -> list[Any]:
-        """Return ``func(**call)`` for every call, aligned with ``calls``."""
-        ...
-
-    def close(self) -> None:
-        """Release workers (idempotent)."""
-        ...
-
-
-class InlineBackend:
-    """Serial, in-process execution."""
-
-    name = "inline"
-
-    def map(self, func: Callable[..., Any], calls: Sequence[dict[str, Any]]) -> list[Any]:
-        """Evaluate every call serially on the calling thread."""
-        return [func(**kwargs) for kwargs in calls]
-
-    def close(self) -> None:
-        """Nothing to release."""
-
-
-class ProcessPoolBackend:
-    """A persistent worker pool shared by every batch the server runs."""
-
-    def __init__(self, jobs: int = 2):
-        if jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {jobs}")
-        self.jobs = jobs
-        self.name = f"process:{jobs}"
-        self._pool: ProcessPoolExecutor | None = None
-
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(max_workers=self.jobs)
-        return self._pool
-
-    def map(self, func: Callable[..., Any], calls: Sequence[dict[str, Any]]) -> list[Any]:
-        """Fan calls across the (lazily created) pool, in call order."""
-        if len(calls) <= 1:  # don't pay IPC for a single point
-            return [func(**kwargs) for kwargs in calls]
-        pool = self._ensure_pool()
-        futures = [pool.submit(func, **kwargs) for kwargs in calls]
-        return [future.result() for future in futures]
-
-    def close(self) -> None:
-        """Shut the pool down; a later map() starts a fresh one."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-
-_REGISTRY: dict[str, Callable[[int], Backend]] = {
-    "inline": lambda jobs: InlineBackend(),
-    "process": lambda jobs: ProcessPoolBackend(jobs),
-}
-
-
-def register_backend(name: str, factory: Callable[[int], "Backend"]) -> None:
-    """Register ``name`` (for ``--backend name[:jobs]``) -> factory(jobs)."""
-    _REGISTRY[name] = factory
-
-
-def make_backend(spec: str) -> Backend:
-    """Build a backend from a ``name`` or ``name:jobs`` spec string."""
-    name, _, arg = spec.partition(":")
-    if name not in _REGISTRY:
-        raise ValueError(
-            f"unknown backend {name!r} (known: {', '.join(sorted(_REGISTRY))})"
-        )
-    jobs = int(arg) if arg else 2
-    return _REGISTRY[name](jobs)
 
 
 def harvest_captures(values: Sequence[Any]) -> list[ObsCapture]:
@@ -141,40 +50,22 @@ def harvest_captures(values: Sequence[Any]) -> list[ObsCapture]:
 
 
 class BackendSweepRunner(SweepRunner):
-    """A :class:`SweepRunner` whose misses run on a service backend.
+    """A :class:`SweepRunner` on a shared backend that harvests captures.
 
-    Cache-hit resolution, result ordering and store semantics are all
-    inherited; only the execute seam changes.  The runner also harvests
-    every :class:`ObsCapture` flowing through ``map`` (cache hits
-    included) into :attr:`captures` — experiment assemblers consume the
-    point values, so this is the one place the serving layer can still
-    see them for response summaries.
+    Everything but capture harvesting is inherited; the backend is the
+    caller's to close.  Every :class:`ObsCapture` flowing through
+    ``map`` (cache hits included) lands in :attr:`captures` —
+    experiment assemblers consume the point values, so this is the one
+    place the serving layer can still see them for response summaries.
     """
 
-    def __init__(
-        self,
-        backend: Backend,
-        cache: ResultCache | None = None,
-        *,
-        max_batch: int = 64,
-    ):
-        super().__init__(jobs=1, cache=cache)
-        if max_batch < 1:
-            raise ValueError(f"max_batch must be >= 1, got {max_batch}")
+    def __init__(self, backend: Backend, cache: ResultCache | None = None):
+        super().__init__(cache=cache)
         self.backend = backend
-        self.max_batch = max_batch
         self.captures: list[ObsCapture] = []
 
     def map(self, func, calls, *, on_result=None):  # type: ignore[override]
         """SweepRunner.map plus ObsCapture harvesting into ``captures``."""
         results = super().map(func, calls, on_result=on_result)
         self.captures.extend(harvest_captures(results))
-        return results
-
-    def _execute(self, func: Callable[..., Any], calls: Sequence[dict[str, Any]]) -> list[Any]:
-        from repro.service.batching import split_batches
-
-        results: list[Any] = []
-        for batch in split_batches(list(calls), self.max_batch):
-            results.extend(self.backend.map(func, batch))
         return results

@@ -1,14 +1,8 @@
 """Batching policy: how requests become bounded fan-outs.
 
-Three mechanisms, all deliberately simple enough to reason about under
+Two mechanisms, both deliberately simple enough to reason about under
 concurrency:
 
-* **Batch splitting** — :func:`split_batches` caps how many points one
-  backend ``map`` sees at a time.  A 500-point campaign still completes,
-  but in bounded slices, so a single giant request cannot monopolise
-  the worker pool for its whole duration (smaller requests interleave
-  at batch boundaries) and at most one batch of work is outstanding on
-  the backend when the server is asked to shut down.
 * **Cost estimation** — :func:`estimate_points` prices a job spec in
   sweep points *before* running it; admission control rejects requests
   whose price exceeds the server's per-job bound instead of discovering
@@ -17,29 +11,25 @@ concurrency:
   its in-flight job, so N identical concurrent submissions cost one
   execution; every waiter gets the same result object.  Point purity
   makes this safe: identical specs *must* produce identical payloads.
+
+An accepted job's fan-out is bounded where it shares workers: the
+process pool takes its points in slices
+(:data:`repro.experiments.sweep.POOL_SLICE`).
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Any, Iterator, Sequence
+from typing import Any
 
-from repro.service.jobs import SERVED_EXPERIMENTS, JobSpec
+from repro.service.jobs import SERVED_EXPERIMENTS, JobSpec, ServiceError
 
-__all__ = ["split_batches", "estimate_points", "JobTable"]
+__all__ = ["estimate_points", "JobTable"]
 
-#: Curves each figure sweeps per processor count (fig3: seven lock
-#: variants; fig4/fig5: nine barrier algorithms; fig2 measures a fixed
-#: set of (level, op) latency pairs per P).
-_CURVES_PER_EXPERIMENT = {"fig2": 6, "fig3": 7, "fig4": 9, "fig5": 9}
-
-
-def split_batches(calls: Sequence[Any], max_batch: int) -> Iterator[Sequence[Any]]:
-    """Yield ``calls`` in order, in slices of at most ``max_batch``."""
-    if max_batch < 1:
-        raise ValueError(f"max_batch must be >= 1, got {max_batch}")
-    for start in range(0, len(calls), max_batch):
-        yield calls[start : start + max_batch]
+#: Points each lock or barrier figure sweeps per processor count (fig3:
+#: seven lock variants; fig4/fig5: nine barrier algorithms).  fig2 is
+#: priced from its own call list (:func:`repro.experiments.latency.figure2_units`).
+_CURVES_PER_EXPERIMENT = {"fig3": 7, "fig4": 9, "fig5": 9}
 
 
 def estimate_points(spec: JobSpec) -> int:
@@ -48,6 +38,13 @@ def estimate_points(spec: JobSpec) -> int:
     if spec.kind == "experiment":
         exp = params["experiment"]
         assert exp in SERVED_EXPERIMENTS
+        if exp == "fig2":
+            from repro.experiments.latency import figure2_units
+
+            try:
+                return figure2_units(params["procs"], obs=spec.with_obs)
+            except TypeError:
+                raise ServiceError("fig2: 'procs' must be a list of integers") from None
         return len(params["procs"]) * _CURVES_PER_EXPERIMENT[exp]
     if spec.kind == "campaign":
         return len(params["procs"]) * len(params["rates"])

@@ -4,8 +4,8 @@ Serve the paper's experiments over a local HTTP/JSON API::
 
     ksr-serve                          # 127.0.0.1:8321, process pool of 2
     ksr-serve --port 0 --verbose       # ephemeral port (printed on start)
-    ksr-serve --backend inline         # compute in the serving process
-    ksr-serve --jobs 8                 # shorthand for --backend process:8
+    ksr-serve --jobs 1                 # compute in the serving process
+    ksr-serve --jobs 8                 # process pool of 8
     ksr-serve --cache-dir /var/ksr --cache-cap-mb 256
 
 Submit work with any HTTP client::
@@ -48,7 +48,7 @@ import sys
 import threading
 
 from repro.experiments.sweep import CACHE_DIR_DEFAULT, CACHE_DIR_ENV
-from repro.util.cli import format_cache_stats, install_sigpipe_handler
+from repro.util.cli import format_cache_stats, install_sigpipe_handler, positive_int
 
 __all__ = ["main"]
 
@@ -65,18 +65,12 @@ def build_serve_parser() -> argparse.ArgumentParser:
     parser.add_argument("--host", default="127.0.0.1", help="bind address")
     parser.add_argument("--port", type=int, default=8321, help="port (0: ephemeral)")
     parser.add_argument(
-        "--backend",
-        default=None,
-        metavar="SPEC",
-        help="execution backend: inline, process, process:N (default "
-        "process:2; inline for --fleet and --worker)",
-    )
-    parser.add_argument(
         "--jobs",
-        type=int,
+        type=positive_int,
         default=None,
         metavar="N",
-        help="shorthand for --backend process:N",
+        help="compute in-process (1) or on a pool of N worker processes "
+        "(default 2; 1 for --fleet and --worker)",
     )
     parser.add_argument(
         "--cache-dir",
@@ -108,12 +102,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
         type=int,
         default=512,
         help="per-job sweep-point admission bound (oversized jobs get 413)",
-    )
-    parser.add_argument(
-        "--max-batch",
-        type=int,
-        default=64,
-        help="points per backend fan-out slice",
     )
     parser.add_argument(
         "--drain-deadline",
@@ -203,13 +191,10 @@ def build_serve_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _backend_and_cap(args, default_backend: str) -> tuple[str, int | None]:
-    """The execution backend and cache cap (bytes) every serve mode uses."""
-    if args.backend and args.jobs:
-        raise SystemExit("pass --backend or --jobs, not both")
-    backend = args.backend or (f"process:{args.jobs}" if args.jobs else default_backend)
+def _jobs_and_cap(args, default_jobs: int) -> tuple[int, int | None]:
+    """The compute processes and cache cap (bytes) every serve mode uses."""
     cap = int(args.cache_cap_mb * 1024 * 1024) if args.cache_cap_mb else None
-    return backend, cap
+    return args.jobs or default_jobs, cap
 
 
 def _make_app(args):
@@ -217,16 +202,15 @@ def _make_app(args):
 
     from repro.service.app import ServiceApp
 
-    backend, cap = _backend_and_cap(args, "process:2")
+    jobs, cap = _jobs_and_cap(args, 2)
     return ServiceApp(
         # the location of ResultCache.default(), shared with the CLIs
         args.cache_dir or os.environ.get(CACHE_DIR_ENV, CACHE_DIR_DEFAULT),
-        backend=backend,
+        jobs=jobs,
         cap_bytes=cap,
         workers=args.workers,
         queue_cap=args.queue_cap,
         max_points=args.max_points,
-        max_batch=args.max_batch,
     )
 
 
@@ -256,7 +240,7 @@ def run_worker(args) -> int:
     if not args.join:
         raise SystemExit("--worker requires --join COORDINATOR_URL")
     auth = _fleet_auth(args)
-    backend, cap = _backend_and_cap(args, "inline")
+    jobs, cap = _jobs_and_cap(args, 1)
     worker_id = args.worker_id or f"worker-{socket.gethostname()}-{os.getpid()}"
     root = _fleet_cache_root(args)
     # An explicit --cache-dir IS the shard; the default root gets a
@@ -265,12 +249,11 @@ def run_worker(args) -> int:
     app = FleetWorkerApp(
         cache_dir,
         worker_id=worker_id,
-        backend=backend,
+        jobs=jobs,
         cap_bytes=cap,
         workers=args.workers,
         queue_cap=args.queue_cap,
         max_points=args.max_points,
-        max_batch=args.max_batch,
         auth=auth,
     )
     server = make_worker_server(app, args.host, args.port, verbose=args.verbose)
@@ -373,18 +356,17 @@ def _make_fleet(args):
     """The :class:`LocalFleet` behind ``ksr-serve --fleet N``."""
     from repro.service.fleet import LocalFleet
 
-    backend, cap = _backend_and_cap(args, "inline")
+    jobs, cap = _jobs_and_cap(args, 1)
     auth = _fleet_auth(args)
     return LocalFleet(
         _fleet_cache_root(args),
         n_workers=args.fleet,
-        backend=backend,
+        jobs=jobs,
         cap_bytes=cap,
         replication=args.replication,
         queue_cap=args.queue_cap,
         worker_threads=args.workers,
         max_points=args.max_points,
-        max_batch=args.max_batch,
         host=args.host,
         port=args.port,
         verbose=args.verbose,

@@ -13,7 +13,9 @@ workers look like one coherent resource:
   cache shard, with cross-worker read-through and async replication.
 * :mod:`~repro.service.fleet.coordinator` — routing, heartbeat/health,
   key-range handoff on worker death; jobs are admitted and queued by
-  the single daemon's scheduler, which runs them on the fleet.
+  the single daemon's scheduler and run on a per-job
+  :class:`~repro.service.fleet.coordinator.FleetBackend`, the execution
+  seam every sweep computes its misses through.
 * :mod:`~repro.service.fleet.local` — a one-process fleet harness on
   real loopback sockets (tests and ``ksr-serve --fleet``).
 
@@ -26,9 +28,9 @@ federated campaign is byte-identical to a single-daemon run.
 
 from repro.service.fleet.coordinator import (
     CoordinatorApp,
+    FleetBackend,
     FleetClient,
     FleetScheduler,
-    FleetSweepRunner,
     WorkerHandle,
     make_coordinator_server,
 )
@@ -44,9 +46,9 @@ from repro.service.fleet.worker import (
 __all__ = [
     "CoordinatorApp",
     "FleetAuth",
+    "FleetBackend",
     "FleetClient",
     "FleetScheduler",
-    "FleetSweepRunner",
     "FleetWorkerApp",
     "HashRing",
     "LocalFleet",

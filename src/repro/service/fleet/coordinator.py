@@ -5,7 +5,7 @@ single daemon's job API and scheduler (:mod:`repro.service.app`,
 :mod:`repro.service.scheduler`) — same endpoints, same 400/413/429
 pricing, same tenant quotas and fair share, same byte-identical
 payloads — and plugs the fleet in where one job runs: its
-:class:`FleetScheduler` executes each job on a :class:`FleetSweepRunner`
+:class:`FleetScheduler` executes each job on a :class:`FleetBackend`
 whose points go to the workers.  The fleet concerns:
 
 * **Routing** — each job's sweep points are partitioned by the
@@ -29,16 +29,16 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
-from repro.experiments.sweep import SweepRunner, point_key
+from repro.experiments.sweep import point_key
 from repro.service.app import _JobApp, version_info
-from repro.service.backends import harvest_captures
+from repro.service.backends import BackendSweepRunner
 from repro.service.fleet import wire
 from repro.service.fleet.ring import DEFAULT_VNODES, HashRing
 from repro.service.jobs import JobSpec, ServiceError
 from repro.service.quotas import TenantPolicy
 from repro.service.scheduler import _JobScheduler
 
-__all__ = ["WorkerHandle", "FleetClient", "FleetSweepRunner", "FleetScheduler",
+__all__ = ["WorkerHandle", "FleetClient", "FleetBackend", "FleetScheduler",
            "CoordinatorApp", "make_coordinator_server"]
 
 
@@ -570,38 +570,34 @@ class FleetClient:
             }
 
 
-class FleetSweepRunner(SweepRunner):
-    """A :class:`SweepRunner` whose execute seam is the worker fleet.
+class FleetBackend:
+    """One job's backend: its cache misses computed by the worker fleet.
 
     The coordinator holds no point cache of its own — every cache shard
-    lives with its owning worker — so *all* calls flow to ``_execute``
-    and the per-point served/computed accounting comes back in the map
-    responses.  Captures are harvested exactly like the single-daemon
-    :class:`~repro.service.backends.BackendSweepRunner`.
+    lives with its owning worker — so every call of the job reaches
+    :meth:`map`, and :attr:`served` sums the per-point served/computed
+    accounting the workers' map responses carry.
     """
 
+    name = "fleet"
+
     def __init__(self, client: FleetClient):
-        super().__init__(jobs=1, cache=None)
         self.client = client
-        self.captures: list[Any] = []
-        self.fleet_stats = {"points": 0, "local_hits": 0, "remote_hits": 0,
-                            "computed": 0}
+        self.served = {"points": 0, "local_hits": 0, "remote_hits": 0, "computed": 0}
 
-    def map(self, func, calls, *, on_result=None):  # type: ignore[override]
-        """Fan one sweep out over the fleet, harvesting obs captures."""
-        results = super().map(func, calls, on_result=on_result)
-        self.captures.extend(harvest_captures(results))
-        return results
-
-    def _execute(self, func: Callable[..., Any], calls: Sequence[dict[str, Any]]) -> list[Any]:
+    def map(self, func: Callable[..., Any], calls: Sequence[dict[str, Any]]) -> list[Any]:
+        """Route the calls to their owning workers; values in call order."""
         values, stats = self.client.map_points(func, calls)
-        for name in self.fleet_stats:
-            self.fleet_stats[name] += stats.get(name, 0)
+        for name in self.served:
+            self.served[name] += stats.get(name, 0)
         return values
+
+    def close(self) -> None:
+        """Nothing to release: the client outlives the job."""
 
 
 class FleetScheduler(_JobScheduler):
-    """The job scheduler over a worker fleet: jobs run on a :class:`FleetSweepRunner`."""
+    """The job scheduler over a worker fleet: jobs run on a :class:`FleetBackend`."""
 
     def __init__(
         self,
@@ -624,9 +620,10 @@ class FleetScheduler(_JobScheduler):
         )
 
     def _execute(self, spec: JobSpec) -> tuple[dict[str, Any], dict[str, Any], list[Any]]:
-        runner = FleetSweepRunner(self.client)
+        backend = FleetBackend(self.client)
+        runner = BackendSweepRunner(backend)
         payload = spec.execute(runner)
-        served = runner.fleet_stats
+        served = backend.served
         cache = {
             # Same shape the single daemon reports: "hits" is every
             # cache-served point (own shard or replica), "misses"

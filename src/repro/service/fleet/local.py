@@ -77,14 +77,13 @@ class LocalFleet:
         cache_root: str | Path,
         *,
         n_workers: int = 3,
-        backend: str = "inline",
+        jobs: int = 1,
         cap_bytes: int | None = None,
         replication: int = 2,
         queue_cap: int = 32,
         exec_workers: int = 4,
         worker_threads: int = 2,
         max_points: int = 512,
-        max_batch: int = 64,
         policies: dict[str, TenantPolicy] | None = None,
         default_policy: TenantPolicy | None = None,
         heartbeat_interval: float | None = 1.0,
@@ -107,12 +106,11 @@ class LocalFleet:
             app = FleetWorkerApp(
                 str(cache_root / worker_id),
                 worker_id=worker_id,
-                backend=backend,
+                jobs=jobs,
                 cap_bytes=cap_bytes,
                 workers=worker_threads,
                 queue_cap=queue_cap,
                 max_points=max_points,
-                max_batch=max_batch,
                 auth=self.auth,
             )
             self.workers[worker_id] = _Member(app, make_worker_server(app, host, 0))

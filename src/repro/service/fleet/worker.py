@@ -53,23 +53,21 @@ class FleetWorkerApp(ServiceApp):
         cache_dir: str,
         *,
         worker_id: str,
-        backend: str = "inline",
+        jobs: int = 1,
         cap_bytes: int | None = None,
         workers: int = 2,
         queue_cap: int = 8,
         max_points: int = 512,
-        max_batch: int = 64,
         peer_timeout: float = 10.0,
         auth: wire.FleetAuth | None = None,
     ):
         super().__init__(
             cache_dir,
-            backend=backend,
+            jobs=jobs,
             cap_bytes=cap_bytes,
             workers=workers,
             queue_cap=queue_cap,
             max_points=max_points,
-            max_batch=max_batch,
         )
         self.worker_id = worker_id
         self.peer_timeout = peer_timeout
@@ -160,11 +158,7 @@ class FleetWorkerApp(ServiceApp):
         keys = [point_key(func, kwargs) for kwargs in calls]
         present_before = {key for key in keys if self.cache.contains(key)}
         remote_before = self.cache.remote_hits
-        runner = BackendSweepRunner(
-            self.scheduler.backend,
-            cache=self.cache,
-            max_batch=self.scheduler.max_batch,
-        )
+        runner = BackendSweepRunner(self.scheduler.backend, cache=self.cache)
         with self.cache.pin_session():
             values = runner.map(func, calls)
         remote_served = self.cache.remote_hits - remote_before

@@ -29,7 +29,8 @@ backend + cache with every key the job touches pinned
 (:meth:`ResultCache.pin_session`), so LRU eviction triggered by
 concurrent stores can never remove an in-flight campaign's own points.
 The fleet's :class:`~repro.service.fleet.coordinator.FleetScheduler`
-routes the same runner seam to its workers.
+runs the same runner on a :class:`~repro.service.fleet.coordinator.FleetBackend`,
+which routes the misses to its workers.
 """
 
 from __future__ import annotations
@@ -360,19 +361,15 @@ class Scheduler(_JobScheduler):
         workers: int = 2,
         queue_cap: int = 8,
         max_points: int = 512,
-        max_batch: int = 64,
     ):
         self.backend = backend
         self.cache = cache
-        self.max_batch = max_batch
         super().__init__(
             backend.name, workers=workers, queue_cap=queue_cap, max_points=max_points
         )
 
     def _execute(self, spec: JobSpec) -> tuple[dict[str, Any], dict[str, Any], list[Any]]:
-        runner = BackendSweepRunner(
-            self.backend, cache=self.cache, max_batch=self.max_batch
-        )
+        runner = BackendSweepRunner(self.backend, cache=self.cache)
         before = self.cache.stats()
         with self.cache.pin_session():
             payload = spec.execute(runner)
@@ -384,10 +381,6 @@ class Scheduler(_JobScheduler):
             "root": after["root"],
         }
         return payload, cache, runner.captures
-
-    def stats(self) -> dict[str, Any]:
-        """Shared counters plus the backend batch size."""
-        return {**super().stats(), "max_batch": self.max_batch}
 
     def close(self, deadline: float = 30.0) -> int:
         """Close the scheduler; release the backend unless jobs were stranded."""

@@ -15,6 +15,7 @@ __all__ = [
     "install_sigpipe_handler",
     "build_parser",
     "format_cache_stats",
+    "positive_int",
     "resolve_selection",
     "write_report",
 ]
@@ -47,6 +48,14 @@ def build_parser(
         help="also write the rendered report to FILE (markdown-friendly)",
     )
     return parser
+
+
+def positive_int(text: str) -> int:
+    """``type=`` of every ``--jobs``: a bad value is a usage error (exit 2)."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def resolve_selection(

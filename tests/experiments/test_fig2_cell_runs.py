@@ -98,7 +98,8 @@ def test_each_cell_run_is_simulated_once(serial_fig2):
 
 def test_parallel_renders_identically(serial_fig2):
     result, _ = serial_fig2
-    parallel = run_figure2(proc_counts=[1, 2, 8], samples=SAMPLES, runner=SweepRunner(jobs=2))
+    with SweepRunner(jobs=2) as runner:
+        parallel = run_figure2(proc_counts=[1, 2, 8], samples=SAMPLES, runner=runner)
     assert parallel.render() == result.render()
 
 

@@ -214,7 +214,7 @@ def worker(tmp_path):
 @pytest.fixture
 def daemon(tmp_path):
     """One inline ``ksr-serve`` daemon served on an ephemeral port."""
-    app = ServiceApp(str(tmp_path / "cache"), backend="inline")
+    app = ServiceApp(str(tmp_path / "cache"), jobs=1)
     server = make_server(app, "127.0.0.1", 0)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()

@@ -256,13 +256,14 @@ class TestSweepRunner:
 
     def test_parallel_duplicates_match_serial(self):
         calls = [dict(x=i) for i in (2, 5, 2, 5, 7)]
-        assert SweepRunner(jobs=2).map(square, calls) == [4, 25, 4, 25, 49]
+        with SweepRunner(jobs=2) as runner:
+            assert runner.map(square, calls) == [4, 25, 4, 25, 49]
 
     def test_parallel_matches_serial(self):
         calls = [dict(x=i) for i in range(6)]
         serial = SweepRunner(jobs=1).map(square, calls)
-        parallel = SweepRunner(jobs=2).map(square, calls)
-        assert parallel == serial
+        with SweepRunner(jobs=2) as runner:
+            assert runner.map(square, calls) == serial
 
     def test_parallel_simulation_points_bit_identical(self):
         calls = [
@@ -270,8 +271,27 @@ class TestSweepRunner:
             for p in (2, 4)
         ]
         serial = SweepRunner(jobs=1).map(measure_lock, calls)
-        parallel = SweepRunner(jobs=2).map(measure_lock, calls)
+        with SweepRunner(jobs=2) as runner:
+            parallel = runner.map(measure_lock, calls)
         assert parallel == serial  # float equality: bit-for-bit, not approx
+
+    def test_one_pool_serves_every_map_until_close(self):
+        runner = SweepRunner(jobs=2)
+        assert runner.backend._pool is None, "the pool starts on the first map"
+        assert runner.map(square, [dict(x=1), dict(x=2)]) == [1, 4]
+        pool = runner.backend._pool
+        assert pool is not None
+        assert runner.map(square, [dict(x=3), dict(x=4)]) == [9, 16]
+        assert runner.backend._pool is pool, "a second map reuses the pool"
+        runner.close()
+        assert runner.backend._pool is None
+        runner.close()  # idempotent
+
+    def test_context_manager_closes_the_pool(self):
+        with SweepRunner(jobs=2) as runner:
+            runner.map(square, [dict(x=1), dict(x=2)])
+            assert runner.backend._pool is not None
+        assert runner.backend._pool is None
 
 
 class TestExperimentEquivalence:
@@ -286,7 +306,8 @@ class TestExperimentEquivalence:
 
     def test_parallel_figure3_rows_identical(self):
         serial = self._fig3(SweepRunner(jobs=1))
-        parallel = self._fig3(SweepRunner(jobs=2))
+        with SweepRunner(jobs=2) as runner:
+            parallel = self._fig3(runner)
         assert parallel.rows == serial.rows
         assert parallel.series == serial.series
         assert parallel.render() == serial.render()
@@ -303,5 +324,6 @@ class TestExperimentEquivalence:
     def test_parallel_machine_fingerprints_identical(self):
         calls = [dict(seed=s) for s in (1, 2)]
         serial = SweepRunner(jobs=1).map(audit_fingerprint, calls)
-        parallel = SweepRunner(jobs=2).map(audit_fingerprint, calls)
+        with SweepRunner(jobs=2) as runner:
+            parallel = runner.map(audit_fingerprint, calls)
         assert parallel == serial

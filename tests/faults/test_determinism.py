@@ -76,7 +76,8 @@ class TestCampaignDeterminism:
         from repro.experiments.sweep import SweepRunner
 
         serial = run_campaign(runner=SweepRunner(jobs=1), **self.GRID)
-        fanned = run_campaign(runner=SweepRunner(jobs=4), **self.GRID)
+        with SweepRunner(jobs=4) as runner:
+            fanned = run_campaign(runner=runner, **self.GRID)
         assert serial.to_json() == fanned.to_json()
         assert serial.render() == fanned.render()
 

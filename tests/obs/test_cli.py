@@ -31,6 +31,21 @@ class TestSelection:
         assert main(["fig99"]) == 2
         assert "fig99" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "subject, procs, least",
+        [("fig2", "0", 1), ("fig3", "0", 1), ("fig4", "1", 2), ("fig5", "1", 2)],
+    )
+    def test_impossible_procs_is_a_usage_error(self, subject, procs, least, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([subject, "--procs", procs, "--no-cache"])
+        assert exit_info.value.code == 2
+        assert f"{subject} needs --procs of at least {least}" in capsys.readouterr().err
+
+    def test_procs_is_checked_against_every_subject(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["fig3", "fig4", "--procs", "1", "--no-cache"])
+        assert "fig4 needs --procs of at least 2" in capsys.readouterr().err
+
 
 class TestFormats:
     def test_summary_to_stdout(self, capsys):

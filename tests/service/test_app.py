@@ -14,11 +14,11 @@ from repro.service.app import ServiceApp, make_server
 
 @pytest.fixture
 def served(request, tmp_path):
-    """A running server: inline backend (tests stay single-process)
-    unless a test parametrizes the fixture with another backend spec."""
-    backend = getattr(request, "param", "inline")
+    """A running server computing in-process (tests stay single-process)
+    unless a test parametrizes the fixture with another ``jobs``."""
+    jobs = getattr(request, "param", 1)
     app = ServiceApp(
-        str(tmp_path / "cache"), backend=backend, workers=2, queue_cap=4
+        str(tmp_path / "cache"), jobs=jobs, workers=2, queue_cap=4
     )
     server = make_server(app, "127.0.0.1", 0)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
@@ -163,7 +163,7 @@ class TestGracefulShutdown:
         assert drain_retry_after(time.monotonic() + 4.2) in (4, 5)
 
     def test_close_drains_and_compacts(self, tmp_path):
-        app = ServiceApp(str(tmp_path / "cache"), backend="inline", workers=2)
+        app = ServiceApp(str(tmp_path / "cache"), jobs=1, workers=2)
         from repro.service.jobs import JobSpec
 
         jobs = [
@@ -214,7 +214,7 @@ class TestJobs:
         assert {p["fault_rate"] for p in points} == {0.0, 1e-4}
 
     def test_oversized_request_413(self, tmp_path):
-        app = ServiceApp(str(tmp_path / "cache"), backend="inline", max_points=3)
+        app = ServiceApp(str(tmp_path / "cache"), jobs=1, max_points=3)
         server = make_server(app, "127.0.0.1", 0)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
@@ -245,7 +245,7 @@ class TestJobs:
 
         monkeypatch.setattr(JobSpec, "execute", execute)
         app = ServiceApp(
-            str(tmp_path / "cache"), backend="inline", workers=1, queue_cap=1
+            str(tmp_path / "cache"), jobs=1, workers=1, queue_cap=1
         )
         server = make_server(app, "127.0.0.1", 0)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
@@ -267,7 +267,11 @@ class TestJobs:
 class TestAcceptance:
     """The ISSUE's acceptance bar, end to end over real HTTP."""
 
-    @pytest.mark.parametrize("served", ["inline", "process:2"], indirect=True)
+    @pytest.mark.parametrize(
+        "served",
+        [pytest.param(1, id="inline"), pytest.param(2, id="process:2")],
+        indirect=True,
+    )
     def test_fig2_byte_identical_and_cached(self, served):
         from repro.experiments.latency import run_figure2
 

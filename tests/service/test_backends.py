@@ -1,22 +1,22 @@
-"""Execution backends: equivalence, persistence, registry, harvesting."""
+"""Execution backends: equivalence, persistence, harvesting."""
 
 from __future__ import annotations
 
 import pytest
 
+import repro.experiments.sweep as sweep
 from repro.experiments.locks import measure_lock
-from repro.experiments.sweep import ResultCache, SweepRunner
+from repro.experiments.sweep import ResultCache, SweepRunner, backend_for
 from repro.obs import ObsSpec
 from repro.service.backends import (
     BackendSweepRunner,
     InlineBackend,
     ProcessPoolBackend,
     harvest_captures,
-    make_backend,
-    register_backend,
 )
 
 from tests.experiments.test_sweep import square
+from tests.service.test_batching import _RecordingPool
 
 
 class TestBackends:
@@ -60,31 +60,19 @@ class TestBackends:
 
 
 class TestRegistry:
-    def test_make_backend_specs(self):
-        assert make_backend("inline").name == "inline"
-        backend = make_backend("process:3")
-        assert backend.jobs == 3
-        backend.close()
+    """``backend_for``: the one map from a jobs count to a backend."""
 
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            make_backend("quantum")
-
-    def test_register_backend_is_pluggable(self):
-        class Fake(InlineBackend):
-            name = "fake"
-
-        register_backend("fake", lambda jobs: Fake())
-        try:
-            assert make_backend("fake").name == "fake"
-        finally:
-            from repro.service import backends
-
-            del backends._REGISTRY["fake"]
+    def test_jobs_pick_the_backend(self):
+        assert isinstance(backend_for(1), InlineBackend)
+        backend = backend_for(3)
+        assert isinstance(backend, ProcessPoolBackend) and backend.jobs == 3
+        assert backend.name == "process:3"
 
     def test_rejects_bad_jobs(self):
         with pytest.raises(ValueError):
             ProcessPoolBackend(jobs=0)
+        with pytest.raises(ValueError):
+            backend_for(0)
 
 
 class TestBackendSweepRunner:
@@ -97,17 +85,15 @@ class TestBackendSweepRunner:
         assert runner.map(square, calls) == [0, 1, 4, 9]
         assert cache.hits == 4
 
-    def test_max_batch_slices_execution(self):
-        seen = []
-
-        class Recording(InlineBackend):
-            def map(self, func, calls):
-                seen.append(len(calls))
-                return super().map(func, calls)
-
-        runner = BackendSweepRunner(Recording(), max_batch=2)
-        runner.map(square, [dict(x=i) for i in range(5)])
-        assert seen == [2, 2, 1]
+    def test_max_batch_slices_execution(self, monkeypatch):
+        # The runner's misses go through the pool backend's slicing:
+        # each POOL_SLICE of points is collected before the next is sent.
+        monkeypatch.setattr(sweep, "POOL_SLICE", 2)
+        backend = ProcessPoolBackend(jobs=2)
+        backend._pool = pool = _RecordingPool()
+        runner = BackendSweepRunner(backend)
+        assert runner.map(square, [dict(x=i) for i in range(5)]) == [0, 1, 4, 9, 16]
+        assert pool.slices() == [2, 2, 1]
 
     def test_harvests_captures_from_tuples(self):
         runner = BackendSweepRunner(InlineBackend())

@@ -1,31 +1,68 @@
-"""Batching policy: slicing, admission pricing, coalescing."""
+"""Batching policy: pool slicing, admission pricing, coalescing."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.service.batching import JobTable, estimate_points, split_batches
-from repro.service.jobs import JobSpec
+import repro.experiments.sweep as sweep
+from repro.experiments.sweep import ProcessPoolBackend
+from repro.service.batching import JobTable, estimate_points
+from repro.service.jobs import JobSpec, ServiceError
+
+from tests.experiments.test_fig2_cell_runs import CountingRunner
+from tests.experiments.test_sweep import square
 
 
 def spec(body: dict) -> JobSpec:
     return JobSpec.from_request(body)
 
 
-class TestSplitBatches:
-    def test_splits_in_order(self):
-        batches = list(split_batches(list(range(7)), 3))
-        assert batches == [[0, 1, 2], [3, 4, 5], [6]]
+class _RecordingPool:
+    """Executor stand-in: computes at submit, logs submits and collections."""
 
-    def test_exact_multiple(self):
-        assert list(split_batches([1, 2, 3, 4], 2)) == [[1, 2], [3, 4]]
+    def __init__(self) -> None:
+        self.log: list[str] = []
+
+    def submit(self, func, **kwargs):
+        self.log.append("submit")
+        pool, value = self, func(**kwargs)
+
+        class Done:
+            def result(self):
+                pool.log.append("collect")
+                return value
+
+        return Done()
+
+    def slices(self) -> list[int]:
+        """Sizes of the runs of submits between collections."""
+        runs = "".join("s" if e == "submit" else "c" for e in self.log).split("c")
+        return [len(run) for run in runs if run]
+
+
+class TestSplitBatches:
+    """The process pool takes a map's points in slices of ``POOL_SLICE``,
+    collecting each slice before it submits the next."""
+
+    def _map(self, monkeypatch, n: int, size: int):
+        monkeypatch.setattr(sweep, "POOL_SLICE", size)
+        backend = ProcessPoolBackend(jobs=2)
+        backend._pool = pool = _RecordingPool()
+        values = backend.map(square, [dict(x=i) for i in range(n)])
+        return values, pool.slices()
+
+    def test_splits_in_order(self, monkeypatch):
+        values, slices = self._map(monkeypatch, 7, 3)
+        assert values == [i * i for i in range(7)]
+        assert slices == [3, 3, 1]
+
+    def test_exact_multiple(self, monkeypatch):
+        assert self._map(monkeypatch, 4, 2) == ([0, 1, 4, 9], [2, 2])
 
     def test_empty(self):
-        assert list(split_batches([], 4)) == []
-
-    def test_rejects_bad_batch_size(self):
-        with pytest.raises(ValueError):
-            list(split_batches([1], 0))
+        backend = ProcessPoolBackend(jobs=2)
+        assert backend.map(square, []) == []
+        assert backend._pool is None, "no pool started for nothing"
 
 
 class TestEstimatePoints:
@@ -43,6 +80,28 @@ class TestEstimatePoints:
         big = spec({"kind": "experiment", "experiment": "fig3",
                     "params": {"procs": [2, 4, 8]}})
         assert estimate_points(big) == 3 * estimate_points(small)
+
+    @pytest.mark.parametrize("obs", [False, True], ids=["cell-runs", "obs"])
+    def test_fig2_price_covers_every_computed_point(self, obs):
+        s = spec({"kind": "experiment", "experiment": "fig2", "obs": obs,
+                  "params": {"procs": [1, 2, 4], "samples": 10}})
+        runner = CountingRunner()
+        s.execute(runner)
+        assert estimate_points(s) == len(runner.computed)  # exact, so an upper bound
+
+    def test_fig2_served_defaults(self):
+        # procs [1, 2, 8, 32]: 65 cell-runs (cells 0..31 read and write,
+        # plus cell 0 at 2 KB stride) and 7 network runs; with obs, the
+        # 18 table calls less the two call-outs that repeat a table point.
+        plain = spec({"kind": "experiment", "experiment": "fig2"})
+        observed = spec({"kind": "experiment", "experiment": "fig2", "obs": True})
+        assert estimate_points(plain) == 72
+        assert estimate_points(observed) == 16
+
+    def test_fig2_procs_must_be_integers(self):
+        with pytest.raises(ServiceError, match="procs"):
+            estimate_points(spec({"kind": "experiment", "experiment": "fig2",
+                                  "params": {"procs": ["two"]}}))
 
 
 class TestJobTable:

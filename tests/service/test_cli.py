@@ -21,10 +21,30 @@ class TestBackendAndCacheCap:
         [[], ["--fleet", "2"], ["--worker", "--join", "http://127.0.0.1:9"]],
         ids=["daemon", "fleet", "worker"],
     )
-    def test_backend_and_jobs_conflict_in_every_mode(self, mode, tmp_path):
-        with pytest.raises(SystemExit, match="--backend or --jobs, not both"):
-            cli.main([*mode, "--backend", "inline", "--jobs", "2",
-                      "--port", "0", "--cache-dir", str(tmp_path)])
+    @pytest.mark.parametrize("jobs", ["0", "-1", "x"])
+    def test_bad_jobs_is_a_usage_error_in_every_mode(self, mode, jobs, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main([*mode, "--jobs", jobs, "--port", "0", "--cache-dir", str(tmp_path)])
+        assert exit_info.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+
+    def test_jobs_picks_the_backend(self, tmp_path):
+        from repro.experiments.sweep import InlineBackend, ProcessPoolBackend
+
+        app = cli._make_app(parse("--jobs", "1", "--cache-dir", str(tmp_path / "a")))
+        try:
+            assert isinstance(app.scheduler.backend, InlineBackend)
+        finally:
+            app.close(drain_deadline=0)
+        app = cli._make_app(parse("--cache-dir", str(tmp_path / "b")))
+        try:
+            assert isinstance(app.scheduler.backend, ProcessPoolBackend)
+            assert app.scheduler.backend.jobs == 2  # the daemon's default
+        finally:
+            app.close(drain_deadline=0)
+        args = parse("--fleet", "1", "--port", "0", "--cache-dir", str(tmp_path / "c"))
+        with cli._make_fleet(args) as fleet:  # workers default to in-process
+            assert isinstance(fleet.worker_app("worker-0").scheduler.backend, InlineBackend)
 
     def test_fleet_caps_every_worker_shard(self, tmp_path):
         args = parse("--fleet", "2", "--cache-cap-mb", "0.5", "--port", "0",
@@ -53,13 +73,13 @@ class TestCacheLocation:
         monkeypatch.chdir(tmp_path)
         monkeypatch.setenv("KSR_CACHE_DIR", str(tmp_path / "shared"))
         monkeypatch.setenv("KSR_CACHE_DIR2", str(tmp_path / "ignored"))
-        app = cli._make_app(parse("--backend", "inline"))
+        app = cli._make_app(parse("--jobs", "1"))
         try:
             assert app.cache.root == ResultCache.default().root == tmp_path / "shared"
         finally:
             app.close(drain_deadline=0)
         monkeypatch.delenv("KSR_CACHE_DIR")
-        app = cli._make_app(parse("--backend", "inline"))
+        app = cli._make_app(parse("--jobs", "1"))
         try:
             assert app.cache.root == tmp_path / ".ksr-cache"
         finally:

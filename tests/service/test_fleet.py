@@ -228,3 +228,33 @@ class TestDraining:
         assert fleet.client.workers["worker-1"].reason == "draining"
         assert "worker-1" not in fleet.client.ring
 
+
+
+class TestFleetBackend:
+    def test_sums_the_served_and_computed_counts_of_every_map(self, tmp_path):
+        from repro.experiments.locks import measure_lock
+        from repro.service.backends import BackendSweepRunner
+        from repro.service.fleet import FleetBackend
+
+        calls = [dict(kind="hardware", n_procs=p, read_fraction=0.0, ops=3, seed=303)
+                 for p in (2, 4, 2)]
+        with LocalFleet(tmp_path / "fleet", n_workers=2, heartbeat_interval=None) as lf:
+            returned: list[dict] = []
+            inner = lf.client.map_points
+
+            def map_points(func, points):
+                values, stats = inner(func, points)
+                returned.append(stats)
+                return values, stats
+
+            lf.client.map_points = map_points
+            backend = FleetBackend(lf.client)
+            runner = BackendSweepRunner(backend)
+            cold = runner.map(measure_lock, calls)
+            warm = runner.map(measure_lock, calls)
+        assert cold == warm == [measure_lock(**c) for c in calls]
+        # the duplicate call is computed once; the resubmit is served by its owners
+        assert backend.served == {"points": 4, "local_hits": 2, "remote_hits": 0,
+                                  "computed": 2}
+        assert backend.served == {name: sum(s[name] for s in returned)
+                                  for name in backend.served}

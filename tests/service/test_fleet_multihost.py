@@ -343,7 +343,7 @@ def spawn_worker(coordinator: LocalFleet, worker_id: str, shard: Path) -> subpro
             "--worker", "--join", coordinator.base_url,
             "--worker-id", worker_id,
             "--port", "0",
-            "--backend", "inline",
+            "--jobs", "1",
             "--cache-dir", str(shard),
             "--register-interval", "1",
         ],
