@@ -33,10 +33,10 @@ def test_bench_ablation_snarfing(benchmark, show):
     def run():
         with_snarf = measure_barrier(
             "tree(M)", 32, machine_config=_quiet(32, snarfing=True), reps=8
-        )
+        ).seconds
         without = measure_barrier(
             "tree(M)", 32, machine_config=_quiet(32, snarfing=False), reps=8
-        )
+        ).seconds
         return with_snarf, without
 
     with_snarf, without = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -88,8 +88,8 @@ def test_bench_ablation_barrier_poststore(benchmark, show):
     def run():
         out = {}
         for name in ("tree(M)", "tournament(M)", "mcs(M)"):
-            with_ps = measure_barrier("%s" % name, 32, reps=8, use_poststore=True)
-            without = measure_barrier("%s" % name, 32, reps=8, use_poststore=False)
+            with_ps = measure_barrier(name, 32, reps=8, use_poststore=True).seconds
+            without = measure_barrier(name, 32, reps=8, use_poststore=False).seconds
             out[name] = (with_ps, without)
         return out
 

@@ -26,7 +26,7 @@ def main() -> None:
     table = Table(["algorithm", "us/episode", "vs tournament(M)"])
     times = {}
     for name in DEFAULT_ALGORITHMS:
-        times[name] = measure_barrier(name, n_procs, reps=10)
+        times[name] = measure_barrier(name, n_procs, reps=10).seconds
     reference = times["tournament(M)"]
     for name, t in sorted(times.items(), key=lambda kv: kv[1]):
         table.add_row([name, t * 1e6, f"{t / reference:.2f}x"])
@@ -40,8 +40,8 @@ def main() -> None:
 
     # the poststore ablation: how much does the global flag variant
     # lose if the implementation never poststores?
-    with_ps = measure_barrier("tournament(M)", n_procs, reps=10, use_poststore=True)
-    without = measure_barrier("tournament(M)", n_procs, reps=10, use_poststore=False)
+    with_ps = measure_barrier("tournament(M)", n_procs, reps=10, use_poststore=True).seconds
+    without = measure_barrier("tournament(M)", n_procs, reps=10, use_poststore=False).seconds
     print(f"\ntournament(M) with poststore: {with_ps * 1e6:7.1f} us")
     print(f"            without poststore: {without * 1e6:7.1f} us")
 

@@ -64,7 +64,7 @@ def snarfing_study() -> None:
     print("3. tournament(M) with and without poststore-assisted wakeup")
     table = Table(["variant", "us per episode (P=32)"])
     for label, use_ps in (("poststore + snarf", True), ("invalidate + re-read", False)):
-        t = measure_barrier("tournament(M)", 32, reps=8, use_poststore=use_ps)
+        t = measure_barrier("tournament(M)", 32, reps=8, use_poststore=use_ps).seconds
         table.add_row([label, t * 1e6])
     print(table.render())
     print("   -> nearly a tie: read-snarfing already combines the 31")

@@ -20,7 +20,9 @@ silent rather than crying wolf.
 For ``.map(func, calls)`` the calls list is chased through the local
 idioms the experiments actually use: a list literal or comprehension
 of ``dict(...)`` / ``{...}`` elements, ``calls.append(dict(...))``
-augmentation loops, and ``call["key"] = value`` adornment loops.
+augmentation loops, ``call["key"] = value`` adornment loops, and a
+list a program helper builds that way and returns (checked in the
+helper's own scope).
 """
 
 from __future__ import annotations
@@ -250,13 +252,37 @@ class _PurityPass:
         site: ast.Call,
         info: FunctionInfo,
         scope: _Scope,
+        depth: int = 0,
     ) -> None:
+        built = self._helper_calls(calls_expr, info, scope)
+        if built is not None and depth < _MAX_NAME_DEPTH:
+            helper, returned = built
+            self._check_calls_list(returned, site, helper, _Scope(helper.node.body), depth + 1)
+            return
         for dict_expr, loop_var in self._resolve_calls(calls_expr, scope):
             for key, value in self._dict_items(dict_expr):
                 self._check_one(key, value, site, info, scope)
             if loop_var is not None:
                 for key, value in scope.adornments.get(loop_var, []):
                     self._check_one(key, value, site, info, scope)
+
+    def _helper_calls(
+        self, expr: ast.expr, info: FunctionInfo, scope: _Scope
+    ) -> Optional[tuple[FunctionInfo, ast.expr]]:
+        """``(helper, its returned list)`` when a program function builds ``expr``."""
+        if isinstance(expr, ast.Name):
+            expr = scope.assignments.get(expr.id)
+        if not isinstance(expr, ast.Call):
+            return None
+        helper = self.program.resolve_call(info.relpath, expr)
+        if helper is None:
+            return None
+        returned = [
+            node.value
+            for node in ast.walk(helper.node)
+            if isinstance(node, ast.Return) and node.value is not None
+        ]
+        return (helper, returned[0]) if len(returned) == 1 else None
 
     def _resolve_calls(
         self, expr: ast.expr, scope: _Scope

@@ -11,12 +11,13 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ConfigError
-from repro.experiments.base import ExperimentResult
+from repro.experiments.base import ExperimentResult, Instruments, Point, machine_cells
 from repro.experiments.sweep import SweepRunner
+from repro.faults import FaultPlan
 from repro.machine.api import SharedMemory
 from repro.machine.config import MachineConfig, TimerConfig
 from repro.machine.ksr import KsrMachine
-from repro.obs import Observer, ObsCapture, ObsSpec, trace_sink
+from repro.obs import ObsSpec, trace_sink
 from repro.sim.process import LocalOps
 from repro.sync.barriers import make_barrier
 
@@ -53,24 +54,32 @@ def measure_barrier(
     reps: int = 10,
     seed: int = 404,
     use_poststore: bool = True,
+    plan: FaultPlan | None = None,
     obs: ObsSpec | None = None,
-) -> float | tuple[float, ObsCapture]:
+) -> Point:
     """Mean seconds per barrier episode for one (algorithm, P) point.
 
-    With ``obs`` set, an :class:`~repro.obs.Observer` rides along (the
-    probes are read-only, so the timing is unchanged) and the return
-    value becomes ``(seconds, capture)``.
+    The default machine is a timer-off KSR-1 of P cells, grown to hold
+    ``plan``'s dead cells; past 32 cells it is a two-ring KSR-2 of at
+    least 33.  With ``plan`` set a :class:`~repro.faults.FaultInjector`
+    carries it and the point reports the injector's tallies.  With
+    ``obs`` set, an :class:`~repro.obs.Observer` rides along (the
+    probes are read-only, so the timing is unchanged) and the point
+    carries its capture.
     """
     if n_procs < 2:
         raise ConfigError("a barrier measurement needs at least 2 processors")
+    n_cells = machine_cells(n_procs, plan)
     if machine_config is None:
-        machine_config = MachineConfig.ksr1(
-            n_cells=n_procs, seed=seed, timer=TimerConfig(enabled=False)
-        )
+        timer = TimerConfig(enabled=False)
+        if n_cells > 32:
+            machine_config = MachineConfig.ksr2(n_cells=max(n_cells, 33), seed=seed, timer=timer)
+        else:
+            machine_config = MachineConfig.ksr1(n_cells=n_cells, seed=seed, timer=timer)
     if machine_config.n_cells < n_procs:
         raise ConfigError("machine too small for the requested P")
     machine = KsrMachine(machine_config)
-    observer = Observer(obs).attach(machine) if obs is not None else None
+    instruments = Instruments(machine, plan, obs)
     mem = SharedMemory(machine)
     barrier = make_barrier(name, mem, n_procs, use_poststore=use_poststore)
     marks: dict[int, list[float]] = {i: [] for i in range(n_procs)}
@@ -91,21 +100,17 @@ def measure_barrier(
     durations = [
         end - start for start, end in zip(episode_starts, episode_ends[1:])
     ]
-    seconds = machine.config.seconds(float(np.mean(durations)))
-    if observer is not None:
-        capture = observer.capture(
-            f"{name} barrier P={n_procs}",
-            name=name, n_procs=n_procs, reps=reps, seed=seed,
-            n_cells=machine_config.n_cells,
-        )
-        observer.detach()
-        return seconds, capture
-    return seconds
+    return instruments.point(
+        machine.config.seconds(float(np.mean(durations))),
+        f"{'' if plan is None else 'F2 '}{name} barrier P={n_procs}",
+        name=name, n_procs=n_procs, reps=reps, seed=seed,
+        n_cells=machine_config.n_cells,
+    )
 
 
 def figure4_point(
     name: str, n_procs: int, reps: int, seed: int, obs: ObsSpec | None = None
-) -> float | tuple[float, ObsCapture]:
+) -> Point:
     """One (algorithm, P) point of Figure 4 on a P-cell KSR-1.
 
     Module-level (and scalar-argued) so a :class:`SweepRunner` can ship
@@ -119,7 +124,7 @@ def figure4_point(
 
 def figure5_point(
     name: str, n_procs: int, reps: int, seed: int, obs: ObsSpec | None = None
-) -> float | tuple[float, ObsCapture]:
+) -> Point:
     """One (algorithm, P) point of Figure 5 on a two-ring KSR-2."""
     config = MachineConfig.ksr2(
         n_cells=max(n_procs, 33), seed=seed, timer=TimerConfig(enabled=False)
@@ -159,8 +164,7 @@ def _run_sweep(
         for call in calls:
             call["obs"] = obs
     sink = trace_sink(experiment_id, trace_dir) if trace_dir is not None else None
-    raw = runner.map(point_func, calls, on_result=sink)
-    values = iter(r[0] if obs is not None else r for r in raw)
+    values = iter(pt.seconds for pt in runner.map(point_func, calls, on_result=sink))
     for p in proc_counts:
         row: list = [p]
         for name in algorithms:

@@ -3,16 +3,92 @@
 ``PAPER_ANCHORS`` collects every number the paper prints that this
 reproduction compares against; EXPERIMENTS.md and several tests are
 generated from / checked against this single table.
+
+:class:`Point` is the one shape of a simulated point's result, and
+:class:`Instruments` the one way a point attaches a fault plan and an
+observer to its machine and folds their readings into that shape.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Any, Optional, Sequence
 
+from repro.errors import ConfigError
+from repro.faults import FaultInjector, FaultPlan
+from repro.obs import Observer, ObsCapture, ObsSpec
 from repro.util.tables import Table
 
-__all__ = ["ExperimentResult", "PAPER_ANCHORS"]
+__all__ = ["ExperimentResult", "Instruments", "PAPER_ANCHORS", "Point", "machine_cells"]
+
+
+@dataclass(frozen=True)
+class Point:
+    """One point's result: time, fault tallies and an optional capture."""
+
+    seconds: float
+    #: Sorted ``(counter, value)`` pairs from
+    #: :meth:`repro.faults.FaultCounters.snapshot` (empty for a point
+    #: run without a fault plan, and for analytic kernel points).
+    faults: tuple[tuple[str, float], ...] = ()
+    #: What an :class:`~repro.obs.Observer` saw (``None`` unless the
+    #: point ran with ``obs``).
+    capture: Optional[ObsCapture] = None
+
+    def fault(self, name: str) -> float:
+        """One fault tally by name (0.0 when absent)."""
+        return dict(self.faults).get(name, 0.0)
+
+
+def machine_cells(n_procs: int, plan: FaultPlan | None = None) -> int:
+    """Cells a point placing thread ``i`` on cell ``i`` needs.
+
+    At least two, and room for the plan's dead cells, none of which may
+    sit under a thread.
+    """
+    need = max(2, n_procs)
+    if plan is None or not plan.dead_cells:
+        return need
+    blocked = [c for c in plan.dead_cells if c < n_procs]
+    if blocked:
+        raise ConfigError(
+            f"dead cells {blocked} collide with thread placement on cells "
+            f"0..{n_procs - 1}; use dead cell ids >= n_procs"
+        )
+    return max(need, max(plan.dead_cells) + 1)
+
+
+class Instruments:
+    """A point's optional fault injector and observer on one machine.
+
+    The injector attaches first, so the observer wires its fault probe.
+    Without a plan no injector attaches at all: even a zero-plan
+    injector sets ``machine.fault_injector``, which adds that probe to
+    the capture.
+    """
+
+    def __init__(self, machine: Any, plan: FaultPlan | None, obs: ObsSpec | None):
+        self.plan = plan
+        self.injector = FaultInjector(plan).attach(machine) if plan is not None else None
+        self.observer = Observer(obs).attach(machine) if obs is not None else None
+
+    def point(self, seconds: float, label: str, **meta: Any) -> Point:
+        """Detach both and fold their readings into one :class:`Point`.
+
+        ``label`` and ``meta`` name the capture; a plan's description
+        joins the meta.
+        """
+        faults: tuple[tuple[str, float], ...] = ()
+        if self.injector is not None:
+            faults = tuple(sorted(self.injector.counters.snapshot().items()))
+            meta["plan"] = self.plan.describe()
+        capture = None
+        if self.observer is not None:
+            capture = self.observer.capture(label, **meta)
+            self.observer.detach()
+        if self.injector is not None:
+            self.injector.detach()
+        return Point(seconds, faults, capture)
 
 
 @dataclass

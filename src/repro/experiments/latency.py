@@ -19,10 +19,10 @@ The measurement methodology follows the paper exactly:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Optional
 
 from repro.errors import ConfigError, SimulationError
-from repro.experiments.base import ExperimentResult
+from repro.experiments.base import ExperimentResult, Instruments
 from repro.experiments.sweep import SweepRunner
 from repro.machine.api import SharedArray, SharedMemory
 from repro.machine.config import (
@@ -34,7 +34,7 @@ from repro.machine.config import (
     TimerConfig,
 )
 from repro.machine.ksr import KsrMachine
-from repro.obs import Observer, ObsCapture, ObsSpec, trace_sink
+from repro.obs import ObsCapture, ObsSpec, trace_sink
 from repro.sim.process import Op, Read, Write
 
 __all__ = [
@@ -64,6 +64,9 @@ class LatencyMeasurement:
     op: str  # "read" | "write"
     stride_bytes: int
     mean_latency_s: float
+    #: What an :class:`~repro.obs.Observer` saw (``None`` unless the
+    #: point ran with ``obs``).
+    capture: Optional[ObsCapture] = None
 
     @property
     def mean_latency_cycles_ksr1(self) -> float:
@@ -156,7 +159,7 @@ def measure_latencies(
     seed: int = 101,
     samples: int = _SAMPLES,
     obs: ObsSpec | None = None,
-) -> LatencyMeasurement | tuple[LatencyMeasurement, ObsCapture]:
+) -> LatencyMeasurement:
     """One (level, op, P) measurement on a fresh machine.
 
     The default stride is one sub-block for the local level (the
@@ -166,7 +169,7 @@ def measure_latencies(
 
     With ``obs`` set, an :class:`~repro.obs.Observer` rides along
     (probes are read-only, so the measurement itself is unchanged) and
-    the return value becomes ``(measurement, capture)``.
+    the measurement carries its capture.
     """
     if level not in ("local", "network"):
         raise ConfigError(f"unknown level {level!r}")
@@ -175,27 +178,25 @@ def measure_latencies(
         stride_bytes = SUBBLOCK_BYTES if level == "local" else SUBPAGE_BYTES
     layout = _Layout(n_procs, level, op, stride_bytes, seed, samples)
     machine = layout.machine
-    observer = Observer(obs).attach(machine) if obs is not None else None
+    instruments = Instruments(machine, None, obs)
     for i in range(n_procs):
         machine.spawn(f"lat-{i}", layout.body(i), i)
     machine.run()
     mean_cycles = sum(layout.timings.values()) / (n_procs * samples)
-    measurement = LatencyMeasurement(
+    point = instruments.point(
+        machine.config.seconds(mean_cycles),
+        f"fig2 {level} {op} P={n_procs}",
+        level=level, op=op, n_procs=n_procs,
+        stride_bytes=stride_bytes, seed=seed, samples=samples,
+    )
+    return LatencyMeasurement(
         n_procs=n_procs,
         level=level,
         op=op,
         stride_bytes=stride_bytes,
-        mean_latency_s=machine.config.seconds(mean_cycles),
+        mean_latency_s=point.seconds,
+        capture=point.capture,
     )
-    if observer is not None:
-        capture = observer.capture(
-            f"fig2 {level} {op} P={n_procs}",
-            level=level, op=op, n_procs=n_procs,
-            stride_bytes=stride_bytes, seed=seed, samples=samples,
-        )
-        observer.detach()
-        return measurement, capture
-    return measurement
 
 
 def measure_cell_run(
@@ -363,8 +364,7 @@ def run_figure2(
         for call in calls:
             call["obs"] = obs
         sink = trace_sink("FIG2", trace_dir) if trace_dir is not None else None
-        raw = runner.map(measure_latencies, calls, on_result=sink)
-        values = iter(r[0] for r in raw)
+        values = iter(runner.map(measure_latencies, calls, on_result=sink))
     else:
         values = iter(_assemble_local(calls, runner))
     for p in proc_counts:

@@ -13,12 +13,13 @@ lock's surprising win over the hardware lock even with writers only.
 
 from __future__ import annotations
 
-from repro.experiments.base import ExperimentResult
+from repro.experiments.base import ExperimentResult, Instruments, Point, machine_cells
 from repro.experiments.sweep import SweepRunner
+from repro.faults import FaultPlan
 from repro.machine.api import SharedMemory
 from repro.machine.config import MachineConfig
 from repro.machine.ksr import KsrMachine
-from repro.obs import Observer, ObsCapture, ObsSpec, trace_sink
+from repro.obs import ObsSpec, trace_sink
 from repro.sync.locks import (
     HardwareExclusiveLock,
     LockWorkloadParams,
@@ -26,12 +27,15 @@ from repro.sync.locks import (
     run_lock_workload,
 )
 
-__all__ = ["run_figure3", "measure_lock"]
+__all__ = ["run_figure3", "measure_lock", "READ_FRACTIONS"]
 
 #: The paper's per-processor operation count.  The default here is
 #: smaller so the figure regenerates quickly; pass ``ops=500`` (with
 #: patience) for the full workload.
 _DEFAULT_OPS = 100
+
+#: Read shares of Figure 3's six read-write lock curves.
+READ_FRACTIONS = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
 
 
 def measure_lock(
@@ -41,17 +45,22 @@ def measure_lock(
     *,
     ops: int = _DEFAULT_OPS,
     seed: int = 303,
+    plan: FaultPlan | None = None,
     obs: ObsSpec | None = None,
-) -> float | tuple[float, ObsCapture]:
+) -> Point:
     """Total seconds for one (lock kind, P, read fraction) point.
 
+    With ``plan`` set (the F1 experiment and fault campaigns) a
+    :class:`~repro.faults.FaultInjector` carries it: the machine grows
+    to hold the plan's dead cells, and the point reports the injector's
+    tallies.  A zero plan reproduces the clean seconds to the bit.
     With ``obs`` set, an :class:`~repro.obs.Observer` rides along (the
-    probes are read-only, so the timing is unchanged) and the return
-    value becomes ``(seconds, capture)``.
+    probes are read-only, so the timing is unchanged) and the point
+    carries its capture.
     """
-    config = MachineConfig.ksr1(n_cells=max(2, n_procs), seed=seed)
+    config = MachineConfig.ksr1(n_cells=machine_cells(n_procs, plan), seed=seed)
     machine = KsrMachine(config)
-    observer = Observer(obs).attach(machine) if obs is not None else None
+    instruments = Instruments(machine, plan, obs)
     mem = SharedMemory(machine)
     if kind == "hardware":
         lock = HardwareExclusiveLock(mem)
@@ -63,16 +72,12 @@ def measure_lock(
         ops_per_processor=ops, read_fraction=read_fraction, seed=seed
     )
     result = run_lock_workload(machine, lock, params, n_threads=n_procs)
-    if observer is not None:
-        share = f" {int(read_fraction * 100)}% read" if kind == "rw" else ""
-        capture = observer.capture(
-            f"fig3 {kind}{share} P={n_procs}",
-            kind=kind, n_procs=n_procs, read_fraction=read_fraction,
-            ops=ops, seed=seed,
-        )
-        observer.detach()
-        return result.total_seconds, capture
-    return result.total_seconds
+    share = f" {int(read_fraction * 100)}% read" if kind == "rw" else ""
+    return instruments.point(
+        result.total_seconds,
+        f"{'fig3' if plan is None else 'F1'} {kind}{share} P={n_procs}",
+        kind=kind, n_procs=n_procs, read_fraction=read_fraction, ops=ops, seed=seed,
+    )
 
 
 def run_figure3(
@@ -100,30 +105,28 @@ def run_figure3(
         runner = SweepRunner()
     if trace_dir is not None and obs is None:
         obs = ObsSpec()
-    fractions = [0.0, 0.2, 0.4, 0.6, 0.8, 1.0]
     result = ExperimentResult(
         experiment_id="FIG3",
         title=f"Lock performance, {ops} operations per processor (seconds)",
         headers=["P", "exclusive"]
-        + [f"rw {int(f * 100)}% read" for f in fractions],
+        + [f"rw {int(f * 100)}% read" for f in READ_FRACTIONS],
     )
     calls: list[dict] = []
     for p in proc_counts:
         calls.append(dict(kind="hardware", n_procs=p, read_fraction=0.0, ops=ops, seed=seed))
-        for f in fractions:
+        for f in READ_FRACTIONS:
             calls.append(dict(kind="rw", n_procs=p, read_fraction=f, ops=ops, seed=seed))
     if obs is not None:
         for call in calls:
             call["obs"] = obs
     sink = trace_sink("FIG3", trace_dir) if trace_dir is not None else None
-    raw = runner.map(measure_lock, calls, on_result=sink)
-    values = iter(r[0] if obs is not None else r for r in raw)
+    values = iter(pt.seconds for pt in runner.map(measure_lock, calls, on_result=sink))
     for p in proc_counts:
         row: list = [p]
         t_excl = next(values)
         row.append(t_excl)
         result.add_series_point("exclusive lock", p, t_excl)
-        for f in fractions:
+        for f in READ_FRACTIONS:
             t = next(values)
             row.append(t)
             result.add_series_point(f"rw {int(f * 100)}%", p, t)

@@ -46,8 +46,8 @@ def run_barrier_projection(
         config = MachineConfig.ksr1(
             n_cells=p, seed=seed, timer=TimerConfig(enabled=False)
         )
-        tm = measure_barrier("tournament(M)", p, machine_config=config, reps=reps)
-        counter = measure_barrier("counter", p, machine_config=config, reps=reps)
+        tm = measure_barrier("tournament(M)", p, machine_config=config, reps=reps).seconds
+        counter = measure_barrier("counter", p, machine_config=config, reps=reps).seconds
         result.add_row([p, config.n_rings, tm * 1e6, counter * 1e6, counter / tm])
         result.add_series_point("tournament(M)", p, tm)
         result.add_series_point("counter", p, counter)

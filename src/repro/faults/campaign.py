@@ -21,8 +21,8 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.experiments.base import ExperimentResult
-from repro.experiments.degraded import degraded_lock_point
+from repro.experiments.base import ExperimentResult, Point
+from repro.experiments.locks import measure_lock
 from repro.experiments.sweep import SweepRunner
 from repro.faults.plan import FaultPlan
 from repro.obs import ObsSpec
@@ -70,12 +70,12 @@ def build_campaign_calls(
     seed: int = 303,
     obs: ObsSpec | None = None,
 ) -> list[dict]:
-    """The campaign grid as independent, cacheable point calls.
+    """The campaign grid as independent, cacheable :func:`measure_lock` calls.
 
-    Split out of :func:`run_campaign` so the serving layer can batch a
-    campaign's points into :class:`SweepRunner` fan-outs (and pin their
-    cache keys) exactly like any other sweep, then assemble the table
-    with :func:`assemble_campaign`.
+    The writers-only rw lock, processors outer and corruption rates
+    inner; the F1 experiment
+    (:func:`repro.experiments.degraded.run_degraded_locks`) maps the
+    same grid.
     """
     calls = [
         dict(kind="rw", n_procs=p, read_fraction=0.0, ops=ops, seed=seed,
@@ -113,7 +113,7 @@ def run_campaign(
     if trace_dir is not None and obs is None:
         obs = ObsSpec()
     calls = build_campaign_calls(proc_counts, fault_rates, ops=ops, seed=seed, obs=obs)
-    points = runner.map(degraded_lock_point, calls)
+    points = runner.map(measure_lock, calls)
     return assemble_campaign(
         proc_counts, fault_rates, calls, points, ops=ops, trace_dir=trace_dir
     )
@@ -123,7 +123,7 @@ def assemble_campaign(
     proc_counts: list[int],
     fault_rates: list[float],
     calls: list[dict],
-    points: list,
+    points: list[Point],
     *,
     ops: int = 30,
     trace_dir: str | None = None,

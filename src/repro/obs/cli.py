@@ -37,11 +37,9 @@ from repro.util.cli import (
 
 __all__ = ["main", "SUBJECTS"]
 
-_FRACTIONS = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
-
 
 def _captures(runner, func, calls) -> list[ObsCapture]:
-    return [capture for _, capture in runner.map(func, calls)]
+    return [point.capture for point in runner.map(func, calls)]
 
 
 def _fig2(args, spec, runner) -> list[ObsCapture]:
@@ -60,7 +58,7 @@ def _fig2(args, spec, runner) -> list[ObsCapture]:
 
 
 def _fig3(args, spec, runner) -> list[ObsCapture]:
-    from repro.experiments.locks import measure_lock
+    from repro.experiments.locks import READ_FRACTIONS, measure_lock
 
     calls = [
         dict(kind="hardware", n_procs=args.procs, read_fraction=0.0,
@@ -69,7 +67,7 @@ def _fig3(args, spec, runner) -> list[ObsCapture]:
     calls += [
         dict(kind="rw", n_procs=args.procs, read_fraction=f,
              ops=args.ops, obs=spec)
-        for f in _FRACTIONS
+        for f in READ_FRACTIONS
     ]
     return _captures(runner, measure_lock, calls)
 

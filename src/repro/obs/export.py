@@ -243,21 +243,18 @@ def trace_sink(
 ) -> Callable[[int, dict[str, Any], Any], None]:
     """An ``on_result`` callback writing one Chrome trace per sweep point.
 
-    Suitable for :meth:`repro.experiments.sweep.SweepRunner.map`: point
-    results shaped ``(value, ObsCapture)`` get written to
-    ``<trace_dir>/<experiment_id>_<point_slug>.trace.json``; any other
-    result shape is silently skipped (untraced points).
+    Suitable for :meth:`repro.experiments.sweep.SweepRunner.map`: a
+    point result whose ``.capture`` is set gets written to
+    ``<trace_dir>/<experiment_id>_<point_slug>.trace.json``; an
+    untraced point (no capture) is skipped.
     """
     root = Path(trace_dir)
 
     def sink(index: int, kwargs: dict[str, Any], result: Any) -> None:
         """Write the point's capture, if the result carries one."""
-        if (
-            isinstance(result, tuple)
-            and len(result) == 2
-            and isinstance(result[1], ObsCapture)
-        ):
+        capture = getattr(result, "capture", None)
+        if capture is not None:
             name = f"{experiment_id.lower()}_{point_slug(kwargs)}.trace.json"
-            write_chrome_trace(root / name, [result[1]])
+            write_chrome_trace(root / name, [capture])
 
     return sink

@@ -164,6 +164,13 @@ class _JobApp:
         tenant = body.get("tenant", DEFAULT_TENANT)
         if not isinstance(tenant, str) or not tenant:
             return 400, {"error": "'tenant' must be a non-empty string"}, {}
+        timeout = body.get("timeout", MAX_WAIT_SECONDS)
+        if (
+            isinstance(timeout, bool)
+            or not isinstance(timeout, (int, float))
+            or not 0 <= timeout < math.inf
+        ):
+            return 400, {"error": "'timeout' must be a finite number >= 0"}, {}
         try:
             spec = JobSpec.from_request(body)
             job = self.scheduler.submit(spec, tenant)
@@ -176,8 +183,7 @@ class _JobApp:
         except ServiceError as exc:
             return exc.status, {"error": str(exc)}, {}
         if body.get("wait"):
-            timeout = min(float(body.get("timeout", MAX_WAIT_SECONDS)), MAX_WAIT_SECONDS)
-            if not job.wait(timeout):
+            if not job.wait(min(timeout, MAX_WAIT_SECONDS)):
                 return 202, job.describe(), {}
             return 200, job.describe(), {}
         return 202, job.describe(), {}

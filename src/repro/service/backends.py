@@ -4,8 +4,9 @@
 runner in :mod:`repro.experiments.sweep` and are re-exported here; the
 fleet's backend is :class:`~repro.service.fleet.coordinator.FleetBackend`.
 :class:`BackendSweepRunner` runs a job on a backend its caller owns and
-harvests :class:`~repro.obs.ObsCapture` values from point results, so
-service responses can carry observability summaries.
+harvests the ``.capture`` every traced point result carries (an
+:class:`~repro.obs.ObsCapture`), so service responses can carry
+observability summaries.
 """
 
 from __future__ import annotations
@@ -31,22 +32,18 @@ __all__ = [
 
 
 def harvest_captures(values: Sequence[Any]) -> list[ObsCapture]:
-    """Pull every :class:`ObsCapture` out of a batch of point results.
+    """Every set ``.capture`` of a batch of point results, in order.
 
-    Point functions surface captures two ways: as the second element of
-    a ``(value, capture)`` tuple (the figure measurers) or as a
-    ``.capture`` attribute (:class:`~repro.experiments.degraded.DegradedPoint`).
-    Order follows the result order, so equal runs harvest equal lists.
+    Point results (:class:`~repro.experiments.base.Point`,
+    :class:`~repro.experiments.latency.LatencyMeasurement`) carry their
+    capture as an attribute; values without one are skipped.  Order
+    follows the result order, so equal runs harvest equal lists.
     """
-    captures: list[ObsCapture] = []
-    for value in values:
-        if isinstance(value, tuple):
-            captures.extend(v for v in value if isinstance(v, ObsCapture))
-        else:
-            capture = getattr(value, "capture", None)
-            if isinstance(capture, ObsCapture):
-                captures.append(capture)
-    return captures
+    return [
+        capture
+        for capture in (getattr(value, "capture", None) for value in values)
+        if capture is not None
+    ]
 
 
 class BackendSweepRunner(SweepRunner):

@@ -22,7 +22,7 @@ from __future__ import annotations
 import threading
 from typing import Any
 
-from repro.service.jobs import SERVED_EXPERIMENTS, JobSpec, ServiceError
+from repro.service.jobs import SERVED_EXPERIMENTS, JobSpec
 
 __all__ = ["estimate_points", "JobTable"]
 
@@ -41,10 +41,7 @@ def estimate_points(spec: JobSpec) -> int:
         if exp == "fig2":
             from repro.experiments.latency import figure2_units
 
-            try:
-                return figure2_units(params["procs"], obs=spec.with_obs)
-            except TypeError:
-                raise ServiceError("fig2: 'procs' must be a list of integers") from None
+            return figure2_units(params["procs"], obs=spec.with_obs)
         return len(params["procs"]) * _CURVES_PER_EXPERIMENT[exp]
     if spec.kind == "campaign":
         return len(params["procs"]) * len(params["rates"])

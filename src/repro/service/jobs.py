@@ -13,8 +13,9 @@ byte-for-byte):
   point fans out through the scheduler's shared runner.
 * ``campaign`` — a fault campaign (processors x corruption rates) via
   :mod:`repro.faults.campaign`.
-* ``point`` — a single degraded lock measurement, the smallest
-  request the API accepts.
+* ``point`` — a single lock measurement under a fault plan
+  (:func:`repro.experiments.locks.measure_lock` with ``plan``), the
+  smallest request the API accepts.
 
 Each kind knows how to run itself against a provided
 :class:`~repro.experiments.sweep.SweepRunner`; everything else (queueing,
@@ -125,10 +126,51 @@ def describe_catalog() -> dict[str, Any]:
     }
 
 
+#: Smallest processor count a ``procs`` list may hold: a barrier needs
+#: two participants and a campaign measures lock contention, which
+#: needs two processors; a latency or lock point runs on one.
+_MIN_PROCS = {"fig2": 1, "fig3": 1, "fig4": 2, "fig5": 2, "campaign": 2}
+
+
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_rate(value: Any) -> bool:
+    """A number in [0, 1)."""
+    return (_is_int(value) or isinstance(value, float)) and 0 <= value < 1
+
+
+def _list_of(item: Callable[[Any], bool]) -> Callable[[Any], bool]:
+    return lambda v: isinstance(v, list) and bool(v) and all(item(x) for x in v)
+
+
+#: Parameter name -> (what it must be, check); ``procs`` is checked
+#: against the job's own minimum.
+_RULES: dict[str, tuple[str, Callable[[Any], bool]]] = {
+    **{
+        name: ("a positive integer", lambda v: _is_int(v) and v >= 1)
+        for name in ("n_procs", "ops", "samples", "reps")
+    },
+    "seed": ("a non-negative integer", lambda v: _is_int(v) and v >= 0),
+    "read_fraction": (
+        "a number in [0, 1]",
+        lambda v: (_is_int(v) or isinstance(v, float)) and 0 <= v <= 1,
+    ),
+    "fault_rate": ("a number in [0, 1)", _is_rate),
+    "rates": ("a non-empty list of numbers in [0, 1)", _list_of(_is_rate)),
+    "lock": ("'rw' or 'hardware'", lambda v: v in ("rw", "hardware")),
+}
+
+
 def _merge_params(
-    body: dict[str, Any], defaults: dict[str, Any], *, kind: str
+    body: dict[str, Any], defaults: dict[str, Any], *, kind: str, min_procs: int = 1
 ) -> dict[str, Any]:
-    """Defaults overlaid with the request's params; unknown keys are 400s."""
+    """Defaults overlaid with the request's params, each checked.
+
+    Unknown keys and values that do not fit their parameter are 400s
+    naming the parameter.
+    """
     given = body.get("params", {})
     if not isinstance(given, dict):
         raise ServiceError(f"{kind}: 'params' must be an object")
@@ -138,6 +180,17 @@ def _merge_params(
             f"{kind}: unknown param(s) {', '.join(unknown)} "
             f"(accepted: {', '.join(sorted(defaults))})"
         )
+    rules = {
+        **_RULES,
+        "procs": (
+            f"a non-empty list of integers >= {min_procs}",
+            _list_of(lambda p: _is_int(p) and p >= min_procs),
+        ),
+    }
+    for name, value in given.items():
+        want, ok = rules[name]
+        if not ok(value):
+            raise ServiceError(f"{kind}: '{name}' must be {want}")
     return {**defaults, **given}
 
 
@@ -165,14 +218,16 @@ class JobSpec:
                     f"(served: {', '.join(SERVED_EXPERIMENTS)})"
                 )
             _, defaults, _ = SERVED_EXPERIMENTS[exp]
-            params = _merge_params(body, defaults, kind=f"experiment {exp}")
+            params = _merge_params(
+                body, defaults, kind=f"experiment {exp}", min_procs=_MIN_PROCS[exp]
+            )
             params["experiment"] = exp
         elif kind == "campaign":
-            params = _merge_params(body, _CAMPAIGN_DEFAULTS, kind="campaign")
+            params = _merge_params(
+                body, _CAMPAIGN_DEFAULTS, kind="campaign", min_procs=_MIN_PROCS["campaign"]
+            )
         elif kind == "point":
             params = _merge_params(body, _POINT_DEFAULTS, kind="point")
-            if params["lock"] not in ("rw", "hardware"):
-                raise ServiceError(f"point: unknown lock kind {params['lock']!r}")
         else:
             raise ServiceError(
                 f"unknown job kind {kind!r} (served: experiment, campaign, point)"
@@ -233,7 +288,7 @@ class JobSpec:
                 "rendered": campaign.render(),
             }
         # point
-        from repro.experiments.degraded import degraded_lock_point
+        from repro.experiments.locks import measure_lock
         from repro.faults.plan import FaultPlan
 
         call = dict(
@@ -244,7 +299,7 @@ class JobSpec:
         )
         if obs is not None:
             call["obs"] = obs
-        point = runner.map(degraded_lock_point, [call])[0]
+        point = runner.map(measure_lock, [call])[0]
         return {
             "seconds": point.seconds,
             "faults": {name: value for name, value in point.faults},

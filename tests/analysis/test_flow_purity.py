@@ -57,6 +57,23 @@ class TestUnstableTypes:
         assert [f.rule for f in findings] == ["KSR112"]
         assert findings[0].detail["kwarg"] == "plan"
 
+    def test_helper_built_calls_list_is_chased(self):
+        findings, stats = _purity(
+            exp="""
+            class Opaque:
+                pass
+            def build(rates):
+                calls = [dict(rate=r, plan=Opaque()) for r in rates]
+                return calls
+            def sweep(runner, func, rates):
+                calls = build(rates)
+                return runner.map(func, calls)
+            """
+        )
+        assert [f.rule for f in findings] == ["KSR112"]
+        assert findings[0].detail["kwarg"] == "plan"
+        assert stats["kwargs_checked"] == 2
+
     def test_adornment_loop_values_are_checked(self):
         findings, _ = _purity(
             exp="""

@@ -61,11 +61,11 @@ class TestKnob:
 
     def test_global_flag_barrier_pays_for_missing_snarf(self):
         base = quiet_ksr1(16)
-        with_snarf = measure_barrier("tree(M)", 16, machine_config=base, reps=6)
+        with_snarf = measure_barrier("tree(M)", 16, machine_config=base, reps=6).seconds
         without = measure_barrier(
             "tree(M)",
             16,
             machine_config=replace(base, enable_snarfing=False),
             reps=6,
-        )
+        ).seconds
         assert without > 1.5 * with_snarf

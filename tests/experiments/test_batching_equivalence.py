@@ -12,13 +12,13 @@ and from the :func:`per_event` fixture where an experiment builds it.
 """
 
 import contextlib
+import dataclasses
 import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.experiments.barriers import measure_barrier
-from repro.experiments.degraded import degraded_lock_point
 from repro.experiments.latency import measure_latencies
 from repro.experiments.locks import measure_lock
 from repro.faults import FaultInjector, FaultPlan
@@ -65,26 +65,24 @@ class TestFigurePoints:
 
     def test_fig2_latency_point(self, per_event):
         with per_event():
-            off, cap_off = measure_latencies(
-                4, "network", "read", samples=40, obs=ObsSpec()
-            )
-        on, cap_on = measure_latencies(4, "network", "read", samples=40, obs=ObsSpec())
-        assert on == off
-        assert pickle.dumps(cap_on) == pickle.dumps(cap_off)
+            off = measure_latencies(4, "network", "read", samples=40, obs=ObsSpec())
+        on = measure_latencies(4, "network", "read", samples=40, obs=ObsSpec())
+        assert dataclasses.replace(on, capture=None) == dataclasses.replace(off, capture=None)
+        assert pickle.dumps(on.capture) == pickle.dumps(off.capture)
 
     def test_fig3_lock_point(self, per_event):
         with per_event():
-            off, cap_off = measure_lock("hardware", 8, 0.0, ops=6, obs=ObsSpec())
-        on, cap_on = measure_lock("hardware", 8, 0.0, ops=6, obs=ObsSpec())
-        assert on == off
-        assert pickle.dumps(cap_on) == pickle.dumps(cap_off)
+            off = measure_lock("hardware", 8, 0.0, ops=6, obs=ObsSpec())
+        on = measure_lock("hardware", 8, 0.0, ops=6, obs=ObsSpec())
+        assert on.seconds == off.seconds
+        assert pickle.dumps(on.capture) == pickle.dumps(off.capture)
 
     def test_fig3_rw_lock_point(self, per_event):
         with per_event():
-            off, cap_off = measure_lock("rw", 6, 0.4, ops=6, obs=ObsSpec())
-        on, cap_on = measure_lock("rw", 6, 0.4, ops=6, obs=ObsSpec())
-        assert on == off
-        assert pickle.dumps(cap_on) == pickle.dumps(cap_off)
+            off = measure_lock("rw", 6, 0.4, ops=6, obs=ObsSpec())
+        on = measure_lock("rw", 6, 0.4, ops=6, obs=ObsSpec())
+        assert on.seconds == off.seconds
+        assert pickle.dumps(on.capture) == pickle.dumps(off.capture)
 
     def test_fig4_barrier_point(self, per_event):
         def point():
@@ -96,10 +94,10 @@ class TestFigurePoints:
             )
 
         with per_event():
-            off, cap_off = point()
-        on, cap_on = point()
-        assert on == off
-        assert pickle.dumps(cap_on) == pickle.dumps(cap_off)
+            off = point()
+        on = point()
+        assert on.seconds == off.seconds
+        assert pickle.dumps(on.capture) == pickle.dumps(off.capture)
 
     def test_fig5_two_ring_barrier_point(self, per_event):
         def point():
@@ -111,10 +109,10 @@ class TestFigurePoints:
             )
 
         with per_event():
-            off, cap_off = point()
-        on, cap_on = point()
-        assert on == off
-        assert pickle.dumps(cap_on) == pickle.dumps(cap_off)
+            off = point()
+        on = point()
+        assert on.seconds == off.seconds
+        assert pickle.dumps(on.capture) == pickle.dumps(off.capture)
 
 
 class TestDegradedCampaign:
@@ -123,8 +121,8 @@ class TestDegradedCampaign:
 
     def test_f1_zero_plan_point(self, per_event):
         with per_event():
-            off = degraded_lock_point("rw", 6, 0.2, ops=5, obs=ObsSpec())
-        on = degraded_lock_point("rw", 6, 0.2, ops=5, obs=ObsSpec())
+            off = measure_lock("rw", 6, 0.2, ops=5, plan=FaultPlan(), obs=ObsSpec())
+        on = measure_lock("rw", 6, 0.2, ops=5, plan=FaultPlan(), obs=ObsSpec())
         assert on.seconds == off.seconds
         assert on.faults == off.faults
         assert pickle.dumps(on.capture) == pickle.dumps(off.capture)
@@ -132,8 +130,8 @@ class TestDegradedCampaign:
     def test_f1_faulted_point(self, per_event):
         plan = FaultPlan(corruption_rate=0.02, stall_rate=2e-6, seed_salt=3)
         with per_event():
-            off = degraded_lock_point("rw", 6, 0.2, ops=5, plan=plan, obs=ObsSpec())
-        on = degraded_lock_point("rw", 6, 0.2, ops=5, plan=plan, obs=ObsSpec())
+            off = measure_lock("rw", 6, 0.2, ops=5, plan=plan, obs=ObsSpec())
+        on = measure_lock("rw", 6, 0.2, ops=5, plan=plan, obs=ObsSpec())
         assert on.seconds == off.seconds
         assert on.faults == off.faults
         assert pickle.dumps(on.capture) == pickle.dumps(off.capture)
@@ -141,8 +139,8 @@ class TestDegradedCampaign:
     def test_f1_dead_cell_point(self, per_event):
         plan = FaultPlan(dead_cells=(7,))
         with per_event():
-            off = degraded_lock_point("hardware", 4, 0.0, ops=5, plan=plan)
-        on = degraded_lock_point("hardware", 4, 0.0, ops=5, plan=plan)
+            off = measure_lock("hardware", 4, 0.0, ops=5, plan=plan)
+        on = measure_lock("hardware", 4, 0.0, ops=5, plan=plan)
         assert on.seconds == off.seconds
         assert on.faults == off.faults
 

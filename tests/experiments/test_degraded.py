@@ -1,16 +1,18 @@
-"""Degraded-mode experiment points and tables."""
+"""Degraded-mode experiment points and tables.
+
+The simulated points are the figure measurers run with a fault plan.
+"""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.errors import ConfigError
+from repro.experiments.barriers import measure_barrier
 from repro.experiments.degraded import (
     DegradedRingLoadModel,
-    degraded_barrier_point,
     degraded_cg_point,
     degraded_ep_point,
-    degraded_lock_point,
     fault_factors,
     run_degraded_barriers,
     run_degraded_kernels,
@@ -24,15 +26,13 @@ from repro.machine.config import MachineConfig
 class TestLockPoint:
     def test_zero_plan_reproduces_the_clean_measurement(self):
         clean = measure_lock("rw", 8, 0.0, ops=10, seed=303)
-        degraded = degraded_lock_point(
-            "rw", 8, 0.0, ops=10, seed=303, plan=FaultPlan()
-        )
-        assert degraded.seconds == clean
+        degraded = measure_lock("rw", 8, 0.0, ops=10, seed=303, plan=FaultPlan())
+        assert degraded.seconds == clean.seconds
         assert all(v == 0.0 for _, v in degraded.faults)
 
     def test_corruption_slows_and_tallies(self):
-        clean = degraded_lock_point("rw", 8, 0.0, ops=10, plan=FaultPlan())
-        faulty = degraded_lock_point(
+        clean = measure_lock("rw", 8, 0.0, ops=10, plan=FaultPlan())
+        faulty = measure_lock(
             "rw", 8, 0.0, ops=10, plan=FaultPlan(corruption_rate=1e-2)
         )
         assert faulty.seconds > clean.seconds
@@ -40,27 +40,27 @@ class TestLockPoint:
 
     def test_dead_cell_under_thread_placement_rejected(self):
         with pytest.raises(ConfigError, match="thread placement"):
-            degraded_lock_point("rw", 8, 0.0, ops=10, plan=FaultPlan(dead_cells=(3,)))
+            measure_lock("rw", 8, 0.0, ops=10, plan=FaultPlan(dead_cells=(3,)))
 
     def test_dead_cell_above_thread_placement_allowed(self):
-        point = degraded_lock_point(
+        point = measure_lock(
             "rw", 4, 0.0, ops=10, plan=FaultPlan(dead_cells=(5,))
         )
         assert point.fault("bypass_hops") > 0
 
     def test_unknown_lock_kind(self):
         with pytest.raises(ValueError, match="lock kind"):
-            degraded_lock_point("spin", 4, 0.0, ops=10)
+            measure_lock("spin", 4, 0.0, ops=10, plan=FaultPlan())
 
 
 class TestBarrierPoint:
     def test_needs_two_processors(self):
         with pytest.raises(ConfigError):
-            degraded_barrier_point("tree", 1)
+            measure_barrier("tree", 1, plan=FaultPlan())
 
     def test_zero_and_faulty_points_run(self):
-        clean = degraded_barrier_point("tree", 4, reps=4, plan=FaultPlan())
-        faulty = degraded_barrier_point(
+        clean = measure_barrier("tree", 4, reps=4, plan=FaultPlan())
+        faulty = measure_barrier(
             "tree", 4, reps=4, plan=FaultPlan(corruption_rate=1e-2)
         )
         assert clean.seconds > 0

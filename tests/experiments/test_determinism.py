@@ -12,8 +12,8 @@ from repro.machine.config import MachineConfig
 
 class TestSameSeedSameResult:
     def test_barrier_measurement(self):
-        a = measure_barrier("tournament(M)", 8, reps=5, seed=42)
-        b = measure_barrier("tournament(M)", 8, reps=5, seed=42)
+        a = measure_barrier("tournament(M)", 8, reps=5, seed=42).seconds
+        b = measure_barrier("tournament(M)", 8, reps=5, seed=42).seconds
         assert a == b
 
     def test_latency_measurement(self):
@@ -22,8 +22,8 @@ class TestSameSeedSameResult:
         assert a.mean_latency_s == b.mean_latency_s
 
     def test_lock_measurement(self):
-        a = measure_lock("rw", 4, 0.5, ops=8, seed=42)
-        b = measure_lock("rw", 4, 0.5, ops=8, seed=42)
+        a = measure_lock("rw", 4, 0.5, ops=8, seed=42).seconds
+        b = measure_lock("rw", 4, 0.5, ops=8, seed=42).seconds
         assert a == b
 
     def test_kernel_model(self):
@@ -34,12 +34,12 @@ class TestSameSeedSameResult:
 
 class TestSeedsMatter:
     def test_barrier_jitter_differs(self):
-        a = measure_barrier("tournament(M)", 8, reps=5, seed=1)
-        b = measure_barrier("tournament(M)", 8, reps=5, seed=2)
+        a = measure_barrier("tournament(M)", 8, reps=5, seed=1).seconds
+        b = measure_barrier("tournament(M)", 8, reps=5, seed=2).seconds
         assert a != b
 
     def test_but_only_slightly(self):
         """Seeds perturb slot jitter, not the physics: results across
         seeds agree within a few percent."""
-        times = [measure_barrier("tree(M)", 8, reps=5, seed=s) for s in range(5)]
+        times = [measure_barrier("tree(M)", 8, reps=5, seed=s).seconds for s in range(5)]
         assert max(times) / min(times) < 1.15

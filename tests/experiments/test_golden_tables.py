@@ -64,9 +64,9 @@ def test_fig2_latency_point(n_procs, level, op, golden_us):
 def fig3_row(request):
     """One recomputed FIG3 row: (P, (exclusive, rw 0% .. rw 100%))."""
     p = request.param
-    row = [measure_lock("hardware", p, 0.0, ops=_FIG3_OPS, seed=_FIG3_SEED)]
+    row = [measure_lock("hardware", p, 0.0, ops=_FIG3_OPS, seed=_FIG3_SEED).seconds]
     row += [
-        measure_lock("rw", p, f, ops=_FIG3_OPS, seed=_FIG3_SEED)
+        measure_lock("rw", p, f, ops=_FIG3_OPS, seed=_FIG3_SEED).seconds
         for f in _FIG3_FRACTIONS
     ]
     return p, row
@@ -94,8 +94,8 @@ def test_fig3_readers_help(fig3_row):
 
 
 def test_fig3_exclusive_scales_linearly():
-    t2 = measure_lock("hardware", 2, 0.0, ops=_FIG3_OPS, seed=_FIG3_SEED)
-    t8 = measure_lock("hardware", 8, 0.0, ops=_FIG3_OPS, seed=_FIG3_SEED)
+    t2 = measure_lock("hardware", 2, 0.0, ops=_FIG3_OPS, seed=_FIG3_SEED).seconds
+    t8 = measure_lock("hardware", 8, 0.0, ops=_FIG3_OPS, seed=_FIG3_SEED).seconds
     # 4x the processors -> about 2x the total time for 40 ops each
     # (EXPERIMENTS.md: 0.053 s -> 0.101 s)
     assert 1.5 < t8 / t2 < 2.5
@@ -106,7 +106,7 @@ def fig4_row(request):
     """One recomputed FIG4 row: (P, {algorithm: µs})."""
     p = request.param
     row = {
-        name: figure4_point(name, p, _FIG4_REPS, _FIG4_SEED) * 1e6
+        name: figure4_point(name, p, _FIG4_REPS, _FIG4_SEED).seconds * 1e6
         for name in _FIG4_GOLDEN[p]
     }
     return p, row

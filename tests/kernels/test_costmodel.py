@@ -162,7 +162,7 @@ class TestBarrierCostModel:
 
         cfg = quiet_ksr1(16)
         closed = BarrierCostModel(cfg).barrier_seconds(16)
-        simulated = measure_barrier("system", 16, machine_config=cfg, reps=6)
+        simulated = measure_barrier("system", 16, machine_config=cfg, reps=6).seconds
         assert 0.5 < closed / simulated < 2.0
 
     def test_ring_crossing_jump(self):

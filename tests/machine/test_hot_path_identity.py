@@ -60,8 +60,8 @@ POINTS: dict[str, Callable[[], Any]] = {
     "fig2 local read P=8": _fig2(8, "local", "read"),
     "fig2 local write P=8": _fig2(8, "local", "write"),
     "fig2 network write P=8": _fig2(8, "network", "write"),
-    "fig3 rw 40% P=4": lambda: measure_lock("rw", 4, 0.4, ops=8, seed=303),
-    "fig4 mcs P=4": lambda: figure4_point("mcs", 4, 4, 404),
+    "fig3 rw 40% P=4": lambda: measure_lock("rw", 4, 0.4, ops=8, seed=303).seconds,
+    "fig4 mcs P=4": lambda: figure4_point("mcs", 4, 4, 404).seconds,
 }
 
 

@@ -5,7 +5,9 @@ import json
 
 import pytest
 
-from repro.experiments.locks import measure_lock
+from repro.experiments.barriers import run_figure4
+from repro.experiments.base import Point
+from repro.experiments.locks import measure_lock, run_figure3
 from repro.obs import (
     ObsSpec,
     chrome_trace_events,
@@ -22,9 +24,9 @@ from repro.obs.series import DERIVED_CHANNELS, RAW_CHANNELS
 @functools.lru_cache(maxsize=None)
 def _capture(max_records=None):
     """One small traced fig3 point, computed once per test process."""
-    _, cap = measure_lock(
+    cap = measure_lock(
         "rw", 2, 0.5, ops=6, seed=11, obs=ObsSpec(max_records=max_records)
-    )
+    ).capture
     return cap
 
 
@@ -69,7 +71,7 @@ class TestChromeExport:
 
     def test_export_is_byte_deterministic(self):
         cap = _capture()
-        _, again = measure_lock("rw", 2, 0.5, ops=6, seed=11, obs=ObsSpec())
+        again = measure_lock("rw", 2, 0.5, ops=6, seed=11, obs=ObsSpec()).capture
         assert export_chrome([cap]) == export_chrome([again])
 
     def test_write_chrome_trace_creates_parents(self, tmp_path):
@@ -143,9 +145,29 @@ class TestPointSlug:
 class TestTraceSink:
     def test_writes_only_traced_results(self, tmp_path):
         sink = trace_sink("FIG9", tmp_path)
-        sink(0, dict(n_procs=2), 1.25)  # untraced result: skipped
-        sink(1, dict(n_procs=4), (1.25, _capture()))
+        sink(0, dict(n_procs=2), Point(1.25))  # untraced result: skipped
+        sink(1, dict(n_procs=4), Point(1.25, capture=_capture()))
         files = sorted(p.name for p in tmp_path.iterdir())
         assert files == ["fig9_n_procs-4.trace.json"]
         doc = json.loads((tmp_path / files[0]).read_text())
         assert validate_chrome_trace(doc) == []
+
+
+class TestTracedFigures:
+    """A ``trace_dir`` run writes one valid trace per point, same table."""
+
+    @pytest.mark.parametrize(
+        "run, kwargs, points",
+        [
+            (run_figure3, dict(proc_counts=[2, 3], ops=3), 2 * 7),
+            (run_figure4, dict(proc_counts=[2, 4], algorithms=["counter", "tree(M)"], reps=3), 4),
+        ],
+        ids=["fig3", "fig4"],
+    )
+    def test_one_valid_trace_per_point(self, tmp_path, run, kwargs, points):
+        traced = run(trace_dir=str(tmp_path), **kwargs)
+        files = sorted(tmp_path.iterdir())
+        assert len(files) == points
+        for path in files:
+            assert validate_chrome_trace(json.loads(path.read_text())) == []
+        assert traced.render() == run(**kwargs).render()

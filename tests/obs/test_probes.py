@@ -64,12 +64,13 @@ class TestAttachDetach:
 class TestObservedRuns:
     def test_probes_do_not_perturb_the_simulation(self):
         plain = measure_lock("rw", 2, 0.5, ops=6, seed=11)
-        traced, capture = measure_lock("rw", 2, 0.5, ops=6, seed=11, obs=ObsSpec())
-        assert traced == plain
-        assert isinstance(capture, ObsCapture)
+        traced = measure_lock("rw", 2, 0.5, ops=6, seed=11, obs=ObsSpec())
+        assert traced.seconds == plain.seconds
+        assert plain.capture is None
+        assert isinstance(traced.capture, ObsCapture)
 
     def test_capture_contents(self):
-        _, cap = measure_lock("rw", 2, 0.5, ops=6, seed=11, obs=ObsSpec())
+        cap = measure_lock("rw", 2, 0.5, ops=6, seed=11, obs=ObsSpec()).capture
         assert cap.label == "fig3 rw 50% read P=2"
         assert cap.n_cells == 2
         assert cap.end_cycles > 0
@@ -87,17 +88,17 @@ class TestObservedRuns:
         assert cap.directory["subpages"] >= 1
 
     def test_capture_is_picklable_and_stable(self):
-        _, cap = measure_lock("rw", 2, 0.5, ops=6, seed=11, obs=ObsSpec())
+        cap = measure_lock("rw", 2, 0.5, ops=6, seed=11, obs=ObsSpec()).capture
         clone = pickle.loads(pickle.dumps(cap))
         assert clone == cap
 
     def test_record_cap_counts_drops_but_series_stay_exact(self):
-        _, full = measure_lock(
+        full = measure_lock(
             "rw", 2, 0.5, ops=6, seed=11, obs=ObsSpec(max_records=None)
-        )
-        _, capped = measure_lock(
+        ).capture
+        capped = measure_lock(
             "rw", 2, 0.5, ops=6, seed=11, obs=ObsSpec(max_records=10)
-        )
+        ).capture
         assert full.dropped_records == 0
         assert len(capped.records) == 10
         assert capped.dropped_records == len(full.records) - 10

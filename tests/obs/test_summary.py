@@ -12,7 +12,7 @@ from repro.obs import ObsSpec, capture_summary, render_summary
 @functools.lru_cache(maxsize=None)
 def _capture():
     """One small traced fig3 point, computed once per test process."""
-    _, cap = measure_lock("rw", 2, 0.5, ops=6, seed=11, obs=ObsSpec())
+    cap = measure_lock("rw", 2, 0.5, ops=6, seed=11, obs=ObsSpec()).capture
     return cap
 
 
@@ -36,8 +36,8 @@ class TestCaptureSummary:
         assert all(v == 0 for v in doc["faults"].values())
 
     def test_equal_captures_summarise_identically(self):
-        _, a = measure_lock("rw", 2, 0.5, ops=6, seed=11, obs=ObsSpec())
-        _, b = measure_lock("rw", 2, 0.5, ops=6, seed=11, obs=ObsSpec())
+        a = measure_lock("rw", 2, 0.5, ops=6, seed=11, obs=ObsSpec()).capture
+        b = measure_lock("rw", 2, 0.5, ops=6, seed=11, obs=ObsSpec()).capture
         assert capture_summary(a) == capture_summary(b)
 
     def test_summary_keys_sorted_for_determinism(self):

@@ -91,6 +91,39 @@ class TestEndpoints:
         status, doc, _ = post(base, {"kind": "teleport"})
         assert status == 400 and "unknown job kind" in doc["error"]
 
+    @pytest.mark.parametrize(
+        "body, param",
+        [
+            ({"kind": "experiment", "experiment": "fig3", "params": {"procs": 5}}, "procs"),
+            ({"kind": "campaign", "params": {"procs": 5}}, "procs"),
+            ({"kind": "campaign", "params": {"rates": 0.1}}, "rates"),
+            ({"kind": "experiment", "experiment": "fig4", "params": {"procs": [0]}}, "procs"),
+            ({"kind": "point", "params": {"n_procs": 0}}, "n_procs"),
+            ({"kind": "point", "params": {"fault_rate": 2.0}}, "fault_rate"),
+            ({"kind": "experiment", "experiment": "fig2", "params": {"procs": []}}, "procs"),
+            ({"kind": "experiment", "experiment": "fig5", "params": {"reps": True}}, "reps"),
+            ({"kind": "point", "params": {"read_fraction": 1.5}}, "read_fraction"),
+        ],
+        ids=[
+            "fig3-procs-int", "campaign-procs-int", "campaign-rates-float",
+            "fig4-procs-zero", "point-n_procs-zero", "point-fault_rate-2",
+            "fig2-procs-empty", "fig5-reps-bool", "point-read_fraction-1p5",
+        ],
+    )
+    def test_bad_param_400_names_it(self, served, body, param):
+        base, app = served
+        status, doc, _ = post(base, {**body, "wait": True})
+        assert status == 400 and f"'{param}'" in doc["error"]
+        assert app.scheduler.stats()["submitted"] == 0
+
+    @pytest.mark.parametrize("timeout", ["x", -1, None, [1], float("nan"), float("inf")])
+    def test_bad_timeout_400(self, served, timeout):
+        base, app = served
+        body = {"kind": "point", "params": {"ops": 3}, "wait": True, "timeout": timeout}
+        status, doc, _ = post(base, body)
+        assert status == 400 and "'timeout'" in doc["error"]
+        assert app.scheduler.stats()["submitted"] == 0
+
     def test_tenant_is_validated_and_counted(self, served):
         base, _ = served
         status, doc, _ = post(base, {"kind": "point", "params": {"ops": 3}, "tenant": ""})

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 import repro.experiments.sweep as sweep
+from repro.experiments.base import Point
 from repro.experiments.locks import measure_lock
 from repro.experiments.sweep import ResultCache, SweepRunner, backend_for
 from repro.obs import ObsSpec
@@ -102,9 +103,9 @@ class TestBackendSweepRunner:
                  seed=303, obs=ObsSpec())
         ]
         values = runner.map(measure_lock, calls)
-        assert isinstance(values[0], tuple)
-        assert len(runner.captures) == 1
+        assert isinstance(values[0], Point)
+        assert runner.captures == [values[0].capture]
         assert runner.captures[0].n_cells >= 2
 
     def test_harvest_ignores_plain_values(self):
-        assert harvest_captures([1.0, (2.0, "x"), None]) == []
+        assert harvest_captures([1.0, (2.0, "x"), None, Point(1.0)]) == []

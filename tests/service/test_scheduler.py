@@ -83,10 +83,11 @@ class TestLifecycle:
     def test_failed_job_reports_error(self, tmp_path):
         scheduler = self.make(tmp_path)
         try:
-            # dead-simple failure: a lock kind the point fn rejects at
-            # run time is impossible (validated at parse), so drive a
-            # genuine runtime error through an invalid machine size
-            job = scheduler.submit(point_spec(n_procs=0, ops=3))
+            # every param is validated at parse, so drive a genuine
+            # runtime error through a spec built past that check: an
+            # invalid machine size
+            params = {**point_spec().param_dict(), "n_procs": 0, "ops": 3}
+            job = scheduler.submit(JobSpec("point", tuple(sorted(params.items()))))
             assert job.wait(120)
             assert job.status == "failed"
             assert job.error

@@ -178,7 +178,7 @@ class TestPerformanceShape:
     def _times(self, names, n_procs=16):
         from repro.experiments.barriers import measure_barrier
 
-        return {n: measure_barrier(n, n_procs, reps=6) for n in names}
+        return {n: measure_barrier(n, n_procs, reps=6).seconds for n in names}
 
     def test_global_wakeup_beats_tree_wakeup(self):
         t = self._times(["tournament", "tournament(M)", "tree", "tree(M)"])
@@ -193,13 +193,13 @@ class TestPerformanceShape:
         """The winning curve stays nearly flat as P doubles."""
         from repro.experiments.barriers import measure_barrier
 
-        t8 = measure_barrier("tournament(M)", 8, reps=6)
-        t32 = measure_barrier("tournament(M)", 32, reps=6)
+        t8 = measure_barrier("tournament(M)", 8, reps=6).seconds
+        t32 = measure_barrier("tournament(M)", 32, reps=6).seconds
         assert t32 / t8 < 2.2
 
     def test_counter_grows_steeply(self):
         from repro.experiments.barriers import measure_barrier
 
-        t8 = measure_barrier("counter", 8, reps=6)
-        t32 = measure_barrier("counter", 32, reps=6)
+        t8 = measure_barrier("counter", 8, reps=6).seconds
+        t32 = measure_barrier("counter", 32, reps=6).seconds
         assert t32 / t8 > 3.0
