@@ -1,32 +1,23 @@
 """Static-analysis and verification passes over the simulator.
 
-Three independent correctness substrates, all runnable from the
-``ksr-analyze`` CLI and from pytest:
+Every pass runs from the ``ksr-analyze`` CLI (:mod:`repro.analysis.cli`)
+and from pytest; import the submodule that holds it:
 
-:mod:`repro.analysis.modelcheck`
-    Exhaustive reachability checking of an abstract ALLCACHE protocol
-    model (one subpage, 2-3 cells) extracted from the coherence layer.
-:mod:`repro.analysis.races`
-    Discrete-event determinism auditing: same-timestamp event pairs
-    touching shared protocol state, and tie-break perturbation runs.
-:mod:`repro.analysis.lint`
-    AST lint over ``src/repro`` forbidding sim-code hazards (wall-clock
-    time, stdlib ``random``, out-of-band coherence state mutation,
-    ``==`` on simulated-time floats).
+* :mod:`repro.analysis.modelcheck` — exhaustive reachability checking
+  of an abstract ALLCACHE protocol model (one subpage, 2-3 cells);
+* :mod:`repro.analysis.races` — same-timestamp conflict auditing and
+  tie-break perturbation runs of the discrete-event engine;
+* :mod:`repro.analysis.flow` — the one static analyzer: lint rules and
+  whole-program dataflow over ``src/repro``, parsed once;
+* :mod:`repro.analysis.scenarios` — symbolic scenario enumeration and
+  model-vs-simulator differential runs.
+
+The package root imports nothing, so reading :data:`MODEL_VERSION`
+(as cache keying does) loads no analyzer.
 """
 
-from repro.analysis.lint import LintViolation, lint_paths, lint_source
-from repro.analysis.modelcheck import CoherenceModel, ModelChecker, ModelCheckResult
-from repro.analysis.races import PerturbationReport, RaceAuditor, machine_fingerprint
-
-__all__ = [
-    "CoherenceModel",
-    "ModelChecker",
-    "ModelCheckResult",
-    "RaceAuditor",
-    "PerturbationReport",
-    "machine_fingerprint",
-    "LintViolation",
-    "lint_paths",
-    "lint_source",
-]
+#: Semantic version of the scenario model
+#: (:mod:`repro.analysis.scenarios.model`); folded into sweep cache keys
+#: (see :func:`repro.experiments.sweep.code_version`) and recorded in
+#: corpus manifests so a model change can never replay stale results.
+MODEL_VERSION = "1"

@@ -7,13 +7,17 @@ Examples::
     ksr-analyze --list
     ksr-analyze                          # all passes, text report
     ksr-analyze modelcheck --cells 2 3 4
-    ksr-analyze flow --strict            # whole-program dataflow, CI mode
-    ksr-analyze flow lint --format sarif --output report.sarif
+    ksr-analyze flow --strict            # whole-program dataflow
+    ksr-analyze flow lint --strict --format sarif --output report.sarif  # CI
     ksr-analyze flow --write-baseline    # accept current findings
     ksr-analyze scenarios                # enumerate + sampled differential runs
     ksr-analyze scenarios --mode run --jobs 4   # execute the full corpus
     ksr-analyze scenarios --check        # replay the committed manifest (CI)
     ksr-analyze scenarios --write-manifest      # pin the current corpus
+
+``lint`` and ``flow`` select rules from one run of the static analyzer
+(:func:`repro.analysis.flow.run_flow`), so selecting both parses the
+tree once and reports each finding once.
 
 Every pass reports through the same :class:`Finding` pipeline, so any
 selection of passes renders as ``text``, ``json`` or ``sarif`` and
@@ -107,38 +111,21 @@ def _run_races(args) -> PassResult:
     return PassResult(ok, "\n".join(lines), stats={"runs": args.runs})
 
 
-def _lint_findings() -> list:
-    """Run the per-file lint, lifted into Finding records (for the
-    shared renderer and baseline)."""
-    from repro.analysis.flow.findings import Finding
-    from repro.analysis.lint import lint_paths, repro_root
+def _source_findings(args, *, lint: bool):
+    """The one analyzer run over ``src/repro`` — parsed once per
+    invocation, shared by ``lint`` and ``flow`` — and the findings of
+    the lint rules (``lint=True``) or of the dataflow passes."""
+    from repro.analysis.flow import run_flow
+    from repro.analysis.flow.rules import LINT_RULES
 
-    root = repro_root()
-    sources: dict[str, list[str]] = {}
-    findings = []
-    for v in lint_paths():
-        if v.path not in sources:
-            try:
-                sources[v.path] = (root / v.path).read_text(encoding="utf-8").splitlines()
-            except OSError:
-                sources[v.path] = []
-        lines = sources[v.path]
-        snippet = lines[v.line - 1].strip() if 0 < v.line <= len(lines) else ""
-        findings.append(
-            Finding(
-                rule=v.code,
-                path=v.path,
-                line=v.line,
-                col=v.col,
-                message=v.message,
-                snippet=snippet,
-            )
-        )
-    return findings
+    if getattr(args, "source_report", None) is None:
+        args.source_report = run_flow()
+    report = args.source_report
+    return report, [f for f in report.findings if (f.rule in LINT_RULES) == lint]
 
 
 def _run_lint(args) -> PassResult:
-    findings = _lint_findings()
+    _, findings = _source_findings(args, lint=True)
     header = (
         f"lint[src/repro]: {'OK' if not findings else 'FAIL'} — "
         f"{len(findings)} violation(s)"
@@ -147,9 +134,8 @@ def _run_lint(args) -> PassResult:
 
 
 def _run_flow(args) -> PassResult:
-    from repro.analysis.flow import run_flow
-
-    report = run_flow()
+    report, findings = _source_findings(args, lint=False)
+    ok = not findings and all(p["ok"] for p in report.passes.values())
     det = report.passes.get("determinism", {}).get("stats", {})
     pur = report.passes.get("purity", {}).get("stats", {})
     conf = report.passes.get("conformance", {})
@@ -166,10 +152,10 @@ def _run_flow(args) -> PassResult:
     elif "error" in conf:
         bits.append(f"conformance EXTRACTION FAILED: {conf['error']}")
     header = (
-        f"flow[src/repro]: {'OK' if report.ok else 'FAIL'} — "
-        f"{len(report.findings)} finding(s) ({', '.join(bits)})"
+        f"flow[src/repro]: {'OK' if ok else 'FAIL'} — "
+        f"{len(findings)} finding(s) ({', '.join(bits)})"
     )
-    return PassResult(report.ok, header, findings=report.findings, stats=report.passes)
+    return PassResult(ok, header, findings=findings, stats=report.passes)
 
 
 def _scenario_finding(rule: str, message: str, snippet: str, detail: dict):
@@ -331,10 +317,13 @@ def _run_scenarios(args) -> PassResult:
 PASSES = {
     "modelcheck": ("Exhaustive ALLCACHE protocol state-space check", _run_modelcheck),
     "races": ("DES same-instant conflict audit + tie-break perturbation", _run_races),
-    "lint": ("AST lint for sim-code hazards (KSR100–103)", _run_lint),
+    "lint": (
+        "Lint rules for sim-code hazards (KSR100, KSR102, KSR103, KSR114)",
+        _run_lint,
+    ),
     "flow": (
-        "Whole-program dataflow: determinism, cache-key purity, protocol "
-        "conformance (KSR110–113)",
+        "Whole-program dataflow: determinism, coherence-state mutation, "
+        "cache-key purity, protocol conformance (KSR110–113)",
         _run_flow,
     ),
     "scenarios": (
@@ -361,7 +350,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser(
         "ksr-analyze",
         "Verify the KSR-1 simulator: protocol model checking, "
-        "determinism auditing, per-file lint and whole-program dataflow.",
+        "determinism auditing and the static analyzer (lint rules and "
+        "whole-program dataflow).",
         positional="passes",
         positional_help="pass ids (see --list), or 'all' (default: all)",
     )

@@ -1,15 +1,20 @@
-"""Whole-program static analysis for the simulator (``ksr-analyze flow``).
+"""The one static analyzer over ``src/repro`` (``ksr-analyze flow lint``).
 
-The per-file AST lint (:mod:`repro.analysis.lint`, KSR100–103) catches
-direct spellings of simulator hazards; this package supersedes it with
-call-graph-aware dataflow over all of ``src/repro``.  Three pillars:
+:mod:`~repro.analysis.flow.program` loads the package once as a
+:class:`~repro.analysis.flow.program.Program`; every rule reads that
+one tree:
 
+* **Lint rules** (KSR100, KSR102, KSR103, KSR114;
+  :mod:`~repro.analysis.flow.rules`) — per-module checks for
+  wall-clock and stdlib-random imports in simulator code, ``==`` on
+  simulated-time floats, ad-hoc RNG construction and grant-heap writes
+  outside ``SlottedRing._claim``.  ``ksr-analyze lint`` selects them.
 * **Determinism dataflow** (KSR110, KSR111) — track nondeterminism
   sources (set iteration order, unsorted directory listings, wall
   clock, unregistered RNGs, ``id()``) through assignments and calls
   until they reach a determinism sink (engine scheduling, cache keys,
-  observability capture), and close the KSR101 aliasing evasion with
-  real alias tracking.
+  observability capture), and keep coherence-state mutation inside the
+  protocol, whether spelled directly or through aliases.
 * **Cache-key purity** (KSR112) — statically verify that every kwarg
   type handed to :func:`repro.experiments.sweep.point_key` defines a
   stable ``repr`` or a ``cache_token``, turning the runtime

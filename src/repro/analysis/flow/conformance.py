@@ -48,6 +48,7 @@ from typing import Any, Optional
 
 from repro.analysis.flow.facts import AND, NOT, OR, Env, Formula, FALSE, TRUE, lit
 from repro.analysis.flow.findings import Finding
+from repro.analysis.flow.program import attr_chain, repro_root
 from repro.coherence.directory import Directory, DirectoryEntry
 from repro.errors import ReproError
 
@@ -520,7 +521,7 @@ class _ProtocolExtractor:
         name = target.id if isinstance(target, ast.Name) else None
         value = stmt.value
         if isinstance(value, ast.Call):
-            chain = _attr_chain(value.func)
+            chain = attr_chain(value.func)
             if name is not None and chain[-1:] == ["entry"] and "directory" in chain:
                 return [replace(path, frame=path.frame.with_entry(name))]
             if chain and chain[-1] in _DIRECTORY_EFFECTS and "directory" in chain:
@@ -534,7 +535,7 @@ class _ProtocolExtractor:
         return [path]
 
     def _exec_call(self, call: ast.Call, path: _Path) -> list[_Path]:
-        chain = _attr_chain(call.func)
+        chain = attr_chain(call.func)
         if not chain:
             return [path]
         last = chain[-1]
@@ -549,7 +550,7 @@ class _ProtocolExtractor:
                 return self._inline(last, call.args, call.keywords, path)
             if last in ("schedule", "schedule_at") and len(call.args) >= 2:
                 cb = call.args[1]
-                cb_chain = _attr_chain(cb)
+                cb_chain = attr_chain(cb)
                 if (
                     len(cb_chain) == 2
                     and cb_chain[0] == "self"
@@ -563,7 +564,7 @@ class _ProtocolExtractor:
         return [path]
 
     def _directory_effect(self, call: ast.Call, path: _Path) -> _Path:
-        name = _attr_chain(call.func)[-1]
+        name = attr_chain(call.func)[-1]
         arg: Any = None
         if name == "set_atomic":
             if len(call.args) >= 3:
@@ -648,16 +649,6 @@ class _ProtocolExtractor:
         return node.lineno, node.col_offset, first_line
 
 
-def _attr_chain(node: ast.expr) -> list[str]:
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-    return list(reversed(parts))
-
-
 def _formula_atoms(f: Formula) -> set[str]:
     if f.kind == "lit":
         return {f.atom}
@@ -689,8 +680,6 @@ class CodeRelation:
 
 
 def _default_protocol_source() -> tuple[str, str]:
-    from repro.analysis.lint import repro_root
-
     path = repro_root() / "coherence" / "protocol.py"
     return path.read_text(encoding="utf-8"), "coherence/protocol.py"
 

@@ -24,12 +24,12 @@ callers' taint, and a function that passes a parameter into a sink
 turns tainted call sites into findings.  Summaries are iterated to a
 (small, bounded) fixpoint before the reporting pass.
 
-KSR111 closes the lint's documented aliasing gap for good: local
-variables assigned (directly or transitively) from a ``*.local_cache``
-chain are tracked as aliases, and mutator calls or ``_states``
-writes through an alias outside the protocol whitelist are flagged.
-The fixed per-file lint (KSR101) catches the single-assignment case;
-this pass follows arbitrarily many hops.
+KSR111 keeps coherence state the protocol's alone: outside
+:data:`MUTATION_ALLOWED`, no code may call a :data:`MUTATOR_METHODS`
+method on a local cache or write into a ``_states`` table, whether it
+spells the cache directly (``cell.local_cache.fill(...)`` — the retired
+KSR101) or through aliases of any length (``a = cell.local_cache;
+b = a; b.fill(...)``, visible in nested functions too).
 """
 
 from __future__ import annotations
@@ -39,8 +39,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable, Optional
 
 from repro.analysis.flow.findings import Finding
-from repro.analysis.flow.program import Program, load_program
-from repro.analysis.lint import MUTATION_ALLOWED, MUTATOR_METHODS
+from repro.analysis.flow.program import Program, attr_chain
 
 __all__ = ["determinism_findings", "DEFAULT_SINKS"]
 
@@ -80,6 +79,12 @@ _FULL_SANITIZERS = frozenset({"len", "any", "all", "bool"})
 
 _MAX_SUMMARY_ROUNDS = 4
 
+#: Modules allowed to mutate SubpageState (KSR111), relative to repro/.
+MUTATION_ALLOWED = frozenset(
+    {"coherence/protocol.py", "coherence/ops.py", "memory/local_cache.py"}
+)
+MUTATOR_METHODS = frozenset({"set_state", "fill", "invalidate", "snarf", "drop"})
+
 
 @dataclass(frozen=True)
 class _Cause:
@@ -107,24 +112,8 @@ class _Summary:
         return (self.ret, self.param_ret, tuple(sorted(self.param_sink.items())))
 
 
-def _attr_chain(node: ast.expr) -> list[str]:
-    """Dotted callee names, skipping over calls and subscripts."""
-    parts: list[str] = []
-    while True:
-        if isinstance(node, ast.Attribute):
-            parts.append(node.attr)
-            node = node.value
-        elif isinstance(node, (ast.Call, ast.Subscript)):
-            node = node.func if isinstance(node, ast.Call) else node.value
-        else:
-            break
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-    return list(reversed(parts))
-
-
 def _source_cause(call: ast.Call) -> Optional[_Cause]:
-    chain = _attr_chain(call.func)
+    chain = attr_chain(call.func)
     if not chain:
         return None
     line = call.lineno
@@ -246,7 +235,7 @@ class _FunctionFlow:
         source = _source_cause(node)
         if source is not None:
             return combined | {source}
-        chain = _attr_chain(node.func)
+        chain = attr_chain(node.func)
         name = chain[-1] if chain else ""
         if name in _FULL_SANITIZERS:
             return frozenset()
@@ -373,7 +362,7 @@ class _FunctionFlow:
                 self._check_sink_call(node)
 
     def _check_sink_call(self, call: ast.Call) -> None:
-        chain = _attr_chain(call.func)
+        chain = attr_chain(call.func)
         name = chain[-1] if chain else ""
         if name in self.analyzer.sink_names:
             for label, taint in self._call_arg_taints(call):
@@ -517,54 +506,66 @@ class _Analyzer:
 def _alias_findings(program: Program) -> list[Finding]:
     findings: list[Finding] = []
     for relpath, module in program.modules.items():
-        if relpath in MUTATION_ALLOWED:
-            continue
-        for scope_body in _scopes(module.tree):
-            findings.extend(_alias_scan(relpath, module.source, scope_body))
+        if relpath not in MUTATION_ALLOWED:
+            findings.extend(_alias_scan(relpath, module.source, module.tree.body, set()))
     return findings
 
 
-def _scopes(tree: ast.Module) -> Iterable[list[ast.stmt]]:
-    yield [s for s in tree.body if not isinstance(s, (ast.FunctionDef, ast.ClassDef))]
-    for node in ast.walk(tree):
-        if isinstance(node, ast.FunctionDef):
-            yield node.body
+def _scope_nodes(body: list[ast.stmt]) -> tuple[list[ast.AST], list[Any]]:
+    """The nodes of one scope, and the function/class scopes nested in it.
+
+    A nested definition's body is left to its own scan (its decorators,
+    defaults and bases run here), so each node belongs to exactly one
+    scope and is reported at most once.
+    """
+    nodes: list[ast.AST] = []
+    nested: list[Any] = []
+    stack: list[ast.AST] = list(reversed(body))
+    while stack:
+        node = stack.pop()
+        children = list(ast.iter_child_nodes(node))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            nested.append(node)
+            children = [c for c in children if not any(c is s for s in node.body)]
+        else:
+            nodes.append(node)
+        stack.extend(reversed(children))
+    return nodes, nested
 
 
-def _alias_scan(relpath: str, source: str, body: list[ast.stmt]) -> list[Finding]:
-    aliases: set[str] = set()
+def _alias_scan(
+    relpath: str, source: str, body: list[ast.stmt], outer: set[str]
+) -> list[Finding]:
+    nodes, nested = _scope_nodes(body)
+    aliases = set(outer)
+    for node in nodes:
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            target = node.targets[0]
+            if isinstance(target, ast.Name) and _is_cache_expr(node.value, aliases):
+                aliases.add(target.id)
     findings: list[Finding] = []
-    for stmt in body:
-        for node in ast.walk(stmt):
-            if isinstance(node, ast.Assign) and len(node.targets) == 1:
-                target = node.targets[0]
-                if isinstance(target, ast.Name) and _is_cache_expr(node.value, aliases):
-                    aliases.add(target.id)
-    if not aliases:
-        return findings
-    for stmt in body:
-        for node in ast.walk(stmt):
-            if isinstance(node, ast.Call):
-                chain = _attr_chain(node.func)
+    for node in nodes:
+        if isinstance(node, ast.Call):
+            chain = attr_chain(node.func)
+            if chain[-1:] and chain[-1] in MUTATOR_METHODS and (
+                "local_cache" in chain[:-1] or (len(chain) >= 2 and chain[0] in aliases)
+            ):
+                findings.append(
+                    _alias_finding(relpath, source, node, chain, f"{'.'.join(chain)}()")
+                )
+        elif isinstance(node, (ast.Assign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if not isinstance(target, ast.Subscript):
+                    continue
+                chain = attr_chain(target.value)
                 if (
-                    len(chain) >= 2
-                    and chain[0] in aliases
-                    and chain[-1] in MUTATOR_METHODS
-                ):
-                    findings.append(
-                        _alias_finding(relpath, source, node, chain[0], f"{chain[-1]}()")
-                    )
-            elif isinstance(node, (ast.Assign, ast.AugAssign)):
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                for target in targets:
-                    if isinstance(target, ast.Subscript):
-                        chain = _attr_chain(target.value)
-                        if chain and chain[0] in aliases and "_states" in chain:
-                            findings.append(
-                                _alias_finding(
-                                    relpath, source, target, chain[0], "_states[...] write"
-                                )
-                            )
+                    isinstance(target.value, ast.Attribute) and target.value.attr == "_states"
+                ) or (chain and chain[0] in aliases and "_states" in chain):
+                    what = f"{'.'.join(chain)}[...] write"
+                    findings.append(_alias_finding(relpath, source, target, chain, what))
+    for scope in nested:
+        findings.extend(_alias_scan(relpath, source, scope.body, aliases))
     return findings
 
 
@@ -582,20 +583,21 @@ def _is_cache_expr(node: ast.expr, aliases: set[str]) -> bool:
 
 
 def _alias_finding(
-    relpath: str, source: str, node: ast.AST, alias: str, what: str
+    relpath: str, source: str, node: ast.AST, chain: list[str], what: str
 ) -> Finding:
-    snippet = ast.get_source_segment(source, node) or alias
+    snippet = ast.get_source_segment(source, node) or what
     return Finding(
         rule="KSR111",
         path=relpath,
         line=getattr(node, "lineno", 1),
         col=getattr(node, "col_offset", 0),
         message=(
-            f"coherence state mutated via cache alias {alias!r} ({what}) "
-            f"outside the protocol whitelist"
+            f"SubpageState mutated outside the protocol: {what} — only "
+            "coherence/protocol.py, coherence/ops.py and "
+            "memory/local_cache.py may do this"
         ),
         snippet=snippet,
-        detail={"alias": alias, "mutation": what},
+        detail={"alias": chain[0] if chain else "", "mutation": what},
     )
 
 
@@ -604,12 +606,8 @@ def _alias_finding(
 # ----------------------------------------------------------------------
 
 
-def determinism_findings(
-    program: Optional[Program] = None,
-) -> tuple[list[Finding], dict[str, Any]]:
+def determinism_findings(program: Program) -> tuple[list[Finding], dict[str, Any]]:
     """Run KSR110 + KSR111 over the program; returns (findings, stats)."""
-    if program is None:
-        program = load_program()
     analyzer = _Analyzer(program)
     analyzer.run()
     findings = list(analyzer.findings)

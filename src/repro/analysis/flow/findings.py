@@ -1,7 +1,8 @@
 """Uniform findings and their text / JSON / SARIF renderings.
 
-Every analysis pass — the per-file lint (KSR100–103) and the three
-``flow`` pillars (KSR110–113) — reports through one record type so the
+Every analysis pass — the lint rules (KSR100, KSR102, KSR103, KSR114),
+the three ``flow`` pillars (KSR110–113) and the scenario corpus
+(KSR120–121) — reports through one record type so the
 CLI can render any selection of passes in any format, and so the
 baseline mechanism (:mod:`repro.analysis.flow.baseline`) can suppress
 accepted findings regardless of which pass produced them.
@@ -17,7 +18,6 @@ do not churn with unrelated edits.
 
 from __future__ import annotations
 
-import ast
 import hashlib
 import json
 from dataclasses import dataclass, field
@@ -27,22 +27,22 @@ __all__ = [
     "RULES",
     "Finding",
     "span_hash",
-    "node_span_hash",
     "findings_to_text",
     "findings_to_json",
     "findings_to_sarif",
 ]
 
-#: The full rule catalog (DESIGN §12–§13).  KSR104–109 are reserved.
+#: The full rule catalog (DESIGN §12–§13).  KSR101 is retired into
+#: KSR111; KSR104–109 are reserved.
 RULES: dict[str, str] = {
     "KSR100": "simulator code must not import wall-clock or stdlib randomness",
-    "KSR101": "coherence state is mutated only by the protocol",
     "KSR102": "no ==/!= on simulated-time floats",
     "KSR103": "no ad-hoc RNG construction outside repro.util.rng",
     "KSR110": "nondeterministic value flows into a determinism sink",
-    "KSR111": "coherence state mutated through an alias outside the protocol",
+    "KSR111": "coherence state mutated outside the protocol (directly or via an alias)",
     "KSR112": "cache-key argument type lacks a stable repr or cache_token",
     "KSR113": "protocol transition relation deviates from the abstract model",
+    "KSR114": "ring grant heap mutated outside SlottedRing._claim",
     "KSR120": "generated scenario diverged from the symbolic protocol model",
     "KSR121": "scenario corpus drifted from the committed manifest",
 }
@@ -92,14 +92,6 @@ def span_hash(rule: str, path: str, snippet: str) -> str:
     normalized = " ".join(snippet.split())
     payload = f"{rule}\0{path}\0{normalized}"
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
-
-
-def node_span_hash(source: str, node: ast.AST) -> str:
-    """The normalized source text of one AST node (span-hash input)."""
-    segment = ast.get_source_segment(source, node)
-    if segment is None:  # synthesized node without positions
-        segment = ast.dump(node)
-    return segment
 
 
 def findings_to_text(findings: Iterable[Finding]) -> str:

@@ -1,10 +1,12 @@
-"""Whole-program view of ``src/repro`` for the flow analyses.
+"""Whole-program view of ``src/repro``: the one tree every rule reads.
 
-The per-file lint sees one module at a time; the flow passes need the
-*program*: every module's AST, an index of classes (does this type
-define a stable ``__repr__``?  a ``cache_token``?), an index of
-functions with their annotations, and a best-effort call-name
-resolution so taint summaries can propagate across calls.
+Every ``ksr-analyze`` rule over the source — the per-module lint rules
+and the dataflow passes alike — reads the same *program*: every
+module's AST, an index of classes (does this type define a stable
+``__repr__``?  a ``cache_token``?), an index of functions with their
+annotations, and a best-effort call-name resolution so taint summaries
+can propagate across calls.  :func:`iter_package_sources` is the only
+walk over the package tree.
 
 Sink declarations
 -----------------
@@ -27,7 +29,15 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Optional
 
-__all__ = ["ClassInfo", "FunctionInfo", "Module", "Program", "load_program"]
+__all__ = [
+    "ClassInfo",
+    "FunctionInfo",
+    "Module",
+    "Program",
+    "attr_chain",
+    "load_program",
+    "repro_root",
+]
 
 #: Module attribute naming determinism sinks (``"Class.method"`` or
 #: bare function names whose arguments must be deterministic).
@@ -256,6 +266,29 @@ class Program:
         return None
 
 
+def attr_chain(node: ast.expr) -> list[str]:
+    """Dotted callee names, skipping over calls and subscripts."""
+    parts: list[str] = []
+    while True:
+        if isinstance(node, ast.Attribute):
+            parts.append(node.attr)
+            node = node.value
+        elif isinstance(node, (ast.Call, ast.Subscript)):
+            node = node.func if isinstance(node, ast.Call) else node.value
+        else:
+            break
+    if isinstance(node, ast.Name):
+        parts.append(node.id)
+    return list(reversed(parts))
+
+
+def repro_root() -> Path:
+    """Directory of the installed ``repro`` package."""
+    import repro
+
+    return Path(repro.__file__).resolve().parent
+
+
 def iter_package_sources(root: Path) -> Iterable[tuple[str, str]]:
     """(relpath, source) for every module under the package root."""
     for path in sorted(root.rglob("*.py")):
@@ -263,21 +296,11 @@ def iter_package_sources(root: Path) -> Iterable[tuple[str, str]]:
         yield relpath, path.read_text(encoding="utf-8")
 
 
-def load_program(
-    root: Optional[Path] = None,
-    sources: Optional[dict[str, str]] = None,
-) -> Program:
+def load_program(sources: Optional[dict[str, str]] = None) -> Program:
     """Build a :class:`Program` from the installed package or, for
     tests, from an explicit ``{relpath: source}`` mapping."""
     program = Program()
-    if sources is not None:
-        for relpath, source in sorted(sources.items()):
-            program.add_module(relpath, source)
-        return program
-    if root is None:
-        from repro.analysis.lint import repro_root
-
-        root = repro_root()
-    for relpath, source in iter_package_sources(Path(root)):
+    modules = sorted(sources.items()) if sources is not None else iter_package_sources(repro_root())
+    for relpath, source in modules:
         program.add_module(relpath, source)
     return program

@@ -32,7 +32,7 @@ import re
 from typing import Any, Iterable, Optional
 
 from repro.analysis.flow.findings import Finding
-from repro.analysis.flow.program import FunctionInfo, Program, load_program
+from repro.analysis.flow.program import FunctionInfo, Program
 
 __all__ = ["purity_findings"]
 
@@ -380,12 +380,8 @@ class _PurityPass:
         )
 
 
-def purity_findings(
-    program: Optional[Program] = None,
-) -> tuple[list[Finding], dict[str, Any]]:
+def purity_findings(program: Program) -> tuple[list[Finding], dict[str, Any]]:
     """Run KSR112 over the program; returns (findings, stats)."""
-    if program is None:
-        program = load_program()
     pass_ = _PurityPass(program)
     pass_.run()
     stats = {

@@ -1,14 +1,14 @@
 """Orchestration for ``ksr-analyze flow``.
 
-Loads the program once, runs the three pillars (determinism, purity,
-conformance), and folds the results into one :class:`FlowReport` the
-CLI can render in any format and filter through a baseline.
+Loads the program once, runs the per-module lint rules and the three
+dataflow pillars (determinism, purity, conformance) over it, and folds
+the results into one :class:`FlowReport` the CLI can render in any
+format and filter through a baseline.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any, Optional
 
 from repro.analysis.flow.conformance import ExtractionError, conformance_findings
@@ -16,6 +16,7 @@ from repro.analysis.flow.determinism import determinism_findings
 from repro.analysis.flow.findings import Finding
 from repro.analysis.flow.program import Program, load_program
 from repro.analysis.flow.purity import purity_findings
+from repro.analysis.flow.rules import lint_findings
 
 __all__ = ["FlowReport", "run_flow"]
 
@@ -29,25 +30,20 @@ class FlowReport:
     #: findings decide success separately).
     passes: dict[str, dict[str, Any]] = field(default_factory=dict)
 
-    @property
-    def ok(self) -> bool:
-        return not self.findings and all(p["ok"] for p in self.passes.values())
-
 
 def run_flow(
-    root: Optional[Path] = None,
-    sources: Optional[dict[str, str]] = None,
-    *,
-    conformance: bool = True,
+    sources: Optional[dict[str, str]] = None, *, conformance: bool = True
 ) -> FlowReport:
-    """Run all flow passes over the package (or explicit sources).
+    """Run every source pass over the package (or explicit sources).
 
     ``sources`` short-circuits program loading for tests; conformance
     still reads the protocol from the supplied sources when present,
     and is skipped when they do not include ``coherence/protocol.py``.
     """
-    program: Program = load_program(root=root, sources=sources)
+    program: Program = load_program(sources)
     report = FlowReport()
+
+    report.findings.extend(lint_findings(program))
 
     det, det_stats = determinism_findings(program)
     report.findings.extend(det)

@@ -31,6 +31,7 @@ import hashlib
 from dataclasses import dataclass
 from typing import Any, Optional
 
+from repro.analysis import MODEL_VERSION
 from repro.analysis.flow.conformance import OPS
 from repro.analysis.modelcheck import (
     CoherenceModel,
@@ -52,11 +53,6 @@ __all__ = [
     "behaviour_key",
     "certify_extraction",
 ]
-
-#: Semantic version of the scenario model; folded into sweep cache keys
-#: (see :func:`repro.experiments.sweep.code_version`) and recorded in
-#: corpus manifests so a model change can never replay stale results.
-MODEL_VERSION = "1"
 
 #: One scenario step: ``(op, cell, subpage)`` with ``op`` drawn from
 #: the KSR113-shared vocabulary :data:`OPS`.

@@ -19,7 +19,21 @@ from repro.faults import FaultInjector, FaultPlan
 from repro.obs import Observer, ObsCapture, ObsSpec
 from repro.util.tables import Table
 
-__all__ = ["ExperimentResult", "Instruments", "PAPER_ANCHORS", "Point", "machine_cells"]
+__all__ = [
+    "ExperimentResult",
+    "Instruments",
+    "MIN_PROCS",
+    "PAPER_ANCHORS",
+    "Point",
+    "machine_cells",
+]
+
+#: Fewest processors each traced or served subject can run: a barrier
+#: needs two participants and a campaign measures lock contention, which
+#: needs two processors; a latency or lock point runs on one.  The most
+#: is one per cell of the largest machine,
+#: :data:`~repro.machine.config.MAX_CELLS`.
+MIN_PROCS = {"fig2": 1, "fig3": 1, "fig4": 2, "fig5": 2, "campaign": 2}
 
 
 @dataclass(frozen=True)

@@ -60,6 +60,8 @@ __all__ = [
     "PAGE_BYTES",
     "BLOCK_BYTES",
     "WORD_BYTES",
+    "MAX_LEAF_RINGS",
+    "MAX_CELLS",
 ]
 
 #: Unit of coherence and ring transfer (the local-cache line).
@@ -72,6 +74,10 @@ PAGE_BYTES = 16 * KIB
 BLOCK_BYTES = 2 * KIB
 #: The KSR-1 is a 64-bit machine.
 WORD_BYTES = 8
+#: Leaf rings one level-1 ring connects.
+MAX_LEAF_RINGS = 34
+#: Cells of the largest KSR machine: 34 full leaf rings of 32 cells.
+MAX_CELLS = MAX_LEAF_RINGS * 32
 
 
 @dataclass(frozen=True)
@@ -285,10 +291,10 @@ class MachineConfig:
             raise ConfigError("machine needs at least one cell")
         if self.cells_per_ring < 1 or self.cells_per_ring > 32:
             raise ConfigError("a KSR leaf ring holds between 1 and 32 cells")
-        if self.n_cells > 34 * self.cells_per_ring:
+        if self.n_cells > MAX_LEAF_RINGS * self.cells_per_ring:
             raise ConfigError(
-                f"{self.n_cells} cells exceeds the 34-leaf-ring maximum "
-                f"({34 * self.cells_per_ring})"
+                f"{self.n_cells} cells exceeds the {MAX_LEAF_RINGS}-leaf-ring "
+                f"maximum ({MAX_LEAF_RINGS * self.cells_per_ring})"
             )
         if self.clock_hz <= 0:
             raise ConfigError("clock must be positive")

@@ -100,10 +100,6 @@ SUBJECTS: dict[str, tuple[str, Callable]] = {
     "fig5": ("Figure 5 barrier algorithms on the two-ring KSR-2", _fig5),
 }
 
-#: Smallest ``--procs`` each subject can run: a barrier needs two
-#: participants, a latency or lock point one processor.
-_MIN_PROCS = {"fig2": 1, "fig3": 1, "fig4": 2, "fig5": 2}
-
 
 def main(argv: list[str] | None = None) -> int:
     """Entry point of ``ksr-trace``."""
@@ -161,11 +157,17 @@ def main(argv: list[str] | None = None) -> int:
     wanted, unknown = resolve_selection(args.subjects, SUBJECTS)
     if unknown:
         return print_unknown(unknown, "subject")
+    from repro.experiments.base import MIN_PROCS
+    from repro.machine.config import MAX_CELLS
     from repro.experiments.sweep import ResultCache, SweepRunner
 
     for key in wanted:
-        if args.procs < _MIN_PROCS[key]:
-            parser.error(f"{key} needs --procs of at least {_MIN_PROCS[key]}, got {args.procs}")
+        if args.procs < MIN_PROCS[key]:
+            parser.error(f"{key} needs --procs of at least {MIN_PROCS[key]}, got {args.procs}")
+    if args.procs > MAX_CELLS:
+        parser.error(
+            f"--procs must be at most {MAX_CELLS} (the largest KSR machine), got {args.procs}"
+        )
     spec = ObsSpec(
         bucket_cycles=args.bucket,
         max_records=args.max_records if args.max_records > 0 else None,

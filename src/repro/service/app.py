@@ -76,7 +76,7 @@ def version_info() -> dict[str, str]:
     """
     global _version_info
     if _version_info is None:
-        from repro.analysis.scenarios.model import MODEL_VERSION
+        from repro.analysis import MODEL_VERSION
         from repro.experiments.sweep import code_version
 
         _version_info = {"code": code_version(), "model": MODEL_VERSION}

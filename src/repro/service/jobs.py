@@ -27,8 +27,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from repro.experiments.base import ExperimentResult
+from repro.experiments.base import MIN_PROCS, ExperimentResult
 from repro.experiments.sweep import SweepRunner
+from repro.machine.config import MAX_CELLS
 from repro.obs import ObsSpec
 
 __all__ = ["JobSpec", "ServiceError", "SERVED_EXPERIMENTS", "describe_catalog"]
@@ -126,12 +127,6 @@ def describe_catalog() -> dict[str, Any]:
     }
 
 
-#: Smallest processor count a ``procs`` list may hold: a barrier needs
-#: two participants and a campaign measures lock contention, which
-#: needs two processors; a latency or lock point runs on one.
-_MIN_PROCS = {"fig2": 1, "fig3": 1, "fig4": 2, "fig5": 2, "campaign": 2}
-
-
 def _is_int(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
@@ -145,13 +140,19 @@ def _list_of(item: Callable[[Any], bool]) -> Callable[[Any], bool]:
     return lambda v: isinstance(v, list) and bool(v) and all(item(x) for x in v)
 
 
+def _is_procs(low: int) -> Callable[[Any], bool]:
+    """An integer processor count from ``low`` up to the largest machine."""
+    return lambda v: _is_int(v) and low <= v <= MAX_CELLS
+
+
 #: Parameter name -> (what it must be, check); ``procs`` is checked
 #: against the job's own minimum.
 _RULES: dict[str, tuple[str, Callable[[Any], bool]]] = {
     **{
         name: ("a positive integer", lambda v: _is_int(v) and v >= 1)
-        for name in ("n_procs", "ops", "samples", "reps")
+        for name in ("ops", "samples", "reps")
     },
+    "n_procs": (f"an integer in [1, {MAX_CELLS}]", _is_procs(1)),
     "seed": ("a non-negative integer", lambda v: _is_int(v) and v >= 0),
     "read_fraction": (
         "a number in [0, 1]",
@@ -183,8 +184,8 @@ def _merge_params(
     rules = {
         **_RULES,
         "procs": (
-            f"a non-empty list of integers >= {min_procs}",
-            _list_of(lambda p: _is_int(p) and p >= min_procs),
+            f"a non-empty list of integers in [{min_procs}, {MAX_CELLS}]",
+            _list_of(_is_procs(min_procs)),
         ),
     }
     for name, value in given.items():
@@ -219,12 +220,12 @@ class JobSpec:
                 )
             _, defaults, _ = SERVED_EXPERIMENTS[exp]
             params = _merge_params(
-                body, defaults, kind=f"experiment {exp}", min_procs=_MIN_PROCS[exp]
+                body, defaults, kind=f"experiment {exp}", min_procs=MIN_PROCS[exp]
             )
             params["experiment"] = exp
         elif kind == "campaign":
             params = _merge_params(
-                body, _CAMPAIGN_DEFAULTS, kind="campaign", min_procs=_MIN_PROCS["campaign"]
+                body, _CAMPAIGN_DEFAULTS, kind="campaign", min_procs=MIN_PROCS["campaign"]
             )
         elif kind == "point":
             params = _merge_params(body, _POINT_DEFAULTS, kind="point")

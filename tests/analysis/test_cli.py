@@ -90,7 +90,10 @@ class TestFlowPassAndFormats:
         assert doc["version"] == "2.1.0"
         driver = doc["runs"][0]["tool"]["driver"]
         assert driver["name"] == "ksr-analyze"
-        assert {r["id"] for r in driver["rules"]} >= {"KSR101", "KSR110", "KSR113"}
+        assert {r["id"] for r in driver["rules"]} >= {
+            "KSR100", "KSR102", "KSR103", "KSR110", "KSR111", "KSR112", "KSR113",
+            "KSR114", "KSR120", "KSR121",
+        }
 
     def test_format_output_writes_rendered_report(self, tmp_path, capsys):
         import json

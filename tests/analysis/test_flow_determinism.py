@@ -205,6 +205,40 @@ class TestKSR111AliasMutation:
         )
         assert findings == []
 
+    def test_nested_function_hit_is_reported_once(self):
+        findings = _flow(
+            machine__poker="""
+            def outer(cell):
+                def inner():
+                    a = cell.local_cache
+                    b = a
+                    b.set_state(3, None)
+                return inner
+            """
+        )
+        assert [(f.rule, f.line) for f in findings] == [("KSR111", 6)]
+
+    def test_enclosing_alias_reaches_nested_function(self):
+        findings = _flow(
+            machine__poker="""
+            def outer(cell):
+                cache = cell.local_cache
+                def inner():
+                    cache.fill(3)
+                return inner
+            """
+        )
+        assert [(f.rule, f.line) for f in findings] == [("KSR111", 5)]
+
+    def test_zero_hop_spellings_are_flagged(self):
+        findings = _flow(
+            machine__cell="""
+            cell.local_cache.fill(3)
+            cell.local_cache._states[1] = 2
+            """
+        )
+        assert [(f.rule, f.line) for f in findings] == [("KSR111", 2), ("KSR111", 3)]
+
     def test_reads_through_alias_are_fine(self):
         findings = _flow(
             machine__probe="""

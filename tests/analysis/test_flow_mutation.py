@@ -13,7 +13,7 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.flow.conformance import conformance_findings
-from repro.analysis.lint import repro_root
+from repro.analysis.flow.program import repro_root
 
 
 def _protocol_source() -> str:

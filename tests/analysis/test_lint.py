@@ -1,4 +1,10 @@
-"""Each forbidden pattern is flagged; the real tree is clean."""
+"""Each forbidden pattern is flagged; the real tree is clean.
+
+The rules run as the one analyzer does: every case is a one-module
+program through :func:`repro.analysis.flow.run_flow`.  KSR101, the
+single-hop state-mutation rule, is retired into KSR111, so its cases
+expect KSR111.
+"""
 
 from __future__ import annotations
 
@@ -6,20 +12,18 @@ import textwrap
 
 import pytest
 
-from repro.analysis.lint import (
-    LintViolation,
-    lint_paths,
-    lint_source,
-    render_report,
-)
+from repro.analysis.flow import Finding, findings_to_text, run_flow
+from repro.analysis.flow.program import load_program
+from repro.analysis.flow.rules import lint_findings
 
 
-def _lint(source: str, relpath: str = "sim/engine.py") -> list[LintViolation]:
-    return lint_source(textwrap.dedent(source), relpath)
+def _lint(source: str, relpath: str = "sim/engine.py") -> list[Finding]:
+    sources = {relpath: textwrap.dedent(source)}
+    return run_flow(sources=sources, conformance=False).findings
 
 
-def _codes(violations: list[LintViolation]) -> list[str]:
-    return [v.code for v in violations]
+def _codes(violations: list[Finding]) -> list[str]:
+    return [v.rule for v in violations]
 
 
 class TestKSR100WallClockImports:
@@ -64,7 +68,7 @@ class TestKSR101StateMutation:
             "cell.local_cache.set_state(sp, SubpageState.EXCLUSIVE)\n",
             "machine/cell.py",
         )
-        assert _codes(flags) == ["KSR101"]
+        assert _codes(flags) == ["KSR111"]
         assert "protocol" in flags[0].message
 
     @pytest.mark.parametrize(
@@ -72,17 +76,17 @@ class TestKSR101StateMutation:
     )
     def test_every_mutator_method_is_covered(self, method):
         flags = _lint(f"self.local_cache.{method}(sp)\n", "ring/hierarchy.py")
-        assert _codes(flags) == ["KSR101"]
+        assert _codes(flags) == ["KSR111"]
 
     def test_states_table_store_is_flagged(self):
         flags = _lint(
             "cache._states[sp] = SubpageState.INVALID\n", "machine/cell.py"
         )
-        assert _codes(flags) == ["KSR101"]
+        assert _codes(flags) == ["KSR111"]
 
     def test_states_table_augmented_store_is_flagged(self):
         flags = _lint("cache._states[sp] |= bit\n", "machine/cell.py")
-        assert _codes(flags) == ["KSR101"]
+        assert _codes(flags) == ["KSR111"]
 
     @pytest.mark.parametrize(
         "relpath",
@@ -276,7 +280,7 @@ class TestKSR114GrantHeapMutation:
 
 class TestTreeAndReport:
     def test_real_tree_is_clean(self):
-        assert lint_paths() == []
+        assert lint_findings(load_program()) == []
 
     def test_sweep_runner_module_is_clean(self):
         # regression: the process-pool sweep runner lives outside the
@@ -286,7 +290,8 @@ class TestTreeAndReport:
         from pathlib import Path
 
         source = Path(sweep.__file__).read_text(encoding="utf-8")
-        assert lint_source(source, "experiments/sweep.py") == []
+        program = load_program(sources={"experiments/sweep.py": source})
+        assert lint_findings(program) == []
 
     def test_wallclock_seam_import_passes_in_sim(self):
         # ...and the sanctioned metering seam is importable from sim
@@ -296,20 +301,19 @@ class TestTreeAndReport:
 
     def test_render_report_formats_location(self):
         flags = _lint("import time\n", "sim/engine.py")
-        report = render_report(flags)
+        report = findings_to_text(flags)
         assert report.startswith("sim/engine.py:1:0: KSR100")
 
     def test_syntax_error_propagates(self):
         with pytest.raises(SyntaxError):
-            lint_source("def broken(:\n", "sim/engine.py")
+            load_program(sources={"sim/engine.py": "def broken(:\n"})
 
 
 class TestKSR101AliasRegression:
     """The documented KSR101 evasion: aliasing the cache into a local.
 
-    The per-file lint now catches the single-assignment spelling; the
-    multi-hop spelling still evades it (by design — that needs real
-    dataflow) and is covered by ``ksr-analyze flow``'s KSR111 instead.
+    KSR111 follows the alias over any number of hops, so neither the
+    single-assignment nor the multi-hop spelling evades it.
     """
 
     SINGLE_HOP = """
@@ -327,7 +331,7 @@ class TestKSR101AliasRegression:
 
     def test_single_assignment_alias_no_longer_evades_lint(self):
         flags = _lint(self.SINGLE_HOP, relpath="machine/cell.py")
-        assert _codes(flags) == ["KSR101"]
+        assert _codes(flags) == ["KSR111"]
         assert "cache.set_state" in flags[0].message
 
     def test_alias_states_write_is_flagged(self):
@@ -339,7 +343,7 @@ class TestKSR101AliasRegression:
             """,
             relpath="machine/cell.py",
         )
-        assert _codes(flags) == ["KSR101"]
+        assert _codes(flags) == ["KSR111"]
 
     def test_alias_in_whitelisted_module_is_fine(self):
         assert _lint(self.SINGLE_HOP, relpath="coherence/protocol.py") == []
@@ -355,16 +359,8 @@ class TestKSR101AliasRegression:
         )
         assert flags == []
 
-    def test_multi_hop_still_evades_lint_but_flow_catches_it(self):
-        import textwrap
+    def test_multi_hop_alias_is_flagged(self):
+        flags = _lint(self.MULTI_HOP, relpath="machine/cell.py")
+        assert _codes(flags) == ["KSR111"]
+        assert "b.set_state" in flags[0].message
 
-        from repro.analysis.flow import run_flow
-
-        # the per-file lint's known residual gap...
-        assert _lint(self.MULTI_HOP, relpath="machine/cell.py") == []
-        # ...is exactly what flow's KSR111 closes
-        report = run_flow(
-            sources={"machine/cell.py": textwrap.dedent(self.MULTI_HOP)},
-            conformance=False,
-        )
-        assert [f.rule for f in report.findings] == ["KSR111"]

@@ -55,6 +55,29 @@ class TestPointKey:
         assert len(version) == 64
         int(version, 16)  # raises if not hex
 
+    def test_code_version_loads_no_analyzer(self):
+        # Keying the cache reads MODEL_VERSION from the import-free
+        # package root; no analysis submodule may load with it.
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        package_root = str(Path(repro.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": package_root}
+        script = (
+            "import sys\n"
+            "from repro.experiments.sweep import code_version\n"
+            "code_version()\n"
+            "print(sorted(m for m in sys.modules if m.startswith('repro.analysis.')))\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+        ).stdout
+        assert out.strip() == "[]"
+
     def test_cache_token_keys_the_point(self):
         # Arguments exposing a `cache_token` (FaultPlan) are keyed by
         # it, so flipping any plan field is a cache miss...

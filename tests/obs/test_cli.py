@@ -41,6 +41,14 @@ class TestSelection:
         assert exit_info.value.code == 2
         assert f"{subject} needs --procs of at least {least}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("subject", ["fig3", "fig4"])
+    def test_procs_above_the_largest_machine_is_a_usage_error(self, subject, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([subject, "--procs", "2000", "--no-cache"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "--procs must be at most 1088" in err and "Traceback" not in err
+
     def test_procs_is_checked_against_every_subject(self, capsys):
         with pytest.raises(SystemExit):
             main(["fig3", "fig4", "--procs", "1", "--no-cache"])

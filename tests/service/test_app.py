@@ -103,11 +103,16 @@ class TestEndpoints:
             ({"kind": "experiment", "experiment": "fig2", "params": {"procs": []}}, "procs"),
             ({"kind": "experiment", "experiment": "fig5", "params": {"reps": True}}, "reps"),
             ({"kind": "point", "params": {"read_fraction": 1.5}}, "read_fraction"),
+            ({"kind": "experiment", "experiment": "fig3", "params": {"procs": [100000]}}, "procs"),
+            ({"kind": "campaign", "params": {"procs": [2, 1089]}}, "procs"),
+            ({"kind": "point", "params": {"n_procs": 1089}}, "n_procs"),
         ],
         ids=[
             "fig3-procs-int", "campaign-procs-int", "campaign-rates-float",
             "fig4-procs-zero", "point-n_procs-zero", "point-fault_rate-2",
             "fig2-procs-empty", "fig5-reps-bool", "point-read_fraction-1p5",
+            "fig3-procs-over-machine", "campaign-procs-over-machine",
+            "point-n_procs-over-machine",
         ],
     )
     def test_bad_param_400_names_it(self, served, body, param):
