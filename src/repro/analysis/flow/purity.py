@@ -5,8 +5,10 @@ into the sweep-cache key; a type without a stable field-wise ``repr``
 or an explicit ``cache_token`` raises ``TypeError`` at runtime (and,
 worse, *almost*-stable reprs silently split or merge cache entries).
 This pass finds every call that feeds kwargs into the cache key —
-``SweepRunner.run(func, **kwargs)``, ``SweepRunner.map(func, calls)``
-and direct ``point_key(...)`` calls — statically resolves the *type*
+``SweepRunner.run(func, **kwargs)``, ``SweepRunner.map(func, calls)``,
+an experiment plan's ``plan_of(func, calls, obs)``, the sizes of an
+``Experiment(...)`` catalog entry and direct ``point_key(...)`` calls —
+statically resolves the *type*
 of each kwarg value, and flags types that fail
 :meth:`repro.analysis.flow.program.Program.class_is_stable_key`.
 
@@ -17,12 +19,12 @@ of locally defined helpers.  Values it cannot resolve are *counted*
 (``unresolved`` in the stats), never guessed at — the pass stays
 silent rather than crying wolf.
 
-For ``.map(func, calls)`` the calls list is chased through the local
-idioms the experiments actually use: a list literal or comprehension
-of ``dict(...)`` / ``{...}`` elements, ``calls.append(dict(...))``
-augmentation loops, ``call["key"] = value`` adornment loops, and a
-list a program helper builds that way and returns (checked in the
-helper's own scope).
+For ``.map(func, calls)`` and ``plan_of`` the calls list is chased
+through the local idioms the experiments actually use: a list literal
+or comprehension of ``dict(...)`` / ``{...}`` elements,
+``calls.append(dict(...))`` augmentation loops, ``call["key"] = value``
+adornment loops, and a list a program helper builds that way and
+returns (checked in the helper's own scope).
 """
 
 from __future__ import annotations
@@ -195,16 +197,42 @@ class _PurityPass:
 
     def run(self) -> None:
         for info in self.program.functions_by_qualname.values():
-            scope = _Scope(info.node.body)
-            for node in ast.walk(info.node):
-                if isinstance(node, ast.Call):
-                    self._visit_call(node, info, scope)
+            self._visit_body(info)
+        for module in self.program.modules.values():
+            # module-level statements (the experiment catalog) as one scope
+            defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+            body = [stmt for stmt in module.tree.body if not isinstance(stmt, defs)]
+            node = ast.FunctionDef("<module>", ast.arguments([], [], None, [], [], None, []),
+                                   body, [])
+            self._visit_body(FunctionInfo("<module>", "<module>", module.relpath, node))
+
+    def _visit_body(self, info: FunctionInfo) -> None:
+        scope = _Scope(info.node.body)
+        for node in ast.walk(info.node):
+            if isinstance(node, ast.Call):
+                self._visit_call(node, info, scope)
 
     def _visit_call(self, call: ast.Call, info: FunctionInfo, scope: _Scope) -> None:
         func = call.func
         if isinstance(func, ast.Name) and func.id == "point_key":
             self.n_sites += 1
             self._check_kwargs(call.keywords, call, info, scope)
+            return
+        if isinstance(func, ast.Name) and func.id == "plan_of" and len(call.args) >= 2:
+            # plan_of(func, calls, obs): every call, each carrying obs
+            self.n_sites += 1
+            self._check_calls_list(call.args[1], call, info, scope)
+            obs = call.args[2:] or [kw.value for kw in call.keywords if kw.arg == "obs"]
+            for value in obs:
+                self._check_one("obs", value, call, info, scope)
+            return
+        if isinstance(func, ast.Name) and func.id == "Experiment":
+            # a catalog entry's sizes are the parameters of its plan
+            self.n_sites += 1
+            for kw in call.keywords:
+                if kw.arg in ("default", "full", "quick"):
+                    for key, value in self._dict_items(kw.value):
+                        self._check_one(key, value, call, info, scope)
             return
         if not isinstance(func, ast.Attribute):
             return

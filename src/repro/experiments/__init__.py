@@ -18,8 +18,8 @@ Module          Paper artifact
 ==============  ============================================
 
 Every runner returns an :class:`~repro.experiments.base.ExperimentResult`
-whose rows mirror the paper's layout; ``repro.experiments.cli`` renders
-them from the ``ksr-experiments`` entry point.
+whose rows mirror the paper's layout.  :data:`~repro.experiments.base.CATALOG`
+declares each one once, for ``ksr-experiments``, ``ksr-trace`` and ``ksr-serve``.
 """
 
 from repro.experiments.base import ExperimentResult, PAPER_ANCHORS

@@ -8,16 +8,20 @@ entry to latest exit), discarding the first episode (cold caches).
 
 from __future__ import annotations
 
+from typing import Any, Callable, Sequence
+
 import numpy as np
 
 from repro.errors import ConfigError
-from repro.experiments.base import ExperimentResult, Instruments, Point, machine_cells
+from repro.experiments.base import (
+    ExperimentResult, Instruments, Plan, Point, machine_cells, plan_of, run_plan, trace_obs,
+)
 from repro.experiments.sweep import SweepRunner
 from repro.faults import FaultPlan
 from repro.machine.api import SharedMemory
 from repro.machine.config import MachineConfig, TimerConfig
 from repro.machine.ksr import KsrMachine
-from repro.obs import ObsSpec, trace_sink
+from repro.obs import ObsSpec
 from repro.sim.process import LocalOps
 from repro.sync.barriers import make_barrier
 
@@ -25,6 +29,8 @@ __all__ = [
     "measure_barrier",
     "figure4_point",
     "figure5_point",
+    "figure4_plan",
+    "figure5_plan",
     "run_figure4",
     "run_figure5",
     "DEFAULT_ALGORITHMS",
@@ -134,37 +140,41 @@ def figure5_point(
     )
 
 
+def figure4_plan(
+    proc_counts: list[int], *, reps: int, seed: int,
+    algorithms: Sequence[str] = DEFAULT_ALGORITHMS, obs: ObsSpec | None = None,
+    point: Callable[..., Point] = figure4_point,
+) -> Plan:
+    """Figure 4's points: per P, every algorithm on a P-cell KSR-1.
+
+    ``point=figure5_point`` puts them on Figure 5's two-ring KSR-2.
+    """
+    calls = [
+        dict(name=name, n_procs=p, reps=reps, seed=seed) for p in proc_counts for name in algorithms
+    ]
+    return plan_of(point, calls, obs)
+
+
+def figure5_plan(proc_counts: list[int], **params: Any) -> Plan:
+    """Figure 5's points: per P, every algorithm on a two-ring KSR-2."""
+    return figure4_plan(proc_counts, point=figure5_point, **params)
+
+
 def _run_sweep(
-    experiment_id: str,
-    title: str,
-    proc_counts: list[int],
-    point_func: "callable",
-    algorithms: list[str],
-    reps: int,
-    seed: int,
-    runner: SweepRunner | None,
-    obs: ObsSpec | None = None,
-    trace_dir: str | None = None,
+    experiment_id: str, title: str, build: Callable[..., Plan], proc_counts: list[int],
+    algorithms: list[str], reps: int, seed: int, runner: SweepRunner | None,
+    obs: ObsSpec | None, trace_dir: str | None,
 ) -> ExperimentResult:
-    if runner is None:
-        runner = SweepRunner()
-    if trace_dir is not None and obs is None:
-        obs = ObsSpec()
     result = ExperimentResult(
         experiment_id=experiment_id,
         title=title,
         headers=["P"] + algorithms,
     )
-    calls = [
-        dict(name=name, n_procs=p, reps=reps, seed=seed)
-        for p in proc_counts
-        for name in algorithms
-    ]
-    if obs is not None:
-        for call in calls:
-            call["obs"] = obs
-    sink = trace_sink(experiment_id, trace_dir) if trace_dir is not None else None
-    values = iter(pt.seconds for pt in runner.map(point_func, calls, on_result=sink))
+    plan = build(
+        proc_counts, reps=reps, seed=seed, algorithms=algorithms, obs=trace_obs(obs, trace_dir)
+    )
+    points = run_plan(plan, runner, trace_dir=trace_dir, experiment_id=experiment_id)
+    values = iter(pt.seconds for pt in points)
     for p in proc_counts:
         row: list = [p]
         for name in algorithms:
@@ -191,16 +201,8 @@ def run_figure4(
     if algorithms is None:
         algorithms = DEFAULT_ALGORITHMS
     result = _run_sweep(
-        "FIG4",
-        "Barrier performance on the 32-node KSR-1 (us per episode)",
-        proc_counts,
-        figure4_point,
-        algorithms,
-        reps,
-        seed,
-        runner,
-        obs=obs,
-        trace_dir=trace_dir,
+        "FIG4", "Barrier performance on the 32-node KSR-1 (us per episode)", figure4_plan,
+        proc_counts, algorithms, reps, seed, runner, obs, trace_dir,
     )
     _order_notes(result)
     return result
@@ -222,16 +224,8 @@ def run_figure5(
     if algorithms is None:
         algorithms = DEFAULT_ALGORITHMS
     result = _run_sweep(
-        "FIG5",
-        "Barrier performance on the 64-node KSR-2 (us per episode)",
-        proc_counts,
-        figure5_point,
-        algorithms,
-        reps,
-        seed,
-        runner,
-        obs=obs,
-        trace_dir=trace_dir,
+        "FIG5", "Barrier performance on the 64-node KSR-2 (us per episode)", figure5_plan,
+        proc_counts, algorithms, reps, seed, runner, obs, trace_dir,
     )
     _order_notes(result)
     crossing = [p for p in result.column("P") if p > 32]

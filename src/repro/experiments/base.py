@@ -1,8 +1,11 @@
-"""Common experiment-result plumbing and the paper's published anchors.
+"""Common experiment plumbing, the experiment catalog and the paper's anchors.
 
 ``PAPER_ANCHORS`` collects every number the paper prints that this
 reproduction compares against; EXPERIMENTS.md and several tests are
 generated from / checked against this single table.
+
+:data:`CATALOG` declares each experiment once, and what one computes is
+its :data:`Plan`, the point calls :func:`run_plan` maps.
 
 :class:`Point` is the one shape of a simulated point's result, and
 :class:`Instruments` the one way a point attaches a fault plan and an
@@ -11,29 +14,185 @@ observer to its machine and folds their readings into that shape.
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import dataclass, field
-from typing import Any, Optional, Sequence
+from itertools import groupby
+from typing import Any, Callable, Optional, Sequence
 
 from repro.errors import ConfigError
+from repro.experiments.sweep import SweepRunner
 from repro.faults import FaultInjector, FaultPlan
-from repro.obs import Observer, ObsCapture, ObsSpec
+from repro.obs import Observer, ObsCapture, ObsSpec, trace_sink
 from repro.util.tables import Table
 
 __all__ = [
-    "ExperimentResult",
-    "Instruments",
-    "MIN_PROCS",
-    "PAPER_ANCHORS",
-    "Point",
-    "machine_cells",
+    "CATALOG", "Experiment", "ExperimentResult", "Instruments", "PAPER_ANCHORS", "Plan",
+    "Point", "machine_cells", "plan_of", "run_plan", "trace_obs",
 ]
 
-#: Fewest processors each traced or served subject can run: a barrier
-#: needs two participants and a campaign measures lock contention, which
-#: needs two processors; a latency or lock point runs on one.  The most
-#: is one per cell of the largest machine,
-#: :data:`~repro.machine.config.MAX_CELLS`.
-MIN_PROCS = {"fig2": 1, "fig3": 1, "fig4": 2, "fig5": 2, "campaign": 2}
+#: The point calls an experiment computes, in the order it maps them:
+#: ``(module-level point function, keyword arguments)`` pairs.
+Plan = list[tuple[Callable[..., Any], dict[str, Any]]]
+
+
+def plan_of(
+    func: Callable[..., Any], calls: Sequence[dict[str, Any]], obs: ObsSpec | None = None
+) -> Plan:
+    """``func`` over every call of ``calls``, each carrying ``obs`` when it is set."""
+    return [(func, call if obs is None else {**call, "obs": obs}) for call in calls]
+
+
+def trace_obs(obs: ObsSpec | None, trace_dir: str | None) -> ObsSpec | None:
+    """``obs``, or a default spec when ``trace_dir`` asks for traces without one."""
+    return ObsSpec() if obs is None and trace_dir is not None else obs
+
+
+def run_plan(
+    plan: Plan, runner: SweepRunner | None = None, *, trace_dir: str | None = None,
+    experiment_id: str = "",
+) -> list[Any]:
+    """The value of every call of ``plan``, in plan order.
+
+    Consecutive calls of one function go to ``runner`` (a serial one
+    when ``None``) as one :meth:`~repro.experiments.sweep.SweepRunner.map`,
+    which computes each distinct point once.  ``trace_dir`` writes one
+    Chrome trace per captured point, named after ``experiment_id``.
+    """
+    if runner is None:
+        runner = SweepRunner()
+    sink = trace_sink(experiment_id, trace_dir) if trace_dir is not None else None
+    values: list[Any] = []
+    for func, group in groupby(plan, key=lambda call: call[0]):
+        values += runner.map(func, [kwargs for _, kwargs in group], on_result=sink)
+    return values
+
+
+def _resolve(path: str) -> Callable[..., Any]:
+    """The function ``"module:name"`` names under :mod:`repro.experiments`."""
+    module, _, name = path.partition(":")
+    return getattr(importlib.import_module(f"repro.experiments.{module}"), name)
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """One catalog entry: an experiment's title, its function and sizes.
+
+    ``function`` and ``plan`` name functions as ``"module:name"`` under
+    :mod:`repro.experiments`, imported on first use, so reading the
+    catalog loads no experiment module.  A *mapped* experiment names
+    its ``plan`` builder, which takes the function's parameters; the
+    function maps that plan on the ``runner`` it is given.  Any other
+    experiment is one cached unit: the one-call plan ``[(function, params)]``.
+    """
+
+    title: str
+    function: str
+    #: Parameters of a default run; ``--full`` and ``--quick`` override some.
+    default: dict[str, Any] = field(default_factory=dict)
+    full: dict[str, Any] = field(default_factory=dict)
+    quick: dict[str, Any] = field(default_factory=dict)
+    plan: Optional[str] = None
+    #: Fewest processors of a point, for the per-point figures that
+    #: ``ksr-trace`` traces and ``ksr-serve`` serves (0: not one of them).
+    min_procs: int = 0
+
+    def params(self, *, quick: bool = False, full: bool = False) -> dict[str, Any]:
+        """The function's parameters at one size (``quick`` wins a clash)."""
+        return {**self.default, **(self.full if full else {}), **(self.quick if quick else {})}
+
+    def plan_for(self, **params: Any) -> Plan:
+        """The point calls a run with ``params`` computes."""
+        if self.plan is None:
+            return [(_resolve(self.function), params)]
+        return _resolve(self.plan)(**params)
+
+    def run(self, runner: SweepRunner, **params: Any) -> Any:
+        """Run the experiment with ``params``, computing its points on ``runner``."""
+        func = _resolve(self.function)
+        if self.plan is None:
+            return runner.run(func, **params)
+        return func(runner=runner, **params)
+
+
+def _paper_size(title: str, function: str) -> Experiment:
+    """An analytic experiment whose ``--full`` run is the paper's problem size."""
+    return Experiment(title, function, default={"full_size": False}, full={"full_size": True})
+
+
+#: Every experiment ``ksr-experiments`` runs, in its listing order.
+CATALOG: dict[str, Experiment] = {
+    "fig2": Experiment(
+        "Figure 2: memory-hierarchy latencies", "latency:run_figure2",
+        default={"proc_counts": [1, 2, 4, 8, 16, 24, 32], "samples": 1000, "seed": 101},
+        quick={"proc_counts": [1, 2, 8, 32], "samples": 400},
+        plan="latency:figure2_plan", min_procs=1,
+    ),
+    "fig3": Experiment(
+        "Figure 3: lock performance", "locks:run_figure3",
+        default={"proc_counts": [2, 4, 8, 16, 24, 32], "ops": 100, "seed": 303},
+        full={"ops": 500}, quick={"proc_counts": [2, 8, 32], "ops": 30},
+        plan="locks:figure3_plan", min_procs=1,
+    ),
+    "fig4": Experiment(
+        "Figure 4: barriers on the 32-node KSR-1", "barriers:run_figure4",
+        default={"proc_counts": [2, 4, 8, 16, 24, 32], "reps": 10, "seed": 404},
+        quick={"proc_counts": [4, 16, 32], "reps": 6},
+        plan="barriers:figure4_plan", min_procs=2,
+    ),
+    "fig5": Experiment(
+        "Figure 5: barriers on the 64-node KSR-2", "barriers:run_figure5",
+        default={"proc_counts": [16, 24, 32, 40, 48, 56, 64], "reps": 10, "seed": 404},
+        quick={"proc_counts": [16, 32, 48, 64], "reps": 6},
+        plan="barriers:figure5_plan", min_procs=2,
+    ),
+    "other-archs": Experiment(
+        "Section 3.2.3: Symmetry/Butterfly comparison", "other_archs:run_other_archs"
+    ),
+    "ep": Experiment(
+        "EP scaling (section 3.3)", "ep_scaling:run_ep_scaling",
+        default={"n_pairs": 1 << 18}, quick={"n_pairs": 1 << 16},
+    ),
+    "tab1": _paper_size("Table 1: CG scaling", "cg_scaling:run_table1"),
+    "cg-poststore": _paper_size(
+        "CG poststore study (section 3.3.1)", "cg_scaling:run_cg_poststore"
+    ),
+    "tab2": _paper_size("Table 2: IS scaling", "is_scaling:run_table2"),
+    "fig8": _paper_size("Figure 8: CG and IS speedup curves", "figure8:run_figure8"),
+    "tab3": _paper_size("Table 3: SP scaling", "sp_scaling:run_table3"),
+    "tab4": _paper_size("Table 4: SP optimization ladder", "sp_scaling:run_table4"),
+    "sp-poststore": _paper_size(
+        "SP poststore study (section 3.3.3)", "sp_scaling:run_sp_poststore"
+    ),
+    "cg-formats": _paper_size(
+        "CG data-structure study: CSR vs original CSC", "cg_formats:run_format_comparison"
+    ),
+    "future": _paper_size(
+        "Section 4's proposed features, implemented", "future_features:run_future_features"
+    ),
+    "proj-barriers": Experiment(
+        "Projection: barriers beyond 64 processors", "projection:run_barrier_projection",
+        default={"proc_counts": [32, 64, 128, 256], "reps": 6, "seed": 909},
+        quick={"proc_counts": [32, 64, 128]}, plan="projection:barrier_projection_plan",
+    ),
+    "proj-cg": Experiment(
+        "Projection: CG to the 1088-processor maximum", "projection:run_cg_projection"
+    ),
+    "f1": Experiment(
+        "Degraded mode: lock workload under fault injection", "degraded:run_degraded_locks",
+        default={"proc_counts": [2, 4, 8, 16], "ops": 30, "seed": 303},
+        quick={"proc_counts": [2, 8], "ops": 10}, plan="degraded:degraded_locks_plan",
+    ),
+    "f2": Experiment(
+        "Degraded mode: barriers under fault injection", "degraded:run_degraded_barriers",
+        default={"proc_counts": [4, 8, 16], "reps": 6, "seed": 404},
+        quick={"proc_counts": [4, 8], "reps": 4}, plan="degraded:degraded_barriers_plan",
+    ),
+    "f3": Experiment(
+        "Degraded mode: EP/CG scaling under fault injection", "degraded:run_degraded_kernels",
+        default={"proc_counts": [1, 2, 4, 8, 16, 32], "seed": 505},
+        quick={"proc_counts": [1, 4, 16]}, plan="degraded:degraded_kernels_plan",
+    ),
+}
 
 
 @dataclass(frozen=True)
@@ -124,6 +283,13 @@ class ExperimentResult:
     def add_series_point(self, name: str, x: float, y: float) -> None:
         """Append one figure point."""
         self.series.setdefault(name, []).append((x, y))
+
+    def doc(self) -> dict[str, Any]:
+        """The table as a JSON-safe document."""
+        return {
+            "experiment_id": self.experiment_id, "title": self.title,
+            "headers": self.headers, "rows": self.rows, "notes": self.notes,
+        }
 
     def render(self) -> str:
         """Plain-text report section."""

@@ -25,13 +25,13 @@ plus a whole-run availability factor for stall windows.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from repro.experiments.barriers import measure_barrier
-from repro.experiments.base import ExperimentResult, Point
-from repro.experiments.locks import measure_lock
+from repro.experiments.base import ExperimentResult, Plan, Point, plan_of, run_plan
 from repro.experiments.sweep import SweepRunner
 from repro.faults import FaultPlan
-from repro.faults.campaign import build_campaign_calls
+from repro.faults.campaign import DEFAULT_RATES, campaign_plan
 from repro.kernels.cg import CgKernel
 from repro.kernels.ep import EpKernel
 from repro.machine.config import MachineConfig
@@ -39,17 +39,21 @@ from repro.ring.contention import RingLoadModel
 
 __all__ = [
     "DegradedRingLoadModel",
+    "degraded_barriers_plan",
     "degraded_cg_point",
     "degraded_ep_point",
+    "degraded_kernels_plan",
+    "degraded_locks_plan",
     "fault_factors",
     "run_degraded_barriers",
     "run_degraded_kernels",
     "run_degraded_locks",
 ]
 
-#: Fault rates swept by the ``run_degraded_*`` experiments (per-packet
-#: corruption probability); 0 anchors the clean baseline.
-DEFAULT_FAULT_RATES = (0.0, 1e-5, 1e-4, 1e-3)
+#: F2's default rates and barriers (F1 and F3 sweep the campaign's
+#: :data:`~repro.faults.campaign.DEFAULT_RATES`).
+_BARRIER_RATES = (0.0, 1e-4, 1e-3)
+_BARRIER_ALGORITHMS = ("tree", "dissemination")
 
 
 # ----------------------------------------------------------------------
@@ -147,8 +151,11 @@ def _rate_header(rate: float) -> str:
     return "clean" if rate == 0.0 else f"p={rate:g}"
 
 
-def _plan_for(rate: float) -> FaultPlan:
-    return FaultPlan(corruption_rate=rate)
+def degraded_locks_plan(
+    proc_counts: list[int], fault_rates: Sequence[float] = DEFAULT_RATES, *, ops: int, seed: int
+) -> Plan:
+    """F1's points: the fault campaign's grid."""
+    return campaign_plan(proc_counts, fault_rates, ops=ops, seed=seed)
 
 
 def run_degraded_locks(
@@ -163,18 +170,14 @@ def run_degraded_locks(
     if proc_counts is None:
         proc_counts = [2, 4, 8, 16]
     if fault_rates is None:
-        fault_rates = list(DEFAULT_FAULT_RATES)
-    if runner is None:
-        runner = SweepRunner()
+        fault_rates = list(DEFAULT_RATES)
     result = ExperimentResult(
         experiment_id="F1",
         title=f"Lock workload under ring packet corruption, {ops} ops/processor (seconds)",
         headers=["P"] + [_rate_header(r) for r in fault_rates]
         + [f"retries {_rate_header(r)}" for r in fault_rates if r],
     )
-    calls = build_campaign_calls(proc_counts, fault_rates, ops=ops, seed=seed)
-    points = runner.map(measure_lock, calls)
-    it = iter(points)
+    it = iter(run_plan(degraded_locks_plan(proc_counts, fault_rates, ops=ops, seed=seed), runner))
     for p in proc_counts:
         row_points = [next(it) for _ in fault_rates]
         row: list = [p] + [pt.seconds for pt in row_points]
@@ -197,6 +200,20 @@ def run_degraded_locks(
     return result
 
 
+def degraded_barriers_plan(
+    proc_counts: list[int], fault_rates: Sequence[float] = _BARRIER_RATES, *,
+    algorithms: Sequence[str] = _BARRIER_ALGORITHMS, reps: int, seed: int,
+) -> Plan:
+    """F2's points: per algorithm, per P, every fault rate."""
+    calls = [
+        dict(name=a, n_procs=p, reps=reps, seed=seed, plan=FaultPlan(corruption_rate=r))
+        for a in algorithms
+        for p in proc_counts
+        for r in fault_rates
+    ]
+    return plan_of(measure_barrier, calls)
+
+
 def run_degraded_barriers(
     proc_counts: list[int] | None = None,
     fault_rates: list[float] | None = None,
@@ -210,23 +227,18 @@ def run_degraded_barriers(
     if proc_counts is None:
         proc_counts = [4, 8, 16]
     if fault_rates is None:
-        fault_rates = [0.0, 1e-4, 1e-3]
+        fault_rates = list(_BARRIER_RATES)
     if algorithms is None:
-        algorithms = ["tree", "dissemination"]
-    if runner is None:
-        runner = SweepRunner()
+        algorithms = list(_BARRIER_ALGORITHMS)
     result = ExperimentResult(
         experiment_id="F2",
         title=f"Barrier episodes under ring packet corruption, {reps} reps (seconds)",
         headers=["algorithm", "P"] + [_rate_header(r) for r in fault_rates],
     )
-    calls = [
-        dict(name=a, n_procs=p, reps=reps, seed=seed, plan=_plan_for(r))
-        for a in algorithms
-        for p in proc_counts
-        for r in fault_rates
-    ]
-    points = iter(runner.map(measure_barrier, calls))
+    plan = degraded_barriers_plan(
+        proc_counts, fault_rates, algorithms=algorithms, reps=reps, seed=seed
+    )
+    points = iter(run_plan(plan, runner))
     for a in algorithms:
         for p in proc_counts:
             row_points = [next(points) for _ in fault_rates]
@@ -234,6 +246,23 @@ def run_degraded_barriers(
             for r, pt in zip(fault_rates, row_points):
                 result.add_series_point(f"{a} {_rate_header(r)}", p, pt.seconds)
     return result
+
+
+def degraded_kernels_plan(
+    proc_counts: list[int], fault_rates: Sequence[float] = DEFAULT_RATES, *, seed: int
+) -> Plan:
+    """F3's points: EP at every (P, rate), then CG at every (P, rate)."""
+    ep_calls = [
+        dict(n_procs=p, seed=seed, plan=FaultPlan(corruption_rate=r))
+        for p in proc_counts
+        for r in fault_rates
+    ]
+    cg_calls = [
+        dict(n_procs=p, plan=FaultPlan(corruption_rate=r))
+        for p in proc_counts
+        for r in fault_rates
+    ]
+    return plan_of(degraded_ep_point, ep_calls) + plan_of(degraded_cg_point, cg_calls)
 
 
 def run_degraded_kernels(
@@ -247,27 +276,14 @@ def run_degraded_kernels(
     if proc_counts is None:
         proc_counts = [1, 2, 4, 8, 16, 32]
     if fault_rates is None:
-        fault_rates = list(DEFAULT_FAULT_RATES)
-    if runner is None:
-        runner = SweepRunner()
+        fault_rates = list(DEFAULT_RATES)
     result = ExperimentResult(
         experiment_id="F3",
         title="Kernel scaling under ring packet corruption (seconds)",
         headers=["kernel", "P"] + [_rate_header(r) for r in fault_rates],
     )
-    ep_calls = [
-        dict(n_procs=p, seed=seed, plan=_plan_for(r))
-        for p in proc_counts
-        for r in fault_rates
-    ]
-    cg_calls = [
-        dict(n_procs=p, plan=_plan_for(r))
-        for p in proc_counts
-        for r in fault_rates
-    ]
-    ep_points = iter(runner.map(degraded_ep_point, ep_calls))
-    cg_points = iter(runner.map(degraded_cg_point, cg_calls))
-    for kernel_name, points in (("EP", ep_points), ("CG", cg_points)):
+    points = iter(run_plan(degraded_kernels_plan(proc_counts, fault_rates, seed=seed), runner))
+    for kernel_name in ("EP", "CG"):
         for p in proc_counts:
             row_points = [next(points) for _ in fault_rates]
             result.add_row([kernel_name, p] + [pt.seconds for pt in row_points])

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from repro.errors import ConfigError, SimulationError
-from repro.experiments.base import ExperimentResult, Instruments
+from repro.experiments.base import ExperimentResult, Instruments, Plan, plan_of, run_plan, trace_obs
 from repro.experiments.sweep import SweepRunner
 from repro.machine.api import SharedArray, SharedMemory
 from repro.machine.config import (
@@ -34,12 +34,12 @@ from repro.machine.config import (
     TimerConfig,
 )
 from repro.machine.ksr import KsrMachine
-from repro.obs import ObsCapture, ObsSpec, trace_sink
+from repro.obs import ObsCapture, ObsSpec
 from repro.sim.process import Op, Read, Write
 
 __all__ = [
     "LatencyMeasurement",
-    "figure2_units",
+    "figure2_plan",
     "measure_cell_run",
     "measure_latencies",
     "run_figure2",
@@ -234,11 +234,13 @@ def measure_cell_run(
     return layout.timings[cell]
 
 
-def _figure2_calls(proc_counts: list[int], seed: int, samples: int) -> list[dict]:
+def _figure2_calls(
+    proc_counts: list[int], seed: int, samples: int, callouts: bool = True
+) -> list[dict]:
     """The :func:`measure_latencies` calls behind one Figure 2 table.
 
-    One per (P, level, op) cell of the table, then the four
-    allocation-overhead call-outs.
+    One per (P, level, op) cell of the table, then (with ``callouts``)
+    the four allocation-overhead call-outs.
     """
     calls: list[dict] = []
     for p in proc_counts:
@@ -247,53 +249,42 @@ def _figure2_calls(proc_counts: list[int], seed: int, samples: int) -> list[dict
                 if level == "network" and p < 2:
                     continue  # a 1-processor "neighbour" is itself
                 calls.append(dict(n_procs=p, level=level, op=op, seed=seed, samples=samples))
-    # allocation overhead call-outs at one processor
-    calls.append(dict(n_procs=1, level="local", op="read", seed=seed, samples=samples))
-    calls.append(
-        dict(
-            n_procs=1, level="local", op="read",
-            stride_bytes=BLOCK_BYTES, seed=seed, samples=samples,
+    if callouts:  # allocation overhead call-outs at one processor
+        calls.append(dict(n_procs=1, level="local", op="read", seed=seed, samples=samples))
+        calls.append(
+            dict(
+                n_procs=1, level="local", op="read",
+                stride_bytes=BLOCK_BYTES, seed=seed, samples=samples,
+            )
         )
-    )
-    calls.append(dict(n_procs=2, level="network", op="read", seed=seed, samples=samples))
-    calls.append(
-        dict(
-            n_procs=2, level="network", op="read",
-            stride_bytes=PAGE_BYTES, seed=seed, samples=samples,
+        calls.append(dict(n_procs=2, level="network", op="read", seed=seed, samples=samples))
+        calls.append(
+            dict(
+                n_procs=2, level="network", op="read",
+                stride_bytes=PAGE_BYTES, seed=seed, samples=samples,
+            )
         )
-    )
     return calls
 
 
-def figure2_units(proc_counts: list[int], *, obs: bool = False) -> int:
-    """Distinct points :func:`run_figure2` computes for ``proc_counts``.
+def figure2_plan(
+    proc_counts: list[int], *, seed: int, samples: int, obs: ObsSpec | None = None,
+    callouts: bool = True,
+) -> Plan:
+    """The points behind one Figure 2 table, in map order.
 
-    Counted from the call list the figure maps.  With ``obs`` each call
-    is one run; without, a local call is one :func:`measure_cell_run`
-    per processor, and cell ``c`` of an (op, stride) pair is shared by
-    every P above ``c`` (counted, not built: P may be huge).
+    With ``obs``, one whole-machine :func:`measure_latencies` run per
+    table call; without, the cell-runs of the local calls, then the
+    network calls.  ``callouts=False`` leaves out the allocation call-outs.
     """
-    calls = _figure2_calls(proc_counts, seed=0, samples=0)
-    distinct = {tuple(sorted(c.items())) for c in calls}
-    if obs:
-        return len(distinct)
-    widest: dict[tuple[str, int], int] = {}
-    for c in calls:
-        if c["level"] == "local":
-            pair = (c["op"], c.get("stride_bytes", SUBBLOCK_BYTES))
-            widest[pair] = max(widest.get(pair, 0), c["n_procs"])
-    network = sum(1 for items in distinct if dict(items)["level"] == "network")
-    return sum(widest.values()) + network
+    calls = _figure2_calls(proc_counts, seed, samples, callouts)
+    if obs is not None:
+        return plan_of(measure_latencies, calls, obs)
+    return _cell_run_plan(calls)
 
 
-def _assemble_local(calls: list[dict], runner: SweepRunner) -> list[LatencyMeasurement]:
-    """The points of ``calls``, local ones assembled from cell-runs.
-
-    A local point's mean is the sum of its processors' cell-run cycles
-    over ``P * samples``: the same formula :func:`measure_latencies`
-    applies to the same whole-cycle timings, so the value is identical.
-    Network points, whose cells share the ring, stay whole-machine runs.
-    """
+def _cell_run_plan(calls: list[dict]) -> Plan:
+    """The cell-runs of ``calls``' local points, then their network points."""
     cell_calls = [
         dict(
             cell=cell, op=c["op"], stride_bytes=c.get("stride_bytes", SUBBLOCK_BYTES),
@@ -303,16 +294,28 @@ def _assemble_local(calls: list[dict], runner: SweepRunner) -> list[LatencyMeasu
         if c["level"] == "local"
         for cell in range(c["n_procs"])
     ]
-    cycles = iter(runner.map(measure_cell_run, cell_calls))
-    network = iter(runner.map(measure_latencies, [c for c in calls if c["level"] == "network"]))
-    values = []
+    network = [c for c in calls if c["level"] == "network"]
+    return plan_of(measure_cell_run, cell_calls) + plan_of(measure_latencies, network)
+
+
+def _assemble_local(calls: list[dict], values: list) -> list[LatencyMeasurement]:
+    """The points of ``calls`` from the values of :func:`_cell_run_plan`.
+
+    A local point's mean is the sum of its processors' cell-run cycles
+    over ``P * samples``: the same formula :func:`measure_latencies`
+    applies to the same whole-cycle timings, so the value is identical.
+    Network points, whose cells share the ring, are whole-machine runs.
+    """
+    n_cells = sum(c["n_procs"] for c in calls if c["level"] == "local")
+    cycles, network = iter(values[:n_cells]), iter(values[n_cells:])
+    points = []
     for call in calls:
         if call["level"] == "network":
-            values.append(next(network))
+            points.append(next(network))
             continue
         p, samples = call["n_procs"], call["samples"]
         mean_cycles = sum(next(cycles) for _ in range(p)) / (p * samples)
-        values.append(
+        points.append(
             LatencyMeasurement(
                 n_procs=p,
                 level="local",
@@ -321,7 +324,7 @@ def _assemble_local(calls: list[dict], runner: SweepRunner) -> list[LatencyMeasu
                 mean_latency_s=_config(p, call["seed"]).seconds(mean_cycles),
             )
         )
-    return values
+    return points
 
 
 def run_figure2(
@@ -350,23 +353,17 @@ def run_figure2(
     """
     if proc_counts is None:
         proc_counts = [1, 2, 4, 8, 16, 24, 32]
-    if runner is None:
-        runner = SweepRunner()
-    if trace_dir is not None and obs is None:
-        obs = ObsSpec()
+    obs = trace_obs(obs, trace_dir)
     result = ExperimentResult(
         experiment_id="FIG2",
         title="Read/Write latencies on the KSR (microseconds per access)",
         headers=["P", "local read", "local write", "network read", "network write"],
     )
-    calls = _figure2_calls(proc_counts, seed, samples)
-    if obs is not None:
-        for call in calls:
-            call["obs"] = obs
-        sink = trace_sink("FIG2", trace_dir) if trace_dir is not None else None
-        values = iter(runner.map(measure_latencies, calls, on_result=sink))
-    else:
-        values = iter(_assemble_local(calls, runner))
+    plan = figure2_plan(proc_counts, seed=seed, samples=samples, obs=obs)
+    points = run_plan(plan, runner, trace_dir=trace_dir, experiment_id="FIG2")
+    if obs is None:
+        points = _assemble_local(_figure2_calls(proc_counts, seed, samples), points)
+    values = iter(points)
     for p in proc_counts:
         row = [p]
         for level in ("local", "network"):

@@ -13,13 +13,15 @@ lock's surprising win over the hardware lock even with writers only.
 
 from __future__ import annotations
 
-from repro.experiments.base import ExperimentResult, Instruments, Point, machine_cells
+from repro.experiments.base import (
+    ExperimentResult, Instruments, Plan, Point, machine_cells, plan_of, run_plan, trace_obs,
+)
 from repro.experiments.sweep import SweepRunner
 from repro.faults import FaultPlan
 from repro.machine.api import SharedMemory
 from repro.machine.config import MachineConfig
 from repro.machine.ksr import KsrMachine
-from repro.obs import ObsSpec, trace_sink
+from repro.obs import ObsSpec
 from repro.sync.locks import (
     HardwareExclusiveLock,
     LockWorkloadParams,
@@ -27,7 +29,7 @@ from repro.sync.locks import (
     run_lock_workload,
 )
 
-__all__ = ["run_figure3", "measure_lock", "READ_FRACTIONS"]
+__all__ = ["run_figure3", "figure3_plan", "measure_lock", "READ_FRACTIONS"]
 
 #: The paper's per-processor operation count.  The default here is
 #: smaller so the figure regenerates quickly; pass ``ops=500`` (with
@@ -80,6 +82,18 @@ def measure_lock(
     )
 
 
+def figure3_plan(
+    proc_counts: list[int], *, ops: int, seed: int, obs: ObsSpec | None = None
+) -> Plan:
+    """Figure 3's points: per P, the hardware lock, then the rw lock at each read share."""
+    calls: list[dict] = []
+    for p in proc_counts:
+        calls.append(dict(kind="hardware", n_procs=p, read_fraction=0.0, ops=ops, seed=seed))
+        for f in READ_FRACTIONS:
+            calls.append(dict(kind="rw", n_procs=p, read_fraction=f, ops=ops, seed=seed))
+    return plan_of(measure_lock, calls, obs)
+
+
 def run_figure3(
     proc_counts: list[int] | None = None,
     *,
@@ -101,26 +115,15 @@ def run_figure3(
     """
     if proc_counts is None:
         proc_counts = [2, 4, 8, 16, 24, 32]
-    if runner is None:
-        runner = SweepRunner()
-    if trace_dir is not None and obs is None:
-        obs = ObsSpec()
     result = ExperimentResult(
         experiment_id="FIG3",
         title=f"Lock performance, {ops} operations per processor (seconds)",
         headers=["P", "exclusive"]
         + [f"rw {int(f * 100)}% read" for f in READ_FRACTIONS],
     )
-    calls: list[dict] = []
-    for p in proc_counts:
-        calls.append(dict(kind="hardware", n_procs=p, read_fraction=0.0, ops=ops, seed=seed))
-        for f in READ_FRACTIONS:
-            calls.append(dict(kind="rw", n_procs=p, read_fraction=f, ops=ops, seed=seed))
-    if obs is not None:
-        for call in calls:
-            call["obs"] = obs
-    sink = trace_sink("FIG3", trace_dir) if trace_dir is not None else None
-    values = iter(pt.seconds for pt in runner.map(measure_lock, calls, on_result=sink))
+    plan = figure3_plan(proc_counts, ops=ops, seed=seed, obs=trace_obs(obs, trace_dir))
+    points = run_plan(plan, runner, trace_dir=trace_dir, experiment_id="FIG3")
+    values = iter(pt.seconds for pt in points)
     for p in proc_counts:
         row: list = [p]
         t_excl = next(values)

@@ -20,12 +20,18 @@ every multiple of 32, and CG's speedup saturates long before 1088
 
 from __future__ import annotations
 
-from repro.experiments.base import ExperimentResult
-from repro.experiments.barriers import measure_barrier
+from repro.experiments.base import ExperimentResult, Plan, run_plan
+from repro.experiments.barriers import figure4_plan
+from repro.experiments.sweep import SweepRunner
 from repro.kernels.cg import CgKernel
-from repro.machine.config import MachineConfig, TimerConfig
+from repro.machine.config import MachineConfig
 
-__all__ = ["run_barrier_projection", "run_cg_projection"]
+__all__ = ["barrier_projection_plan", "run_barrier_projection", "run_cg_projection"]
+
+
+def barrier_projection_plan(proc_counts: list[int], *, reps: int, seed: int) -> Plan:
+    """The paper's winner and its hot-spot loser on Figure 4's machine, a P-cell KSR-1."""
+    return figure4_plan(proc_counts, reps=reps, seed=seed, algorithms=("tournament(M)", "counter"))
 
 
 def run_barrier_projection(
@@ -33,8 +39,9 @@ def run_barrier_projection(
     *,
     reps: int = 6,
     seed: int = 909,
+    runner: SweepRunner | None = None,
 ) -> ExperimentResult:
-    """Tournament(M) vs counter on multi-ring machines (event level)."""
+    """Tournament(M) vs counter on multi-ring machines (event level), mapped on ``runner``."""
     if proc_counts is None:
         proc_counts = [32, 64, 128, 256]
     result = ExperimentResult(
@@ -42,13 +49,12 @@ def run_barrier_projection(
         title="Barrier projection beyond the measured machines (KSR-1, us)",
         headers=["P", "leaf rings", "tournament(M)", "counter", "ratio"],
     )
+    plan = barrier_projection_plan(proc_counts, reps=reps, seed=seed)
+    values = iter(pt.seconds for pt in run_plan(plan, runner))
     for p in proc_counts:
-        config = MachineConfig.ksr1(
-            n_cells=p, seed=seed, timer=TimerConfig(enabled=False)
-        )
-        tm = measure_barrier("tournament(M)", p, machine_config=config, reps=reps).seconds
-        counter = measure_barrier("counter", p, machine_config=config, reps=reps).seconds
-        result.add_row([p, config.n_rings, tm * 1e6, counter * 1e6, counter / tm])
+        tm, counter = next(values), next(values)
+        n_rings = MachineConfig.ksr1(n_cells=p, seed=seed).n_rings
+        result.add_row([p, n_rings, tm * 1e6, counter * 1e6, counter / tm])
         result.add_series_point("tournament(M)", p, tm)
         result.add_series_point("counter", p, counter)
     tm_series = dict(result.series["tournament(M)"])

@@ -20,15 +20,16 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Sequence
 
-from repro.experiments.base import ExperimentResult, Point
+from repro.experiments.base import ExperimentResult, Plan, plan_of, run_plan, trace_obs
 from repro.experiments.locks import measure_lock
 from repro.experiments.sweep import SweepRunner
 from repro.faults.plan import FaultPlan
 from repro.obs import ObsSpec
 from repro.obs.export import point_slug, write_chrome_trace
 
-__all__ = ["CampaignResult", "build_campaign_calls", "assemble_campaign", "run_campaign"]
+__all__ = ["CampaignResult", "campaign_plan", "run_campaign"]
 
 #: Default per-packet corruption rates swept by ``ksr-faults campaign``.
 DEFAULT_RATES = (0.0, 1e-5, 1e-4, 1e-3)
@@ -62,14 +63,10 @@ class CampaignResult:
         return self.result.render()
 
 
-def build_campaign_calls(
-    proc_counts: list[int],
-    fault_rates: list[float],
-    *,
-    ops: int = 30,
-    seed: int = 303,
+def campaign_plan(
+    proc_counts: list[int], fault_rates: Sequence[float], *, ops: int, seed: int,
     obs: ObsSpec | None = None,
-) -> list[dict]:
+) -> Plan:
     """The campaign grid as independent, cacheable :func:`measure_lock` calls.
 
     The writers-only rw lock, processors outer and corruption rates
@@ -83,10 +80,7 @@ def build_campaign_calls(
         for p in proc_counts
         for r in fault_rates
     ]
-    if obs is not None:
-        for call in calls:
-            call["obs"] = obs
-    return calls
+    return plan_of(measure_lock, calls, obs)
 
 
 def run_campaign(
@@ -108,31 +102,9 @@ def run_campaign(
         proc_counts = [8, 16, 32]
     if fault_rates is None:
         fault_rates = list(DEFAULT_RATES)
-    if runner is None:
-        runner = SweepRunner()
-    if trace_dir is not None and obs is None:
-        obs = ObsSpec()
-    calls = build_campaign_calls(proc_counts, fault_rates, ops=ops, seed=seed, obs=obs)
-    points = runner.map(measure_lock, calls)
-    return assemble_campaign(
-        proc_counts, fault_rates, calls, points, ops=ops, trace_dir=trace_dir
+    plan = campaign_plan(
+        proc_counts, fault_rates, ops=ops, seed=seed, obs=trace_obs(obs, trace_dir)
     )
-
-
-def assemble_campaign(
-    proc_counts: list[int],
-    fault_rates: list[float],
-    calls: list[dict],
-    points: list[Point],
-    *,
-    ops: int = 30,
-    trace_dir: str | None = None,
-) -> CampaignResult:
-    """Fold computed points back into the campaign table + tallies.
-
-    ``calls``/``points`` must be aligned and ordered as produced by
-    :func:`build_campaign_calls` (processors outer, rates inner).
-    """
     result = ExperimentResult(
         experiment_id="FAULTS",
         title=f"Lock workload resilience, {ops} ops/processor",
@@ -142,11 +114,11 @@ def assemble_campaign(
         ],
     )
     campaign = CampaignResult(result=result)
-    it = iter(zip(calls, points))
+    it = iter(zip(plan, run_plan(plan, runner)))
     for p in proc_counts:
         baseline = None
         for r in fault_rates:
-            call, point = next(it)
+            (_, call), point = next(it)
             ring_tx = (
                 point.capture.totals["ring_transactions"]
                 if point.capture is not None
@@ -164,11 +136,7 @@ def assemble_campaign(
                 "ring_tx": ring_tx,
             }
             campaign.points[(p, r)] = stats
-            result.add_row([
-                p, r, point.seconds, slowdown,
-                point.fault("retries"), point.fault("timeouts"),
-                point.fault("corrupted_packets"), ring_tx,
-            ])
+            result.add_row([p, r, *stats.values()])
             result.add_series_point(f"p={r:g}" if r else "clean", p, point.seconds)
             if trace_dir is not None and point.capture is not None:
                 # The fault rate lives inside the (non-scalar) plan, so

@@ -22,8 +22,8 @@ deterministic — same subjects, same options, same bytes, whatever
 from __future__ import annotations
 
 import sys
-from typing import Callable
 
+from repro.experiments.base import CATALOG, run_plan
 from repro.obs.export import export_chrome, export_csv
 from repro.obs.probes import ObsCapture, ObsSpec
 from repro.obs.summary import render_summary
@@ -37,68 +37,8 @@ from repro.util.cli import (
 
 __all__ = ["main", "SUBJECTS"]
 
-
-def _captures(runner, func, calls) -> list[ObsCapture]:
-    return [point.capture for point in runner.map(func, calls)]
-
-
-def _fig2(args, spec, runner) -> list[ObsCapture]:
-    from repro.experiments.latency import measure_latencies
-
-    calls = []
-    for level in ("local", "network"):
-        if level == "network" and args.procs < 2:
-            continue
-        for op in ("read", "write"):
-            calls.append(
-                dict(n_procs=args.procs, level=level, op=op,
-                     samples=args.samples, obs=spec)
-            )
-    return _captures(runner, measure_latencies, calls)
-
-
-def _fig3(args, spec, runner) -> list[ObsCapture]:
-    from repro.experiments.locks import READ_FRACTIONS, measure_lock
-
-    calls = [
-        dict(kind="hardware", n_procs=args.procs, read_fraction=0.0,
-             ops=args.ops, obs=spec)
-    ]
-    calls += [
-        dict(kind="rw", n_procs=args.procs, read_fraction=f,
-             ops=args.ops, obs=spec)
-        for f in READ_FRACTIONS
-    ]
-    return _captures(runner, measure_lock, calls)
-
-
-def _fig4(args, spec, runner) -> list[ObsCapture]:
-    from repro.experiments.barriers import DEFAULT_ALGORITHMS, figure4_point
-
-    calls = [
-        dict(name=name, n_procs=args.procs, reps=args.reps, seed=404, obs=spec)
-        for name in DEFAULT_ALGORITHMS
-    ]
-    return _captures(runner, figure4_point, calls)
-
-
-def _fig5(args, spec, runner) -> list[ObsCapture]:
-    from repro.experiments.barriers import DEFAULT_ALGORITHMS, figure5_point
-
-    calls = [
-        dict(name=name, n_procs=args.procs, reps=args.reps, seed=404, obs=spec)
-        for name in DEFAULT_ALGORITHMS
-    ]
-    return _captures(runner, figure5_point, calls)
-
-
-#: Subject id -> (description, capture producer).
-SUBJECTS: dict[str, tuple[str, Callable]] = {
-    "fig2": ("Figure 2 latency points (local + network, read + write)", _fig2),
-    "fig3": ("Figure 3 lock points (hardware + rw read-share sweep)", _fig3),
-    "fig4": ("Figure 4 barrier algorithms on the KSR-1", _fig4),
-    "fig5": ("Figure 5 barrier algorithms on the two-ring KSR-2", _fig5),
-}
+#: What can be traced: the per-point figures of the experiment catalog.
+SUBJECTS = {key: e for key, e in CATALOG.items() if e.min_procs}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -151,19 +91,19 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
     if args.list or not args.subjects:
-        for key, (title, _) in SUBJECTS.items():
-            print(f"{key:6s} {title}")
+        for key, entry in SUBJECTS.items():
+            print(f"{key:6s} {entry.title}")
         return 0
     wanted, unknown = resolve_selection(args.subjects, SUBJECTS)
     if unknown:
         return print_unknown(unknown, "subject")
-    from repro.experiments.base import MIN_PROCS
     from repro.machine.config import MAX_CELLS
     from repro.experiments.sweep import ResultCache, SweepRunner
 
     for key in wanted:
-        if args.procs < MIN_PROCS[key]:
-            parser.error(f"{key} needs --procs of at least {MIN_PROCS[key]}, got {args.procs}")
+        least = SUBJECTS[key].min_procs
+        if args.procs < least:
+            parser.error(f"{key} needs --procs of at least {least}, got {args.procs}")
     if args.procs > MAX_CELLS:
         parser.error(
             f"--procs must be at most {MAX_CELLS} (the largest KSR machine), got {args.procs}"
@@ -176,8 +116,15 @@ def main(argv: list[str] | None = None) -> int:
     cache = None if args.no_cache else ResultCache.default()
     with SweepRunner(jobs=args.jobs, cache=cache) as runner:
         for key in wanted:
-            _, producer = SUBJECTS[key]
-            captures.extend(producer(args, spec, runner))
+            # the figure's plan at the one traced P, sized by the option
+            # its parameters name; fig2's leaves out the allocation call-outs
+            entry = SUBJECTS[key]
+            params = entry.params(quick=True)
+            params.update((n, getattr(args, n)) for n in ("samples", "ops", "reps") if n in params)
+            params.update(proc_counts=[args.procs], obs=spec)
+            if key == "fig2":
+                params["callouts"] = False
+            captures += [point.capture for point in run_plan(entry.plan_for(**params), runner)]
     if args.format == "chrome":
         text = export_chrome(captures)
     elif args.format == "csv":

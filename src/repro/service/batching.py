@@ -4,9 +4,9 @@ Two mechanisms, both deliberately simple enough to reason about under
 concurrency:
 
 * **Cost estimation** — :func:`estimate_points` prices a job spec in
-  sweep points *before* running it; admission control rejects requests
-  whose price exceeds the server's per-job bound instead of discovering
-  mid-run that it accepted a monster.
+  the distinct points of its plan *before* running it; admission
+  control rejects requests whose price exceeds the server's per-job
+  bound instead of discovering mid-run that it accepted a monster.
 * **Coalescing** — :class:`JobTable` maps a spec's canonical form to
   its in-flight job, so N identical concurrent submissions cost one
   execution; every waiter gets the same result object.  Point purity
@@ -22,30 +22,15 @@ from __future__ import annotations
 import threading
 from typing import Any
 
-from repro.service.jobs import SERVED_EXPERIMENTS, JobSpec
+from repro.experiments.sweep import point_key
+from repro.service.jobs import JobSpec
 
 __all__ = ["estimate_points", "JobTable"]
 
-#: Points each lock or barrier figure sweeps per processor count (fig3:
-#: seven lock variants; fig4/fig5: nine barrier algorithms).  fig2 is
-#: priced from its own call list (:func:`repro.experiments.latency.figure2_units`).
-_CURVES_PER_EXPERIMENT = {"fig3": 7, "fig4": 9, "fig5": 9}
-
 
 def estimate_points(spec: JobSpec) -> int:
-    """Upper-bound sweep points this job will fan out (admission price)."""
-    params = spec.param_dict()
-    if spec.kind == "experiment":
-        exp = params["experiment"]
-        assert exp in SERVED_EXPERIMENTS
-        if exp == "fig2":
-            from repro.experiments.latency import figure2_units
-
-            return figure2_units(params["procs"], obs=spec.with_obs)
-        return len(params["procs"]) * _CURVES_PER_EXPERIMENT[exp]
-    if spec.kind == "campaign":
-        return len(params["procs"]) * len(params["rates"])
-    return 1  # point
+    """Points this job computes (admission price): its plan's distinct ``point_key``s."""
+    return len({point_key(func, kwargs) for func, kwargs in spec.plan()})
 
 
 class JobTable:

@@ -17,7 +17,8 @@ byte-for-byte):
   (:func:`repro.experiments.locks.measure_lock` with ``plan``), the
   smallest request the API accepts.
 
-Each kind knows how to run itself against a provided
+Each kind knows its plan (the point calls it computes, which admission
+prices) and how to run itself against a provided
 :class:`~repro.experiments.sweep.SweepRunner`; everything else (queueing,
 batching, caching, capture summaries) is the scheduler's business.
 """
@@ -27,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from repro.experiments.base import MIN_PROCS, ExperimentResult
+from repro.experiments.base import CATALOG, Plan, plan_of, run_plan
 from repro.experiments.sweep import SweepRunner
 from repro.machine.config import MAX_CELLS
 from repro.obs import ObsSpec
@@ -43,67 +44,17 @@ class ServiceError(ValueError):
         self.status = status
 
 
-def _run_fig2(params: dict[str, Any], runner: SweepRunner, obs: ObsSpec | None):
-    from repro.experiments.latency import run_figure2
-
-    return run_figure2(
-        proc_counts=params["procs"], samples=params["samples"],
-        seed=params["seed"], runner=runner, obs=obs,
-    )
+#: The per-point figures (fig2–fig5), by catalog id.  A service exists
+#: to answer many small requests, so each one's defaults are its
+#: ``--quick`` sizes; a client wanting paper-size sweeps says so.
+SERVED_EXPERIMENTS = {key: e for key, e in CATALOG.items() if e.min_procs}
 
 
-def _run_fig3(params: dict[str, Any], runner: SweepRunner, obs: ObsSpec | None):
-    from repro.experiments.locks import run_figure3
+def _served_defaults(key: str) -> dict[str, Any]:
+    """An experiment's quick sizes, its processor counts named ``procs``."""
+    params = SERVED_EXPERIMENTS[key].params(quick=True)
+    return {("procs" if k == "proc_counts" else k): v for k, v in params.items()}
 
-    return run_figure3(
-        proc_counts=params["procs"], ops=params["ops"],
-        seed=params["seed"], runner=runner, obs=obs,
-    )
-
-
-def _run_fig4(params: dict[str, Any], runner: SweepRunner, obs: ObsSpec | None):
-    from repro.experiments.barriers import run_figure4
-
-    return run_figure4(
-        proc_counts=params["procs"], reps=params["reps"],
-        seed=params["seed"], runner=runner, obs=obs,
-    )
-
-
-def _run_fig5(params: dict[str, Any], runner: SweepRunner, obs: ObsSpec | None):
-    from repro.experiments.barriers import run_figure5
-
-    return run_figure5(
-        proc_counts=params["procs"], reps=params["reps"],
-        seed=params["seed"], runner=runner, obs=obs,
-    )
-
-
-#: Experiment id -> (title, defaults, runner adapter).  Defaults mirror
-#: the CLIs' ``--quick`` sizes: a service exists to answer many small
-#: requests, and a client wanting paper-size sweeps says so explicitly.
-SERVED_EXPERIMENTS: dict[str, tuple[str, dict[str, Any], Callable]] = {
-    "fig2": (
-        "Figure 2: memory-hierarchy latencies",
-        {"procs": [1, 2, 8, 32], "samples": 400, "seed": 101},
-        _run_fig2,
-    ),
-    "fig3": (
-        "Figure 3: lock performance",
-        {"procs": [2, 8, 32], "ops": 30, "seed": 303},
-        _run_fig3,
-    ),
-    "fig4": (
-        "Figure 4: barriers on the 32-node KSR-1",
-        {"procs": [4, 16, 32], "reps": 6, "seed": 404},
-        _run_fig4,
-    ),
-    "fig5": (
-        "Figure 5: barriers on the 64-node KSR-2",
-        {"procs": [16, 32, 48, 64], "reps": 6, "seed": 404},
-        _run_fig5,
-    ),
-}
 
 _CAMPAIGN_DEFAULTS: dict[str, Any] = {
     "procs": [8, 16], "rates": [0.0, 1e-4], "ops": 10, "seed": 303,
@@ -119,8 +70,8 @@ def describe_catalog() -> dict[str, Any]:
     """What ``GET /v1/experiments`` reports: kinds, ids, defaults."""
     return {
         "experiments": {
-            key: {"title": title, "defaults": defaults}
-            for key, (title, defaults, _) in SERVED_EXPERIMENTS.items()
+            key: {"title": entry.title, "defaults": _served_defaults(key)}
+            for key, entry in SERVED_EXPERIMENTS.items()
         },
         "campaign": {"defaults": _CAMPAIGN_DEFAULTS},
         "point": {"defaults": _POINT_DEFAULTS},
@@ -136,8 +87,13 @@ def _is_rate(value: Any) -> bool:
     return (_is_int(value) or isinstance(value, float)) and 0 <= value < 1
 
 
+#: Most entries a list param may hold: a job is priced at its distinct
+#: points, yet builds and tabulates every entry of a list of repeats.
+_MAX_ENTRIES = 64
+
+
 def _list_of(item: Callable[[Any], bool]) -> Callable[[Any], bool]:
-    return lambda v: isinstance(v, list) and bool(v) and all(item(x) for x in v)
+    return lambda v: isinstance(v, list) and 0 < len(v) <= _MAX_ENTRIES and all(map(item, v))
 
 
 def _is_procs(low: int) -> Callable[[Any], bool]:
@@ -159,7 +115,7 @@ _RULES: dict[str, tuple[str, Callable[[Any], bool]]] = {
         lambda v: (_is_int(v) or isinstance(v, float)) and 0 <= v <= 1,
     ),
     "fault_rate": ("a number in [0, 1)", _is_rate),
-    "rates": ("a non-empty list of numbers in [0, 1)", _list_of(_is_rate)),
+    "rates": (f"a list of 1 to {_MAX_ENTRIES} numbers in [0, 1)", _list_of(_is_rate)),
     "lock": ("'rw' or 'hardware'", lambda v: v in ("rw", "hardware")),
 }
 
@@ -184,7 +140,7 @@ def _merge_params(
     rules = {
         **_RULES,
         "procs": (
-            f"a non-empty list of integers in [{min_procs}, {MAX_CELLS}]",
+            f"a list of 1 to {_MAX_ENTRIES} integers in [{min_procs}, {MAX_CELLS}]",
             _list_of(_is_procs(min_procs)),
         ),
     }
@@ -210,23 +166,24 @@ class JobSpec:
         if not isinstance(body, dict):
             raise ServiceError("request body must be a JSON object")
         kind = body.get("kind")
-        with_obs = bool(body.get("obs", False))
+        with_obs = body.get("obs", False)
+        if not isinstance(with_obs, bool):
+            raise ServiceError("'obs' must be true or false")
         if kind == "experiment":
             exp = body.get("experiment")
-            if exp not in SERVED_EXPERIMENTS:
+            if not isinstance(exp, str) or exp not in SERVED_EXPERIMENTS:
                 raise ServiceError(
                     f"unknown experiment {exp!r} "
                     f"(served: {', '.join(SERVED_EXPERIMENTS)})"
                 )
-            _, defaults, _ = SERVED_EXPERIMENTS[exp]
             params = _merge_params(
-                body, defaults, kind=f"experiment {exp}", min_procs=MIN_PROCS[exp]
+                body, _served_defaults(exp), kind=f"experiment {exp}",
+                min_procs=SERVED_EXPERIMENTS[exp].min_procs,
             )
             params["experiment"] = exp
         elif kind == "campaign":
-            params = _merge_params(
-                body, _CAMPAIGN_DEFAULTS, kind="campaign", min_procs=MIN_PROCS["campaign"]
-            )
+            # a campaign measures lock contention, which needs two processors
+            params = _merge_params(body, _CAMPAIGN_DEFAULTS, kind="campaign", min_procs=2)
         elif kind == "point":
             params = _merge_params(body, _POINT_DEFAULTS, kind="point")
         else:
@@ -251,57 +208,52 @@ class JobSpec:
 
     # -- execution ----------------------------------------------------
 
+    def _runner_params(self) -> tuple[dict[str, Any], ObsSpec | None]:
+        """The job's parameters under its function's names, and its obs spec."""
+        names = {"procs": "proc_counts", "rates": "fault_rates"}
+        params = {names.get(k, k): v for k, v in self.param_dict().items()}
+        return params, (ObsSpec() if self.with_obs else None)
+
+    def plan(self) -> Plan:
+        """The point calls this job computes (its admission price counts them)."""
+        params, obs = self._runner_params()
+        if self.kind == "experiment":
+            return SERVED_EXPERIMENTS[params.pop("experiment")].plan_for(**params, obs=obs)
+        if self.kind == "campaign":
+            from repro.faults.campaign import campaign_plan
+
+            return campaign_plan(**params, obs=obs)
+        from repro.experiments.locks import measure_lock
+        from repro.faults.plan import FaultPlan
+
+        call = dict(
+            kind=params["lock"], n_procs=params["n_procs"], read_fraction=params["read_fraction"],
+            ops=params["ops"], seed=params["seed"],
+            plan=FaultPlan(corruption_rate=params["fault_rate"]),
+        )
+        return plan_of(measure_lock, [call], obs)
+
     def execute(self, runner: SweepRunner) -> dict[str, Any]:
         """Run this job on ``runner``; return the JSON-safe payload."""
-        obs = ObsSpec() if self.with_obs else None
-        params = self.param_dict()
+        params, obs = self._runner_params()
         if self.kind == "experiment":
             exp = params.pop("experiment")
-            _, _, adapter = SERVED_EXPERIMENTS[exp]
-            result: ExperimentResult = adapter(params, runner, obs)
+            result = SERVED_EXPERIMENTS[exp].run(runner, obs=obs, **params)
             return {
-                "experiment": exp,
-                "experiment_id": result.experiment_id,
-                "title": result.title,
-                "headers": result.headers,
-                "rows": result.rows,
-                "notes": result.notes,
-                "series": {name: pts for name, pts in result.series.items()},
+                "experiment": exp, **result.doc(), "series": dict(result.series),
                 "rendered": result.render(),
             }
         if self.kind == "campaign":
             from repro.faults.campaign import run_campaign
 
-            campaign = run_campaign(
-                proc_counts=params["procs"], fault_rates=params["rates"],
-                ops=params["ops"], seed=params["seed"], runner=runner, obs=obs,
-            )
+            campaign = run_campaign(**params, runner=runner, obs=obs)
             return {
-                "experiment_id": campaign.result.experiment_id,
-                "title": campaign.result.title,
-                "headers": campaign.result.headers,
-                "rows": campaign.result.rows,
-                "notes": campaign.result.notes,
+                **campaign.result.doc(),
                 "points": [
                     {"n_procs": p, "fault_rate": r, **stats}
                     for (p, r), stats in sorted(campaign.points.items())
                 ],
                 "rendered": campaign.render(),
             }
-        # point
-        from repro.experiments.locks import measure_lock
-        from repro.faults.plan import FaultPlan
-
-        call = dict(
-            kind=params["lock"], n_procs=params["n_procs"],
-            read_fraction=params["read_fraction"], ops=params["ops"],
-            seed=params["seed"],
-            plan=FaultPlan(corruption_rate=params["fault_rate"]),
-        )
-        if obs is not None:
-            call["obs"] = obs
-        point = runner.map(measure_lock, [call])[0]
-        return {
-            "seconds": point.seconds,
-            "faults": {name: value for name, value in point.faults},
-        }
+        point = run_plan(self.plan(), runner)[0]
+        return {"seconds": point.seconds, "faults": dict(point.faults)}

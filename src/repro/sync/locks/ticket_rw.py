@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from typing import Any, Generator
 
-from repro.errors import ConfigError
 from repro.machine.api import SharedMemory
 from repro.sim.process import (
     GetSubpage,
@@ -48,18 +47,19 @@ _KIND_WRITE = 2
 class TicketReadWriteLock:
     """FCFS read-write lock; see module docstring for the algorithm.
 
-    ``counter_ring`` bounds how many *distinct tickets* may be
-    simultaneously unreleased; the default comfortably exceeds any
-    machine size (one ticket per waiting processor at most).
+    The reader-counter ring bounds how many *distinct tickets* may be
+    simultaneously unreleased: two unreleased tickets a ring apart
+    would share one counter and ``now_serving`` would stop advancing.
+    Each processor holds at most one ticket, so the ring has one entry
+    per cell of the machine, and at least 256 (the layout of every
+    machine up to that size).
     """
 
-    def __init__(self, mem: SharedMemory, *, counter_ring: int = 256, use_poststore: bool = True):
-        if counter_ring < 2:
-            raise ConfigError("counter ring must have at least 2 entries")
+    def __init__(self, mem: SharedMemory, *, use_poststore: bool = True):
         self.meta = mem.alloc_words(3)  # next_ticket, tail_kind, tail_ticket
         self.now_serving = mem.alloc_word()
-        self.readers = mem.array("rwlock-readers", counter_ring)
-        self.ring_size = counter_ring
+        self.ring_size = max(256, mem.machine.config.n_cells)
+        self.readers = mem.array("rwlock-readers", self.ring_size)
         self.use_poststore = use_poststore
         mem.poke(self._next_ticket, 1)  # ticket 0 == "already served"
         mem.poke(self.now_serving, 1)

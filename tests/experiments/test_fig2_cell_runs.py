@@ -12,8 +12,10 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.experiments import latency
+from repro.experiments.base import run_plan
 from repro.experiments.latency import (
     _assemble_local,
+    _cell_run_plan,
     measure_cell_run,
     measure_latencies,
     run_figure2,
@@ -50,7 +52,7 @@ def test_assembled_points_equal_whole_machines(op, stride):
         if stride is not None:
             call["stride_bytes"] = stride
         calls.append(call)
-    assembled = _assemble_local(calls, SweepRunner())
+    assembled = _assemble_local(calls, run_plan(_cell_run_plan(calls)))
     for call, value in zip(calls, assembled):
         assert repr(value) == repr(measure_latencies(**call))
 

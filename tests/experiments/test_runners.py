@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.experiments.base import ExperimentResult, PAPER_ANCHORS
-from repro.experiments.cli import EXPERIMENTS, main
+from repro.experiments.base import CATALOG, ExperimentResult, PAPER_ANCHORS
+from repro.experiments.cli import main
 from repro.experiments.other_archs import BUTTERFLY, SYMMETRY, barrier_cost
 
 
@@ -142,7 +142,7 @@ class TestCli:
     def test_list(self, capsys):
         assert main(["--list"]) == 0
         out = capsys.readouterr().out
-        for key in EXPERIMENTS:
+        for key in CATALOG:
             assert key in out
 
     def test_unknown_experiment(self, capsys):

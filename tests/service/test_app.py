@@ -121,6 +121,24 @@ class TestEndpoints:
         assert status == 400 and f"'{param}'" in doc["error"]
         assert app.scheduler.stats()["submitted"] == 0
 
+    @pytest.mark.parametrize(
+        "body, field",
+        [
+            ({"kind": "experiment", "experiment": ["fig2"]}, "experiment"),
+            ({"kind": "experiment", "experiment": {"id": "fig2"}}, "experiment"),
+            ({"kind": "point", "obs": "no"}, "'obs'"),
+            ({"kind": "point", "obs": None}, "'obs'"),
+        ],
+        ids=["experiment-list", "experiment-dict", "obs-string", "obs-null"],
+    )
+    def test_hostile_body_400(self, served, body, field):
+        base, app = served
+        status, doc, _ = app.handle_submit(body)
+        assert status == 400 and field in doc["error"]
+        status, doc, _ = post(base, body)  # answered, not dropped
+        assert status == 400 and field in doc["error"]
+        assert app.scheduler.stats()["submitted"] == 0
+
     @pytest.mark.parametrize("timeout", ["x", -1, None, [1], float("nan"), float("inf")])
     def test_bad_timeout_400(self, served, timeout):
         base, app = served

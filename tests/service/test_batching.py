@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.experiments.sweep as sweep
 from repro.experiments.sweep import ProcessPoolBackend
@@ -81,13 +83,43 @@ class TestEstimatePoints:
                     "params": {"procs": [2, 4, 8]}})
         assert estimate_points(big) == 3 * estimate_points(small)
 
-    @pytest.mark.parametrize("obs", [False, True], ids=["cell-runs", "obs"])
-    def test_fig2_price_covers_every_computed_point(self, obs):
-        s = spec({"kind": "experiment", "experiment": "fig2", "obs": obs,
-                  "params": {"procs": [1, 2, 4], "samples": 10}})
+    @pytest.mark.parametrize("obs", [False, True], ids=["plain", "obs"])
+    @pytest.mark.parametrize("body", [
+        {"kind": "experiment", "experiment": "fig2", "params": {"procs": [1, 3], "samples": 10}},
+        {"kind": "experiment", "experiment": "fig3", "params": {"procs": [2, 3], "ops": 2}},
+        {"kind": "experiment", "experiment": "fig4", "params": {"procs": [2, 4], "reps": 2}},
+        {"kind": "experiment", "experiment": "fig5", "params": {"procs": [2], "reps": 2}},
+        {"kind": "campaign", "params": {"procs": [2, 3], "rates": [0.0, 1e-3], "ops": 2}},
+        {"kind": "point", "params": {"n_procs": 2, "ops": 2}},
+    ], ids=["fig2", "fig3", "fig4", "fig5", "campaign", "point"])
+    def test_price_is_every_computed_point(self, body, obs):
+        s = spec({**body, "obs": obs})
         runner = CountingRunner()
         s.execute(runner)
         assert estimate_points(s) == len(runner.computed)  # exact, so an upper bound
+
+    @pytest.mark.parametrize("param", ["procs", "rates"])
+    def test_lists_are_bounded(self, param):
+        body = {"kind": "campaign", "params": {"procs": [2], "rates": [0.0]}}
+        body["params"][param] *= 65
+        with pytest.raises(ServiceError, match=f"'{param}' must be a list of 1 to 64"):
+            spec(body)
+
+    def test_price_counts_a_repeated_point_once(self):
+        once = spec({"kind": "experiment", "experiment": "fig3", "params": {"procs": [2]}})
+        twice = spec({"kind": "experiment", "experiment": "fig3", "params": {"procs": [2, 2]}})
+        assert estimate_points(twice) == estimate_points(once) == 7
+
+    @pytest.mark.parametrize("body, price", [
+        ({"kind": "experiment", "experiment": "fig3"}, 21),
+        ({"kind": "experiment", "experiment": "fig4"}, 27),
+        ({"kind": "experiment", "experiment": "fig5"}, 36),
+        ({"kind": "campaign"}, 4),
+        ({"kind": "point"}, 1),
+    ], ids=["fig3", "fig4", "fig5", "campaign", "point"])
+    def test_served_default_prices(self, body, price):
+        assert estimate_points(spec(body)) == price
+        assert estimate_points(spec({**body, "obs": True})) == price
 
     def test_fig2_served_defaults(self):
         # procs [1, 2, 8, 32]: 65 cell-runs (cells 0..31 read and write,
@@ -102,6 +134,40 @@ class TestEstimatePoints:
         with pytest.raises(ServiceError, match="procs"):
             estimate_points(spec({"kind": "experiment", "experiment": "fig2",
                                   "params": {"procs": ["two"]}}))
+
+
+_WORDS = st.sampled_from([
+    "experiment", "campaign", "point", "fig2", "fig3", "fig4", "fig5", "tab1",
+    "procs", "rates", "ops", "samples", "reps", "seed", "lock", "rw", "hardware",
+    "n_procs", "read_fraction", "fault_rate",
+])
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 1100) | st.floats() | st.text(max_size=4)
+    | _WORDS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(_WORDS | st.text(max_size=4), inner, max_size=4),
+    max_leaves=10,
+)
+_BODIES = st.fixed_dictionaries({}, optional={
+    "kind": st.sampled_from(["experiment", "campaign", "point"]) | _JSON,
+    "experiment": st.sampled_from(["fig2", "fig3", "fig4", "fig5"]) | _JSON,
+    "obs": st.booleans() | _JSON,
+    "params": st.dictionaries(_WORDS, _JSON, max_size=5) | _JSON,
+}) | st.dictionaries(_WORDS | st.text(max_size=6), _JSON, max_size=5)
+
+
+class TestHostileBodies:
+    """Any JSON object body is a job spec with a price, or a ServiceError."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(body=_BODIES)
+    def test_parse_and_price_raise_only_service_errors(self, body):
+        try:
+            s = JobSpec.from_request(body)
+        except ServiceError as exc:
+            assert 400 <= exc.status < 500
+            return
+        assert estimate_points(s) >= 1
 
 
 class TestJobTable:

@@ -167,10 +167,17 @@ class TestTicketRwLock:
         m.run()
         assert order.index("w-in") < order.index("r2-in")
 
-    def test_counter_ring_validation(self):
-        _, mem = fresh()
-        with pytest.raises(ConfigError):
-            TicketReadWriteLock(mem, counter_ring=1)
+    @pytest.mark.parametrize("n_cells, ring", [(4, 256), (256, 256), (320, 320)])
+    def test_counter_ring_has_a_counter_per_cell(self, n_cells, ring):
+        _, mem = fresh(n_cells)
+        assert TicketReadWriteLock(mem).ring_size == ring
+
+    def test_more_readers_than_the_ring_floor_finish(self):
+        # 320 processors at a 20 % read share once hold tickets 256
+        # apart; with a 256-entry ring they shared a counter and deadlocked.
+        from repro.experiments.locks import measure_lock
+
+        assert measure_lock("rw", 320, 0.2, ops=1).seconds > 0
 
 
 class TestWorkload:
