@@ -4,13 +4,14 @@ Every pass runs from the ``ksr-analyze`` CLI (:mod:`repro.analysis.cli`)
 and from pytest; import the submodule that holds it:
 
 * :mod:`repro.analysis.modelcheck` — exhaustive reachability checking
-  of an abstract ALLCACHE protocol model (one subpage, 2-3 cells);
+  of the real ALLCACHE protocol, abstracted per state (one subpage,
+  2-4 cells);
 * :mod:`repro.analysis.races` — same-timestamp conflict auditing and
   tie-break perturbation runs of the discrete-event engine;
 * :mod:`repro.analysis.flow` — the one static analyzer: lint rules and
   whole-program dataflow over ``src/repro``, parsed once;
-* :mod:`repro.analysis.scenarios` — symbolic scenario enumeration and
-  model-vs-simulator differential runs.
+* :mod:`repro.analysis.scenarios` — symbolic scenario enumeration over
+  that relation and differential runs on multi-subpage machines.
 
 The package root imports nothing, so reading :data:`MODEL_VERSION`
 (as cache keying does) loads no analyzer.

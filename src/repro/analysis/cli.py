@@ -135,22 +135,13 @@ def _run_lint(args) -> PassResult:
 
 def _run_flow(args) -> PassResult:
     report, findings = _source_findings(args, lint=False)
-    ok = not findings and all(p["ok"] for p in report.passes.values())
+    ok = not findings
     det = report.passes.get("determinism", {}).get("stats", {})
     pur = report.passes.get("purity", {}).get("stats", {})
-    conf = report.passes.get("conformance", {})
-    conf_stats = conf.get("stats", {})
     bits = [
         f"determinism {det.get('functions_analyzed', 0)} fns",
         f"purity {pur.get('call_sites', 0)} sites",
     ]
-    if conf.get("ok"):
-        bits.append(
-            f"conformance {conf_stats.get('valuations_agreeing', 0)}/"
-            f"{conf_stats.get('valuations_checked', 0)} valuations"
-        )
-    elif "error" in conf:
-        bits.append(f"conformance EXTRACTION FAILED: {conf['error']}")
     header = (
         f"flow[src/repro]: {'OK' if ok else 'FAIL'} — "
         f"{len(findings)} finding(s) ({', '.join(bits)})"
@@ -180,7 +171,6 @@ def _run_scenarios(args) -> PassResult:
         HAND_WRITTEN_GRID_POINTS,
         ScenarioModel,
         build_manifest,
-        certify_extraction,
         check_manifest,
         corpus_document,
         enumerate_classes,
@@ -193,18 +183,6 @@ def _run_scenarios(args) -> PassResult:
     lines: list[str] = []
     findings: list = []
     stats: dict[str, Any] = {}
-
-    # The enumeration is only trustworthy while the per-subpage model
-    # is certified against the protocol source (KSR113 extraction).
-    cert_findings, cert_stats = certify_extraction()
-    findings.extend(cert_findings)
-    lines.append(
-        f"scenarios[extraction]: {'OK' if not cert_findings else 'FAIL'} — "
-        f"model certified against coherence/protocol.py "
-        f"({cert_stats.get('valuations_agreeing', 0)}/"
-        f"{cert_stats.get('valuations_checked', 0)} valuations)"
-    )
-    stats["extraction"] = cert_stats
 
     manifest_path = _Path(args.manifest) if args.manifest else _Path.cwd() / DEFAULT_MANIFEST
 
@@ -323,12 +301,12 @@ PASSES = {
     ),
     "flow": (
         "Whole-program dataflow: determinism, coherence-state mutation, "
-        "cache-key purity, protocol conformance (KSR110–113)",
+        "cache-key purity (KSR110–112)",
         _run_flow,
     ),
     "scenarios": (
-        "Symbolic scenario corpus: enumerate interleavings, differential "
-        "model-vs-simulator runs (KSR120–121)",
+        "Symbolic scenario corpus: enumerate interleavings of the protocol "
+        "relation, differential runs on multi-subpage machines (KSR120–121)",
         _run_scenarios,
     ),
 }

@@ -19,11 +19,6 @@ one tree:
   type handed to :func:`repro.experiments.sweep.point_key` defines a
   stable ``repr`` or a ``cache_token``, turning the runtime
   ``TypeError`` into an analysis-time finding.
-* **Protocol conformance** (KSR113) — extract the guarded transition
-  relation of :mod:`repro.coherence.protocol` by symbolic evaluation
-  of its branch conditions, extract the abstract relation from
-  :mod:`repro.analysis.modelcheck` with the same machinery, and fail
-  on any transition one side has and the other lacks or forbids.
 
 Findings are uniform :class:`~repro.analysis.flow.findings.Finding`
 records rendered as text, JSON or SARIF, with a baseline-file
@@ -31,12 +26,6 @@ suppression mechanism keyed by AST-span hashes (line-drift proof).
 """
 
 from repro.analysis.flow.baseline import Baseline
-from repro.analysis.flow.conformance import (
-    Transition,
-    conformance_findings,
-    extract_code_relation,
-    extract_model_relation,
-)
 from repro.analysis.flow.determinism import determinism_findings
 from repro.analysis.flow.findings import (
     Finding,
@@ -52,11 +41,7 @@ __all__ = [
     "Baseline",
     "Finding",
     "FlowReport",
-    "Transition",
-    "conformance_findings",
     "determinism_findings",
-    "extract_code_relation",
-    "extract_model_relation",
     "findings_to_json",
     "findings_to_sarif",
     "findings_to_text",

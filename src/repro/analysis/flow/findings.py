@@ -1,7 +1,7 @@
 """Uniform findings and their text / JSON / SARIF renderings.
 
 Every analysis pass — the lint rules (KSR100, KSR102, KSR103, KSR114),
-the three ``flow`` pillars (KSR110–113) and the scenario corpus
+the ``flow`` dataflow rules (KSR110–112) and the scenario corpus
 (KSR120–121) — reports through one record type so the
 CLI can render any selection of passes in any format, and so the
 baseline mechanism (:mod:`repro.analysis.flow.baseline`) can suppress
@@ -33,7 +33,9 @@ __all__ = [
 ]
 
 #: The full rule catalog (DESIGN §12–§13).  KSR101 is retired into
-#: KSR111; KSR104–109 are reserved.
+#: KSR111 and KSR113 (the old code-vs-model conformance diff) into the
+#: model checker, which now runs the real protocol; KSR104–109 are
+#: reserved.
 RULES: dict[str, str] = {
     "KSR100": "simulator code must not import wall-clock or stdlib randomness",
     "KSR102": "no ==/!= on simulated-time floats",
@@ -41,7 +43,6 @@ RULES: dict[str, str] = {
     "KSR110": "nondeterministic value flows into a determinism sink",
     "KSR111": "coherence state mutated outside the protocol (directly or via an alias)",
     "KSR112": "cache-key argument type lacks a stable repr or cache_token",
-    "KSR113": "protocol transition relation deviates from the abstract model",
     "KSR114": "ring grant heap mutated outside SlottedRing._claim",
     "KSR120": "generated scenario diverged from the symbolic protocol model",
     "KSR121": "scenario corpus drifted from the committed manifest",
@@ -66,7 +67,7 @@ class Finding:
     snippet: str = ""
     severity: str = "error"
     #: Free-form extra context, e.g. the taint trace for KSR110 or the
-    #: offending transition for KSR113.
+    #: divergent scenario for KSR120.
     detail: dict[str, Any] = field(default_factory=dict, compare=False, hash=False)
 
     @property

@@ -1,9 +1,9 @@
 """Orchestration for ``ksr-analyze flow``.
 
-Loads the program once, runs the per-module lint rules and the three
-dataflow pillars (determinism, purity, conformance) over it, and folds
-the results into one :class:`FlowReport` the CLI can render in any
-format and filter through a baseline.
+Loads the program once, runs the per-module lint rules and the two
+dataflow pillars (determinism, purity) over it, and folds the results
+into one :class:`FlowReport` the CLI can render in any format and
+filter through a baseline.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-from repro.analysis.flow.conformance import ExtractionError, conformance_findings
 from repro.analysis.flow.determinism import determinism_findings
 from repro.analysis.flow.findings import Finding
 from repro.analysis.flow.program import Program, load_program
@@ -31,14 +30,10 @@ class FlowReport:
     passes: dict[str, dict[str, Any]] = field(default_factory=dict)
 
 
-def run_flow(
-    sources: Optional[dict[str, str]] = None, *, conformance: bool = True
-) -> FlowReport:
+def run_flow(sources: Optional[dict[str, str]] = None) -> FlowReport:
     """Run every source pass over the package (or explicit sources).
 
-    ``sources`` short-circuits program loading for tests; conformance
-    still reads the protocol from the supplied sources when present,
-    and is skipped when they do not include ``coherence/protocol.py``.
+    ``sources`` short-circuits program loading for tests.
     """
     program: Program = load_program(sources)
     report = FlowReport()
@@ -52,18 +47,4 @@ def run_flow(
     pur, pur_stats = purity_findings(program)
     report.findings.extend(pur)
     report.passes["purity"] = {"ok": True, "stats": pur_stats}
-
-    if conformance:
-        protocol_source: Optional[str] = None
-        run_conformance = True
-        if sources is not None:
-            protocol_source = sources.get("coherence/protocol.py")
-            run_conformance = protocol_source is not None
-        if run_conformance:
-            try:
-                conf, conf_stats = conformance_findings(protocol_source)
-                report.findings.extend(conf)
-                report.passes["conformance"] = {"ok": True, "stats": conf_stats}
-            except ExtractionError as exc:
-                report.passes["conformance"] = {"ok": False, "error": str(exc)}
     return report

@@ -1,58 +1,76 @@
 """Exhaustive state-space checking of the ALLCACHE coherence protocol.
 
 The simulator's protocol is exercised by litmus tests and fuzzing, but
-those only sample interleavings.  This module *enumerates*: it builds an
-abstract transition model of the protocol for one subpage and a handful
-of cells, BFS-explores every reachable state, and verifies the paper's
+those only sample interleavings.  This module *enumerates*: it
+BFS-explores every state the real
+:class:`~repro.coherence.protocol.CoherenceProtocol` reaches on one
+subpage of a tiny machine (2–4 cells), and verifies the paper's
 correctness-critical invariants in each one.
+
+The relation
+------------
+There is one protocol, so there is no second copy of its transitions
+here.  :meth:`CoherenceModel.apply` replays the state's witness path
+plus the action on a fresh KSR-1 (timer off, one subpage), each step
+run to completion by :func:`repro.coherence.litmus.run_step` — the
+stepping path the scenario oracle uses — with ``evict`` calling
+:meth:`CoherenceProtocol.evict`, the method page replacement calls.
+The machine is then abstracted back into a :data:`ModelState`.
 
 The abstraction
 ---------------
 A state is ``(created, ((copy_state, fresh), ...))`` — one entry per
-cell.  ``copy_state`` is the cell's :class:`SubpageState` (or ``None``
-when the cell holds no copy at all) and ``fresh`` records whether the
-copy's data matches the current memory value (writes by other cells
-make a copy stale).  Timing is abstracted away entirely: each protocol
-operation (read miss, write/upgrade, ``get_subpage``, ``release``,
-``poststore``, eviction) becomes one atomic transition.
+cell.  ``created`` is the directory entry's flag, ``copy_state`` the
+cell's local-cache :class:`SubpageState` (``None`` when the cell holds
+no copy at all), and ``fresh`` whether the copy's data matches the
+current memory value.  The simulator's word store is global, so
+freshness follows one rule: a ``write`` or ``gsp`` by a cell that did
+not already own the subpage makes every other held copy stale; a copy
+that turns valid from absent or INVALID is fresh; a dropped copy is
+fresh.  Timing is abstracted away: each action is one transition.
 
-The transitions are *extracted from*, not re-implemented beside, the
-coherence layer:
-
-* every per-cell state change is validated against
-  :func:`repro.coherence.states.legal_transition`;
-* the directory bookkeeping replays the exact
-  :class:`repro.coherence.directory.Directory` call sequence that
-  :mod:`repro.coherence.protocol` performs (``invalidate_others`` then
-  ``record_fill_exclusive``, ``demote_owner`` then
-  ``record_fill_shared``, ...), so :class:`DirectoryEntry.check` and
-  the directory/cache agreement check run against the real code.
+Successors are computed from one witness path per state, which is
+sound only because the abstraction is a function of the path: every
+path reaching a state gives every action the same successor
+(``tests/analysis/test_modelcheck.py`` replays every schedule to a
+bound to pin that).
 
 Invariants verified in every reachable state
 --------------------------------------------
 1. at most one cell holds an EXCLUSIVE or ATOMIC copy;
-2. the directory entry agrees with every cell's cache state
+2. the directory entry agrees with every cell's local cache
    (``Directory.state_in`` == the cell's copy state);
-3. no valid (readable) copy is stale — in particular a snarfed
-   place-holder always revalidated from current data;
+3. no valid (readable) copy is stale — a non-owner ``write`` or
+   ``gsp`` left no other copy readable.  The freshness rule counts any
+   copy that turns valid as fresh, so a snarfed place-holder is fresh
+   by definition here; snarf safety (no snarf while an owner holds the
+   subpage) is checked by ``tests/coherence/test_snarf.py::TestSnarfGuard``;
 4. every reachable state can drain to quiescence (a path exists to a
    state with no ATOMIC holder — no cell can wedge the subpage lock).
 
-Deliberately broken models (tests subclass :class:`CoherenceModel` and
-damage one primitive) must produce at least one reported violation.
+Every per-cell change is also checked against
+:func:`repro.coherence.states.legal_transition`; a ``gsp`` actor's
+step reads as ``→ EXCLUSIVE → ATOMIC``, the fill-then-lock the
+protocol performs in one call.  A mutated protocol (tests monkeypatch
+one :class:`CoherenceProtocol` method) is caught by a violation here,
+by the pinned state counts, or by a named check in
+``tests/coherence``.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Union
 
-from repro.coherence.directory import Directory
+from repro.coherence.litmus import SCHEDULE_OPS, run_step, schedule_machine
 from repro.coherence.states import SubpageState, legal_transition
-from repro.errors import ConfigError, ProtocolError, ReproError
+from repro.errors import ConfigError, ProtocolError, ReproError, SimulationError
+from repro.machine.ksr import KsrMachine
+from repro.memory.address import subpage_of
 
 __all__ = [
+    "ACTIONS",
     "InvariantViolation",
     "CellCopy",
     "ModelState",
@@ -61,12 +79,9 @@ __all__ = [
     "ModelChecker",
 ]
 
-#: The single abstract subpage the model reasons about.
-SUBPAGE = 0
-
 
 class InvariantViolation(ReproError):
-    """An abstract protocol transition broke a checked invariant."""
+    """A protocol transition broke a checked invariant."""
 
 
 #: One cell's view: (coherence state or ``None`` if absent, data fresh?)
@@ -74,107 +89,55 @@ CellCopy = tuple[Optional[SubpageState], bool]
 #: Full abstract machine state: (subpage ever created?, per-cell copies).
 ModelState = tuple[bool, tuple[CellCopy, ...]]
 
-#: Action kinds, one per protocol entry point the model abstracts.
-ACTIONS = ("read", "write", "gsp", "rsp", "poststore", "evict")
+#: Action kinds: the program-visible schedule ops plus page replacement.
+ACTIONS = SCHEDULE_OPS + ("evict",)
 
 #: (action kind, acting cell id)
 Action = tuple[str, int]
 
+_OWNED = (SubpageState.EXCLUSIVE, SubpageState.ATOMIC)
 
-class _Cells:
-    """Mutable per-cell copies during one transition, with every state
-    change validated against the protocol's legal-transition relation."""
 
-    def __init__(self, copies: tuple[CellCopy, ...]):
-        self.states: list[Optional[SubpageState]] = [c[0] for c in copies]
-        self.fresh: list[bool] = [c[1] for c in copies]
-
-    def set_state(self, cell_id: int, new: SubpageState, *, fresh: bool) -> None:
-        old = self.states[cell_id]
-        if not legal_transition(old, new):
-            raise InvariantViolation(
-                f"illegal per-cell transition {old} -> {new} on cell {cell_id}"
-            )
-        self.states[cell_id] = new
-        self.fresh[cell_id] = fresh
-
-    def drop(self, cell_id: int) -> None:
-        self.states[cell_id] = None
-        self.fresh[cell_id] = True  # vacuous: no data held
-
-    def stale_others(self, keep_cell: int) -> None:
-        """A write by ``keep_cell`` made every other copy's data stale."""
-        for c in range(len(self.fresh)):
-            if c != keep_cell and self.states[c] is not None:
-                self.fresh[c] = False
-
-    def owner(self) -> Optional[int]:
-        for c, st in enumerate(self.states):
-            if st in (SubpageState.EXCLUSIVE, SubpageState.ATOMIC):
-                return c
-        return None
-
-    def snapshot(self) -> tuple[CellCopy, ...]:
-        return tuple(zip(self.states, self.fresh))
+def _owner(copies: tuple[CellCopy, ...]) -> Optional[int]:
+    for c, (st, _fresh) in enumerate(copies):
+        if st in _OWNED:
+            return c
+    return None
 
 
 class CoherenceModel:
-    """Abstract transition model of the protocol for one subpage.
+    """The real protocol's transition relation on one subpage.
 
-    The primitive steps (``_invalidate_others``, ``_snarf_placeholders``,
-    ...) are separate methods so tests can subclass and deliberately
-    break one of them; the checker must then report violations.
+    Successors (and violations) are memoized per instance, keyed by
+    ``(state, action)``, and each state remembers the witness path that
+    first produced it; a test that monkeypatches the protocol builds a
+    fresh instance and so never reads a clean table.
     """
 
     def __init__(self, n_cells: int):
         if n_cells < 2:
             raise ConfigError("model checking needs at least 2 cells")
         self.n_cells = n_cells
-
-    # ------------------------------------------------------------------
-    # State plumbing
-    # ------------------------------------------------------------------
+        self._paths: dict[ModelState, tuple[Action, ...]] = {self.initial(): ()}
+        self._successors: dict[tuple[ModelState, Action], Union[ModelState, ReproError]] = {}
 
     def initial(self) -> ModelState:
         """The pristine state: no directory entry, no cell holds a copy."""
         return (False, tuple((None, True) for _ in range(self.n_cells)))
 
-    def _directory_for(self, created: bool, cells: _Cells) -> Directory:
-        """Rebuild a real :class:`Directory` mirroring the cell states."""
-        directory = Directory()
-        entry = directory.entry(SUBPAGE)
-        for c, st in enumerate(cells.states):
-            if st is None:
-                continue
-            if st is SubpageState.INVALID:
-                entry.placeholder_mask |= 1 << c
-            else:
-                entry.sharer_mask |= 1 << c
-            if st in (SubpageState.EXCLUSIVE, SubpageState.ATOMIC):
-                entry.owner = c
-                entry.atomic = st is SubpageState.ATOMIC
-        entry.created = created
-        return directory
-
-    # ------------------------------------------------------------------
-    # Enabled actions
-    # ------------------------------------------------------------------
-
     def enabled(self, state: ModelState) -> list[Action]:
-        """Actions with an observable effect in ``state``.
+        """Actions a program may issue with an observable effect.
 
         Identity transitions (local cache hits, re-locking an already
         atomic subpage) and blocked requests (another cell holds the
         subpage atomic — the hardware retries, so no state change) are
         omitted: they never change the reachable set.
         """
-        created, copies = state
-        cells = _Cells(copies)
-        owner = cells.owner()
-        atomic = owner is not None and cells.states[owner] is SubpageState.ATOMIC
+        _created, copies = state
+        owner = _owner(copies)
+        atomic = owner is not None and copies[owner][0] is SubpageState.ATOMIC
         actions: list[Action] = []
-        for c in range(self.n_cells):
-            st = cells.states[c]
+        for c, (st, _fresh) in enumerate(copies):
             blocked = atomic and owner != c
             if not blocked and (st is None or not st.valid):
                 actions.append(("read", c))
@@ -191,149 +154,107 @@ class CoherenceModel:
         return actions
 
     def apply(self, state: ModelState, action: Action) -> ModelState:
-        """Apply ``action``, verify the invariants, return the new state.
+        """Run ``action`` from ``state`` on the real protocol, verify the
+        invariants, return the successor.
 
-        Raises :class:`InvariantViolation` (or lets the directory's own
-        :class:`~repro.errors.ProtocolError` escape) when the transition
-        breaks the protocol rules.
+        Raises :class:`InvariantViolation` or the protocol's own
+        :class:`~repro.errors.ProtocolError` when the transition breaks
+        the protocol rules.
         """
-        kind, cell_id = action
-        created, copies = state
-        cells = _Cells(copies)
-        directory = self._directory_for(created, cells)
-        handler = getattr(self, f"_do_{kind}")
-        created = handler(directory, cells, cell_id, created)
-        self.check_state(directory, cells)
-        return (created, cells.snapshot())
+        key = (state, action)
+        outcome = self._successors.get(key)
+        if outcome is None:
+            outcome = self._successors[key] = self._replay(state, action)
+        if isinstance(outcome, ReproError):
+            raise outcome.with_traceback(None)
+        self._paths.setdefault(outcome, self._paths[state] + (action,))
+        return outcome
 
-    # ------------------------------------------------------------------
-    # Transitions (each mirrors the protocol.py call sequence)
-    # ------------------------------------------------------------------
+    def _replay(self, state: ModelState, action: Action) -> Union[ModelState, ReproError]:
+        path = self._paths.get(state)
+        if path is None:
+            raise ConfigError(f"state {state} was not reached by this model")
+        try:
+            return self.walk(path + (action,))[-1]
+        except (InvariantViolation, ProtocolError) as exc:
+            return exc
 
-    def _do_read(self, d: Directory, cells: _Cells, c: int, created: bool) -> bool:
-        entry = d.entry(SUBPAGE)
-        if not entry.has_valid_copy and not entry.created:
-            # COMA cold first touch: allocate locally, straight to EXCLUSIVE.
-            cells.set_state(c, SubpageState.EXCLUSIVE, fresh=True)
-            d.record_fill_exclusive(SUBPAGE, c)
-            return True
-        owner = cells.owner()
-        if owner is not None and owner != c:
-            # acquire_shared demotes the responding owner to SHARED.
-            cells.set_state(owner, SubpageState.SHARED, fresh=cells.fresh[owner])
-            d.demote_owner(SUBPAGE)
-        cells.set_state(c, SubpageState.SHARED, fresh=True)
-        d.record_fill_shared(SUBPAGE, c)
-        self._snarf_placeholders(d, cells)
-        return True
+    def walk(self, path: tuple[Action, ...]) -> list[ModelState]:
+        """Replay ``path`` on a fresh machine; the state after each action.
 
-    def _do_write(self, d: Directory, cells: _Cells, c: int, created: bool) -> bool:
-        entry = d.entry(SUBPAGE)
-        if not entry.has_valid_copy and not entry.placeholders and not entry.created:
-            cells.set_state(c, SubpageState.EXCLUSIVE, fresh=True)
-            d.record_fill_exclusive(SUBPAGE, c)
-            return True
-        self._invalidate_others(d, cells, c)
-        cells.set_state(c, SubpageState.EXCLUSIVE, fresh=True)
-        d.record_fill_exclusive(SUBPAGE, c)
-        cells.stale_others(c)
-        return True
-
-    def _do_gsp(self, d: Directory, cells: _Cells, c: int, created: bool) -> bool:
-        entry = d.entry(SUBPAGE)
-        if entry.owner == c:
-            # Upgrade the held EXCLUSIVE copy in place.
-            d.set_atomic(SUBPAGE, c, True)
-            cells.set_state(c, SubpageState.ATOMIC, fresh=cells.fresh[c])
-            return created
-        if not entry.has_valid_copy and not entry.placeholders and not entry.created:
-            cells.set_state(c, SubpageState.EXCLUSIVE, fresh=True)
-        else:
-            self._invalidate_others(d, cells, c)
-            cells.set_state(c, SubpageState.EXCLUSIVE, fresh=True)
-            cells.stale_others(c)
-        # The combined fill-and-lock is EXCLUSIVE then ATOMIC: the cell
-        # first obtains the only valid copy, then the lock bit.
-        cells.set_state(c, SubpageState.ATOMIC, fresh=True)
-        d.record_fill_exclusive(SUBPAGE, c, atomic=True)
-        return True
-
-    def _do_rsp(self, d: Directory, cells: _Cells, c: int, created: bool) -> bool:
-        entry = d.entry(SUBPAGE)
-        if entry.owner != c or not entry.atomic:
-            raise InvariantViolation(
-                f"cell {c} releasing subpage it does not hold atomic"
-            )
-        d.set_atomic(SUBPAGE, c, False)
-        cells.set_state(c, SubpageState.EXCLUSIVE, fresh=cells.fresh[c])
-        return created
-
-    def _do_poststore(self, d: Directory, cells: _Cells, c: int, created: bool) -> bool:
-        entry = d.entry(SUBPAGE)
-        if entry.owner != c or entry.atomic:
-            raise InvariantViolation(
-                f"poststore by cell {c} without non-atomic ownership"
-            )
-        cells.set_state(c, SubpageState.SHARED, fresh=cells.fresh[c])
-        d.demote_owner(SUBPAGE)
-        self._snarf_placeholders(d, cells)
-        return created
-
-    def _do_evict(self, d: Directory, cells: _Cells, c: int, created: bool) -> bool:
-        if cells.states[c] is SubpageState.ATOMIC:
-            raise InvariantViolation(f"random replacement evicted atomic copy of cell {c}")
-        d.drop_copy(SUBPAGE, c)
-        cells.drop(c)
-        return created
-
-    # ------------------------------------------------------------------
-    # Overridable primitives (broken in tests to prove the checker bites)
-    # ------------------------------------------------------------------
-
-    def _invalidate_others(self, d: Directory, cells: _Cells, keep_cell: int) -> None:
-        """Every other valid copy becomes a stale place-holder."""
-        losers = d.invalidate_others(SUBPAGE, keep_cell)
-        for loser in losers:
-            cells.set_state(loser, SubpageState.INVALID, fresh=False)
-
-    def _snarf_placeholders(self, d: Directory, cells: _Cells) -> None:
-        """Place-holders revalidate from the passing response packet.
-
-        Mirrors ``CoherenceProtocol._snarf_placeholders`` including its
-        guard: with an exclusive owner present the circulating packet
-        may be stale and must not revive anybody.
+        Every step is checked (legal per-cell moves, the invariants);
+        the first that breaks a rule raises :class:`InvariantViolation`
+        or the protocol's :class:`~repro.errors.ProtocolError`.
         """
-        entry = d.entry(SUBPAGE)
-        if entry.owner is not None:
-            return
-        for holder in sorted(entry.placeholders):
-            cells.set_state(holder, SubpageState.SHARED, fresh=True)
-        entry.sharer_mask |= entry.placeholder_mask
-        entry.placeholder_mask = 0
-        entry.check()
+        machine, addrs = schedule_machine(self.n_cells, 1)
+        subpage_id = subpage_of(addrs[0])
+        state = self.initial()
+        states: list[ModelState] = []
+        for index, action in enumerate(path):
+            kind, cell = action
+            try:
+                if kind == "evict":
+                    machine.protocol.evict(machine.cells[cell], subpage_id)
+                else:
+                    run_step(machine, addrs, index, (kind, cell, 0, index + 1))
+            except SimulationError as exc:
+                raise InvariantViolation(f"{kind}({cell}) did not complete: {exc}") from None
+            state = self._abstract(machine, subpage_id, state, action)
+            self.check_state(machine, subpage_id, state)
+            states.append(state)
+        return states
+
+    def _abstract(
+        self, machine: KsrMachine, subpage_id: int, state: ModelState, action: Action
+    ) -> ModelState:
+        """The machine's subpage as a :data:`ModelState`, each per-cell
+        change checked against the legal-transition relation."""
+        kind, actor = action
+        _created, before = state
+        stales = kind in ("write", "gsp") and before[actor][0] not in _OWNED
+        copies: list[CellCopy] = []
+        for c, (old, fresh) in enumerate(before):
+            new = machine.cells[c].local_cache.state_of(subpage_id)
+            if new is not None and new is not old:
+                via = SubpageState.EXCLUSIVE
+                moves = (
+                    ((old, via), (via, new))
+                    if c == actor and kind == "gsp" and new is SubpageState.ATOMIC
+                    else ((old, new),)
+                )
+                for a, b in moves:
+                    if not legal_transition(a, b):
+                        raise InvariantViolation(
+                            f"illegal per-cell transition {a} -> {b} on cell {c}"
+                        )
+            if new is None or (new.valid and (old is None or old is SubpageState.INVALID)):
+                fresh = True
+            elif stales and c != actor:
+                fresh = False
+            copies.append((new, fresh))
+        created = machine.protocol.directory.entry(subpage_id).created
+        return (created, tuple(copies))
 
     # ------------------------------------------------------------------
     # Invariants
     # ------------------------------------------------------------------
 
-    def check_state(self, d: Directory, cells: _Cells) -> None:
-        """Raise :class:`InvariantViolation` unless all invariants hold."""
-        entry = d.entry(SUBPAGE)
-        entry.check()
-        owners = [
-            c
-            for c, st in enumerate(cells.states)
-            if st in (SubpageState.EXCLUSIVE, SubpageState.ATOMIC)
-        ]
+    def check_state(self, machine: KsrMachine, subpage_id: int, state: ModelState) -> None:
+        """Raise :class:`InvariantViolation` unless all invariants hold
+        on ``machine``'s directory and caches (abstracted as ``state``)."""
+        directory = machine.protocol.directory
+        directory.entry(subpage_id).check()
+        _created, copies = state
+        owners = [c for c, (st, _fresh) in enumerate(copies) if st in _OWNED]
         if len(owners) > 1:
             raise InvariantViolation(f"multiple exclusive owners: {owners}")
-        for c, st in enumerate(cells.states):
-            dir_view = d.state_in(SUBPAGE, c)
+        for c, (st, fresh) in enumerate(copies):
+            dir_view = directory.state_in(subpage_id, c)
             if dir_view != st:
                 raise InvariantViolation(
                     f"directory says cell {c} is {dir_view}, cache says {st}"
                 )
-            if st is not None and st.valid and not cells.fresh[c]:
+            if st is not None and st.valid and not fresh:
                 raise InvariantViolation(
                     f"cell {c} holds a valid but stale copy ({st.name})"
                 )
@@ -392,7 +313,7 @@ class ModelCheckResult:
 
 
 class ModelChecker:
-    """BFS over the abstract protocol model's reachable state space."""
+    """BFS over the protocol's reachable abstract state space."""
 
     #: Safety valve against a broken model exploding the state space.
     MAX_STATES = 200_000
@@ -432,7 +353,7 @@ class ModelChecker:
                     if len(parents) > self.MAX_STATES:
                         raise ConfigError(
                             f"state space exceeded {self.MAX_STATES} states; "
-                            "the abstract model is broken"
+                            "the protocol relation is broken"
                         )
         non_drainable = self._non_drainable(edges)
         for stuck in non_drainable:
@@ -488,7 +409,7 @@ class ModelChecker:
                 if len(seen) > self.MAX_STATES:
                     raise ConfigError(
                         f"drain search exceeded {self.MAX_STATES} states; "
-                        "the abstract model is broken"
+                        "the protocol relation is broken"
                     )
         raise InvariantViolation(
             f"state {state} cannot drain to quiescence: no enabled action "
@@ -526,5 +447,5 @@ class ModelChecker:
 
 
 def check_protocol(n_cells: int) -> ModelCheckResult:
-    """Convenience wrapper: explore the stock model for ``n_cells``."""
+    """Convenience wrapper: explore the stock protocol for ``n_cells``."""
     return ModelChecker(n_cells).run()

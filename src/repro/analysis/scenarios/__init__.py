@@ -7,10 +7,11 @@ classes, and execute one representative per class on the real
 simulator with a differential oracle.  See the submodules:
 
 * :mod:`.model` — product model whose per-subpage relation is the
-  KSR113-certified extraction of ``coherence/protocol.py``;
+  real protocol's (:class:`~repro.analysis.modelcheck.CoherenceModel`);
 * :mod:`.explore` — symmetry-reduced BFS enumeration into classes;
 * :mod:`.oracle` — lowering (with quiescence-drain suffix) and the
-  model-vs-simulator differential comparison;
+  differential comparison of the one-subpage product against real
+  multi-subpage runs;
 * :mod:`.corpus` — sweep-runner fan-out, pinned manifest, CI check.
 """
 
@@ -23,7 +24,7 @@ from repro.analysis.scenarios.corpus import (
     build_manifest,
     check_manifest,
     corpus_document,
-    execute_scenario,
+    execute_scenarios,
     load_manifest,
     run_corpus,
     sample_classes,
@@ -37,7 +38,6 @@ from repro.analysis.scenarios.model import (
     Step,
     behaviour_key,
     canonicalize,
-    certify_extraction,
     is_canonical,
     run_model,
 )
@@ -66,11 +66,10 @@ __all__ = [
     "canonicalize",
     "is_canonical",
     "behaviour_key",
-    "certify_extraction",
     "enumerate_classes",
     "lower_schedule",
     "differential_run",
-    "execute_scenario",
+    "execute_scenarios",
     "run_corpus",
     "sample_classes",
     "build_manifest",

@@ -5,9 +5,11 @@ n_subpages, depth)`` triple.  This module turns a grid of configs into
 an executable corpus:
 
 * :func:`run_corpus` fans the differential runs out through
-  :class:`repro.experiments.sweep.SweepRunner` — the point function is
-  pure (schedule + config + seed determine the outcome), so corpus
-  execution parallelizes and caches exactly like any paper sweep.  The
+  :class:`repro.experiments.sweep.SweepRunner`, one point per batch of
+  up to :data:`BATCH` class representatives of one config.  The point
+  function is pure (schedules + config + seed determine the outcome),
+  so corpus execution parallelizes and caches exactly like any paper
+  sweep, and a batch shares one model's relation memo.  The
   scenario :data:`~repro.analysis.scenarios.model.MODEL_VERSION` rides
   in every point's kwargs (and in ``code_version()``), so a model
   change can never replay stale verdicts.
@@ -40,7 +42,7 @@ __all__ = [
     "HAND_WRITTEN_GRID_POINTS",
     "CorpusRun",
     "CheckReport",
-    "execute_scenario",
+    "execute_scenarios",
     "run_corpus",
     "sample_classes",
     "build_manifest",
@@ -68,20 +70,26 @@ DEFAULT_GRID: tuple[tuple[int, int, int], ...] = (
 #: and the four default-skew baselines (tests/coherence/test_litmus.py).
 HAND_WRITTEN_GRID_POINTS = 9 + 81 + 4
 
+#: Class representatives one sweep point runs (see :func:`execute_scenarios`).
+BATCH = 256
 
-def execute_scenario(
+
+def execute_scenarios(
     *,
-    schedule: tuple,
+    schedules: tuple,
     n_cells: int,
     n_subpages: int,
     seed: int,
     model_version: str,
-) -> dict[str, Any]:
-    """Sweep point function: one differential run, plain-data verdict.
+) -> list[dict[str, Any]]:
+    """Sweep point function: one differential run per schedule of a
+    batch from one config, each verdict plain data.
 
-    Module-level and pure so :class:`SweepRunner` can pickle it to
-    worker processes and cache its result; ``model_version`` is part of
-    the signature purely to key the cache.
+    The batch shares one :class:`ScenarioModel`, so each protocol
+    transition it needs is replayed on a machine once per point, not
+    once per schedule.  Module-level and pure so :class:`SweepRunner`
+    can pickle it to worker processes and cache its result;
+    ``model_version`` is part of the signature purely to key the cache.
     """
     if model_version != MODEL_VERSION:
         raise ConfigError(
@@ -89,13 +97,18 @@ def execute_scenario(
             f"running model {MODEL_VERSION}"
         )
     model = ScenarioModel(n_cells, n_subpages)
-    result = differential_run(tuple(tuple(s) for s in schedule), model=model, seed=seed)
-    return {
-        "ok": result.ok,
-        "schedule": [list(s) for s in result.schedule],
-        "lowered": [list(s) for s in result.lowered],
-        "divergences": [[d.kind, d.message] for d in result.divergences],
-    }
+    verdicts = []
+    for schedule in schedules:
+        result = differential_run(tuple(tuple(s) for s in schedule), model=model, seed=seed)
+        verdicts.append(
+            {
+                "ok": result.ok,
+                "schedule": [list(s) for s in result.schedule],
+                "lowered": [list(s) for s in result.lowered],
+                "divergences": [[d.kind, d.message] for d in result.divergences],
+            }
+        )
+    return verdicts
 
 
 @dataclass(frozen=True)
@@ -131,19 +144,21 @@ def run_corpus(
     owners: list[tuple[tuple[int, int, int], str]] = []
     for enum in enumerations:
         config = (enum.n_cells, enum.n_subpages, enum.depth)
-        for cls in classes_for(enum) if classes_for is not None else enum.classes:
+        classes = list(classes_for(enum) if classes_for is not None else enum.classes)
+        for start in range(0, len(classes), BATCH):
+            batch = classes[start : start + BATCH]
             calls.append(
                 {
-                    "schedule": cls.schedule,
+                    "schedules": tuple(cls.schedule for cls in batch),
                     "n_cells": enum.n_cells,
                     "n_subpages": enum.n_subpages,
                     "seed": seed,
                     "model_version": MODEL_VERSION,
                 }
             )
-            owners.append((config, cls.key))
+            owners.extend((config, cls.key) for cls in batch)
     with SweepRunner(jobs=jobs, cache=cache) as runner:
-        results = runner.map(execute_scenario, calls)
+        results = [v for batch in runner.map(execute_scenarios, calls) for v in batch]
     failures = tuple(
         (config, key, verdict)
         for (config, key), verdict in zip(owners, results)

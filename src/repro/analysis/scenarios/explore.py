@@ -73,9 +73,9 @@ def enumerate_classes(
 ) -> Enumeration:
     """Walk every canonical schedule of length ``<= depth``.
 
-    Broken ``cell_model`` subclasses (mutation tests) may make a step
-    raise on application; such branches are pruned rather than fatal —
-    the mutant's reachable behaviour is still fully enumerated.
+    A mutated protocol (mutation tests) may make a step raise on
+    application; such branches are pruned rather than fatal — the
+    mutant's reachable behaviour is still fully enumerated.
     """
     if depth < 1:
         raise ConfigError(f"depth must be >= 1, got {depth}")

@@ -2,24 +2,22 @@
 
 A *scenario* is a bounded global interleaving of protocol operations
 over a few cells and subpages.  This module gives those interleavings
-semantics without running the simulator: a :class:`ScenarioModel` is
-the product of one :class:`~repro.analysis.modelcheck.CoherenceModel`
-per subpage (subpages are independent in the protocol — the directory,
-locking and snarfing are all per-subpage) plus *data* semantics: every
-write deposits a distinct value (its global step index + 1), so read
+semantics: a :class:`ScenarioModel` is the product of one
+:class:`~repro.analysis.modelcheck.CoherenceModel` per subpage
+(subpages are independent in the protocol — the directory, locking and
+snarfing are all per-subpage) plus *data* semantics: every write
+deposits a distinct value (its global step index + 1), so read
 observations reveal exactly which write each copy reflects.
 
-The per-subpage transition relation is the one **extracted from**
-``coherence/protocol.py``, not re-implemented beside it: the KSR113
-conformance pass (:mod:`repro.analysis.flow.conformance`) symbolically
-interprets the protocol source and diffs it, valuation by valuation,
-against the very :class:`CoherenceModel` instance used here.
-:func:`certify_extraction` runs that gate; the scenarios CLI pass and
-the corpus check refuse to trust the model while the gate reports
-divergence.  The action vocabulary is likewise shared:
-:data:`~repro.analysis.flow.conformance.OPS` (``evict`` is a
+The per-subpage relation is the real protocol's:
+:class:`~repro.analysis.modelcheck.CoherenceModel` runs each action on
+a one-subpage machine and abstracts the result.  What the differential
+oracle then checks against real multi-subpage runs is the product
+(subpages really are independent) and the data spec (a read returns
+the last write).  The action vocabulary is the simulator's
+:data:`~repro.coherence.litmus.SCHEDULE_OPS` (``evict`` is a
 capacity-replacement artifact with no program-visible trigger and is
-excluded from schedules, exactly as it is excluded from KSR113).
+excluded from schedules).
 
 Everything here is deterministic and hashable, so behaviour keys are
 stable across processes and can key the sweep result cache.
@@ -32,13 +30,13 @@ from dataclasses import dataclass
 from typing import Any, Optional
 
 from repro.analysis import MODEL_VERSION
-from repro.analysis.flow.conformance import OPS
 from repro.analysis.modelcheck import (
     CoherenceModel,
     InvariantViolation,
     ModelChecker,
     ModelState,
 )
+from repro.coherence.litmus import SCHEDULE_OPS
 from repro.errors import ConfigError, ProtocolError
 
 __all__ = [
@@ -51,11 +49,10 @@ __all__ = [
     "canonicalize",
     "is_canonical",
     "behaviour_key",
-    "certify_extraction",
 ]
 
-#: One scenario step: ``(op, cell, subpage)`` with ``op`` drawn from
-#: the KSR113-shared vocabulary :data:`OPS`.
+#: One scenario step: ``(op, cell, subpage)`` with ``op`` in
+#: :data:`~repro.coherence.litmus.SCHEDULE_OPS`.
 Step = tuple[str, int, int]
 
 #: Product state: one abstract per-subpage state per subpage.
@@ -88,30 +85,25 @@ class Prediction:
 
 
 class ScenarioModel:
-    """Product of per-subpage abstract protocol models, plus data.
+    """Product of per-subpage protocol relations, plus data.
 
-    The per-subpage relation is delegated to ``cell_model`` (the stock
-    :class:`CoherenceModel` unless a test injects a broken subclass);
-    the data primitives :meth:`write_value` and :meth:`read_value` are
-    separate methods so mutation tests can damage the observation
-    channel without touching the state relation.
+    The per-subpage relation is the model's own :class:`CoherenceModel`
+    (so its memo lives as long as this model); the data primitives
+    :meth:`write_value` and :meth:`read_value` are separate methods so
+    mutation tests can damage the observation channel without touching
+    the state relation.
     """
 
-    def __init__(
-        self,
-        n_cells: int,
-        n_subpages: int,
-        cell_model: Optional[CoherenceModel] = None,
-    ):
+    def __init__(self, n_cells: int, n_subpages: int):
         if n_subpages < 1:
             raise ConfigError(f"need at least 1 subpage, got {n_subpages}")
-        self.cell_model = cell_model if cell_model is not None else CoherenceModel(n_cells)
-        self.n_cells = self.cell_model.n_cells
+        self.cell_model = CoherenceModel(n_cells)
+        self.n_cells = n_cells
         self.n_subpages = n_subpages
         self._checker = ModelChecker(self.n_cells, model=self.cell_model)
 
     # ------------------------------------------------------------------
-    # Transition relation (product of the extracted per-subpage model)
+    # Transition relation (product of the per-subpage protocol relation)
     # ------------------------------------------------------------------
 
     def initial(self) -> ProductState:
@@ -123,9 +115,9 @@ class ScenarioModel:
         steps: list[Step] = []
         for sp, sub in enumerate(state):
             for op, cell in self.cell_model.enabled(sub):
-                if op in OPS:
+                if op in SCHEDULE_OPS:
                     steps.append((op, cell, sp))
-        steps.sort(key=lambda s: (s[2], s[1], OPS.index(s[0])))
+        steps.sort(key=lambda s: (s[2], s[1], SCHEDULE_OPS.index(s[0])))
         return steps
 
     def apply(self, state: ProductState, step: Step) -> ProductState:
@@ -150,7 +142,7 @@ class ScenarioModel:
         suffix: list[Step] = []
         for sp, sub in enumerate(state):
             for op, cell in self._checker.drain_path(sub):
-                if op not in OPS:
+                if op not in SCHEDULE_OPS:
                     raise InvariantViolation(
                         f"drain path for subpage {sp} uses non-lowerable op {op!r}"
                     )
@@ -294,28 +286,3 @@ def behaviour_key(model: ScenarioModel, steps: tuple[Step, ...]) -> str:
         elif op == "read":
             observations.append((index, model.read_value(memory[sp])))
     return _digest(model, tuple(observations), state, tuple(memory))
-
-
-# ----------------------------------------------------------------------
-# Extraction certificate (KSR113 reuse)
-# ----------------------------------------------------------------------
-
-_certified: dict[int, tuple[list, dict[str, Any]]] = {}
-
-
-def certify_extraction(n_cells: int = 3) -> tuple[list, dict[str, Any]]:
-    """Run the KSR113 code-vs-model conformance gate, memoized.
-
-    Returns the ``(findings, stats)`` of
-    :func:`repro.analysis.flow.conformance.conformance_findings`.  An
-    empty findings list certifies that the :class:`CoherenceModel`
-    transition relation under this package *is* the one symbolically
-    extracted from ``coherence/protocol.py`` — the scenarios pass and
-    the corpus checker require that certificate before trusting any
-    enumeration.
-    """
-    if n_cells not in _certified:
-        from repro.analysis.flow.conformance import conformance_findings
-
-        _certified[n_cells] = conformance_findings(n_cells=n_cells)
-    return _certified[n_cells]

@@ -1,4 +1,4 @@
-"""Lowering and the differential model-vs-simulator oracle.
+"""Lowering and the differential oracle.
 
 Each behaviour-class representative (an abstract schedule of ``(op,
 cell, subpage)`` steps) is lowered to a concrete run: one subpage-
@@ -22,8 +22,12 @@ The oracle then compares, channel by channel:
 * subpage ``created`` flags and final memory values;
 * quiescence of the final state.
 
-Any mismatch is a protocol-vs-model bug with a replayable trace: the
-lowered schedule plus the seed reproduces it deterministically.
+The per-subpage relation is the real protocol's, run on a one-subpage
+machine, so what the oracle checks is the product — subpages sharing
+one machine stay independent — and the data spec: each read returns
+the last write to its subpage.  Any mismatch is a bug with a
+replayable trace: the lowered schedule plus the seed reproduces it
+deterministically.
 """
 
 from __future__ import annotations

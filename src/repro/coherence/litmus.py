@@ -47,6 +47,8 @@ __all__ = [
     "ScheduleOutcome",
     "run_litmus",
     "run_schedule",
+    "run_step",
+    "schedule_machine",
     "run_sb",
     "run_mp",
     "run_lb",
@@ -314,6 +316,40 @@ def _single_step_body(op_kind: str, addr: int, value: Any, sink: list):
     return body()
 
 
+def schedule_machine(
+    n_cells: int, n_vars: int, *, seed: int = 1
+) -> tuple[KsrMachine, list[int]]:
+    """A fresh machine for :func:`run_step`, and one subpage-aligned
+    word per schedule variable."""
+    machine, mem = _machine(n_cells, seed)
+    return machine, [mem.alloc_word() for _ in range(n_vars)]
+
+
+def run_step(
+    machine: KsrMachine,
+    addrs: Sequence[int],
+    index: int,
+    step: tuple,
+    *,
+    step_max_events: int = 50_000,
+) -> Any:
+    """Run schedule step ``index`` to quiescence; the value it read.
+
+    ``step`` is ``(op, cell, var)`` — writes ``(op, cell, var,
+    value)`` — with ``op`` in :data:`SCHEDULE_OPS`.  Raises
+    :class:`~repro.errors.DeadlockError` or
+    :class:`~repro.errors.SimulationError` when the step cannot finish
+    within ``step_max_events`` events.
+    """
+    op_kind, cell = step[0], step[1]
+    value = step[3] if op_kind == "write" else None
+    sink: list = []
+    body = _single_step_body(op_kind, addrs[step[2]], value, sink)
+    machine.spawn(f"step{index}-{op_kind}", body, cell)
+    machine.run(max_events=step_max_events)
+    return sink[0] if sink else None
+
+
 def run_schedule(
     steps: Sequence[tuple],
     *,
@@ -324,8 +360,7 @@ def run_schedule(
 ) -> ScheduleOutcome:
     """Execute a global step sequence, one step at a time.
 
-    Each step is ``(op, cell, var)`` — writes ``(op, cell, var, value)``
-    — with ``op`` in :data:`SCHEDULE_OPS`.  The machine runs to
+    Each step runs through :func:`run_step`, and the machine runs to
     quiescence between steps, so the schedule *is* the interleaving:
     this is the concrete realization of one abstract-model action
     sequence, and the only execution mode the differential oracle in
@@ -336,25 +371,19 @@ def run_schedule(
     ``completed=False`` with the step index in ``diagnostics`` — never
     an exception, so divergence handling stays in the oracle.
     """
-    machine, mem = _machine(n_cells, seed)
-    addrs = [mem.alloc_word() for _ in range(n_vars)]
+    machine, addrs = schedule_machine(n_cells, n_vars, seed=seed)
     observations: list[tuple[int, Any]] = []
     completed = True
     diagnostics = ""
     for index, step in enumerate(steps):
-        op_kind, cell = step[0], step[1]
-        addr = addrs[step[2]]
-        value = step[3] if op_kind == "write" else None
-        sink: list = []
         try:
-            machine.spawn(f"step{index}-{op_kind}", _single_step_body(op_kind, addr, value, sink), cell)
-            machine.run(max_events=step_max_events)
+            observed = run_step(machine, addrs, index, step, step_max_events=step_max_events)
         except (DeadlockError, SimulationError) as exc:
             completed = False
             diagnostics = f"step {index} {step!r}: {exc}"
             break
-        if op_kind == "read":
-            observations.append((index, sink[0]))
+        if step[0] == "read":
+            observations.append((index, observed))
     directory = machine.protocol.directory
     subpages = [subpage_of(a) for a in addrs]
     dir_states = tuple(

@@ -372,21 +372,28 @@ class CoherenceProtocol:
                 if demand:
                     cell.pending_page_alloc = True
             for evicted in fill.evicted_subpages:
-                if evicted == subpage_id:
-                    continue
-                ev_entry = self.directory.entry(evicted)
-                if ev_entry.atomic and ev_entry.owner == cell_id:
-                    raise ProtocolError(
-                        f"random replacement evicted atomic subpage {evicted}"
-                    )
-                self.directory.drop_copy(evicted, cell_id)
-                cell.subcache.drop_subpage(evicted)
+                if evicted != subpage_id:
+                    self.evict(cell, evicted)
         if state is SubpageState.SHARED:
             self.directory.record_fill_shared(subpage_id, cell_id, entry=entry)
         else:
             self.directory.record_fill_exclusive(
                 subpage_id, cell_id, atomic=atomic, entry=entry
             )
+
+    def evict(self, cell: "Cell", subpage_id: int) -> None:
+        """Random page replacement removed ``cell``'s copy of the subpage.
+
+        Drops the local-cache copy (already gone when the replacement
+        came from :meth:`_fill`), the directory's record of it and any
+        sub-cache blocks.  An atomic copy is never a legal victim.
+        """
+        entry = self.directory.entry(subpage_id)
+        if entry.atomic and entry.owner == cell.cell_id:
+            raise ProtocolError(f"random replacement evicted atomic subpage {subpage_id}")
+        cell.local_cache.drop(subpage_id)
+        self.directory.drop_copy(subpage_id, cell.cell_id)
+        cell.subcache.drop_subpage(subpage_id)
 
     # ------------------------------------------------------------------
     # get_subpage / release_subpage

@@ -14,7 +14,7 @@ def _flow(**sources: str):
         name.replace("__", "/") + ".py": textwrap.dedent(src)
         for name, src in sources.items()
     }
-    report = run_flow(sources=relabelled, conformance=False)
+    report = run_flow(sources=relabelled)
     return report.findings
 
 

@@ -19,7 +19,7 @@ from repro.analysis.flow.rules import lint_findings
 
 def _lint(source: str, relpath: str = "sim/engine.py") -> list[Finding]:
     sources = {relpath: textwrap.dedent(source)}
-    return run_flow(sources=sources, conformance=False).findings
+    return run_flow(sources=sources).findings
 
 
 def _codes(violations: list[Finding]) -> list[str]:

@@ -1,19 +1,27 @@
-"""Exhaustive protocol model checking: clean models pass, broken ones
-are caught."""
+"""Exhaustive protocol model checking: the real protocol passes,
+mutated ones are caught, and the abstraction is a function."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.analysis.modelcheck import (
-    SUBPAGE,
+    ACTIONS,
     CoherenceModel,
     InvariantViolation,
     ModelChecker,
     check_protocol,
 )
 from repro.coherence.states import SubpageState
-from repro.errors import ConfigError
+from repro.errors import ConfigError, ProtocolError
+from tests.analysis.test_protocol_mutation import LEDGER, mutate_protocol
+
+_MUTANTS = {m.id: m for m in LEDGER}
+
+
+def _mutate(monkeypatch, mutant_id: str) -> None:
+    m = _MUTANTS[mutant_id]
+    mutate_protocol(monkeypatch, m.method, m.old, m.new)
 
 
 class TestCleanModel:
@@ -31,10 +39,28 @@ class TestCleanModel:
         # The 2-cell abstraction is small enough to pin down: regressing
         # this number means the transition relation changed shape.
         result = check_protocol(2)
-        assert result.n_states == 15
+        assert (result.n_states, result.n_transitions) == (15, 76)
+
+    @pytest.mark.parametrize("n_cells,n_states,n_transitions", [(3, 39, 288), (4, 95, 912)])
+    def test_state_and_transition_counts_are_pinned(self, n_cells, n_states, n_transitions):
+        result = check_protocol(n_cells)
+        assert (result.n_states, result.n_transitions) == (n_states, n_transitions)
 
     def test_three_cells_reach_more_states_than_two(self):
         assert check_protocol(3).n_states > check_protocol(2).n_states
+
+    def test_every_action_kind_is_enabled_somewhere(self):
+        model = CoherenceModel(2)
+        seen, frontier, kinds = set(), [model.initial()], set()
+        while frontier:
+            state = frontier.pop()
+            if state in seen:
+                continue
+            seen.add(state)
+            for action in model.enabled(state):
+                kinds.add(action[0])
+                frontier.append(model.apply(state, action))
+        assert kinds == set(ACTIONS)
 
     def test_atomic_states_are_reachable_and_drain(self):
         # sanity: the exploration actually visits ATOMIC configurations
@@ -79,7 +105,7 @@ class TestTransitionSemantics:
         model = CoherenceModel(2)
         s = model.apply(model.initial(), ("gsp", 0))
         assert ("evict", 0) not in model.enabled(s)
-        with pytest.raises(InvariantViolation):
+        with pytest.raises(ProtocolError, match="evicted atomic"):
             model.apply(s, ("evict", 0))
 
     def test_blocked_cells_have_no_enabled_accesses(self):
@@ -89,63 +115,25 @@ class TestTransitionSemantics:
         assert all(c != 1 for _, c in enabled)
 
 
-class _SkipsInvalidation(CoherenceModel):
-    """Broken: a write leaves other valid copies untouched."""
-
-    def _invalidate_others(self, d, cells, keep_cell):
-        pass
-
-
-class _SnarfsPastOwner(CoherenceModel):
-    """Broken: place-holders revalidate even while an exclusive owner
-    exists (the stale-packet hazard the real protocol guards against)."""
-
-    def _snarf_placeholders(self, d, cells):
-        entry = d.entry(SUBPAGE)
-        for holder in sorted(entry.placeholders):
-            cells.set_state(holder, SubpageState.SHARED, fresh=False)
-        entry.sharer_mask |= entry.placeholder_mask
-        entry.placeholder_mask = 0
-
-
-class _SingleStepAtomicFill(CoherenceModel):
-    """Broken: get_subpage installs ATOMIC directly from SHARED, a
-    transition the protocol's legal-transition relation forbids."""
-
-    def _do_gsp(self, d, cells, c, created):
-        entry = d.entry(SUBPAGE)
-        if entry.owner == c:
-            d.set_atomic(SUBPAGE, c, True)
-            cells.set_state(c, SubpageState.ATOMIC, fresh=cells.fresh[c])
-            return created
-        self._invalidate_others(d, cells, c)
-        cells.set_state(c, SubpageState.ATOMIC, fresh=True)
-        d.record_fill_exclusive(SUBPAGE, c, atomic=True)
-        return True
-
-
 class TestBrokenModelsAreCaught:
     @pytest.mark.parametrize(
-        "broken", [_SkipsInvalidation, _SnarfsPastOwner, _SingleStepAtomicFill]
+        "broken",
+        ["skip-invalidation", "never-releases", "drop-release-set_atomic",
+         "widen-exclusive-to-atomic"],
     )
-    def test_each_broken_primitive_yields_violations(self, broken):
-        result = ModelChecker(2, model=broken(2)).run()
+    def test_each_broken_primitive_yields_violations(self, broken, monkeypatch):
+        _mutate(monkeypatch, broken)
+        result = ModelChecker(2).run()
         assert not result.ok
         assert result.violations, result.summary()
         # every violation carries a replayable counterexample trace
         assert all(v.message for v in result.violations)
 
-    def test_skipped_invalidation_names_the_conflict(self):
-        result = ModelChecker(2, model=_SkipsInvalidation(2)).run()
+    def test_skipped_invalidation_names_the_conflict(self, monkeypatch):
+        _mutate(monkeypatch, "skip-invalidation")
+        result = ModelChecker(2).run()
         text = "\n".join(str(v) for v in result.violations)
         assert "sharers" in text or "stale" in text
-
-
-class _NeverReleases(CoherenceModel):
-    """Broken: release_subpage is disabled, so ATOMIC never drains."""
-
-    def enabled(self, state):
-        return [a for a in super().enabled(state) if a[0] != "rsp"]
 
 
 class TestDrainPath:
@@ -170,17 +158,49 @@ class TestDrainPath:
             state = model.apply(state, action)
         assert model.quiescent(state)
 
-    def test_wedged_state_raises_with_the_wedge_named(self):
-        checker = ModelChecker(2, model=_NeverReleases(2))
+    def test_wedged_state_raises_with_the_wedge_named(self, monkeypatch):
+        _mutate(monkeypatch, "rsp-is-a-noop")
+        checker = ModelChecker(2)
         state = checker.model.apply(checker.model.initial(), ("gsp", 0))
         with pytest.raises(InvariantViolation, match="cannot drain"):
             checker.drain_path(state)
 
-    def test_non_drainable_states_surface_as_violations_with_traces(self):
-        result = ModelChecker(2, model=_NeverReleases(2)).run()
+    def test_non_drainable_states_surface_as_violations_with_traces(self, monkeypatch):
+        _mutate(monkeypatch, "rsp-is-a-noop")
+        result = ModelChecker(2).run()
         assert result.non_drainable
         stuck = [v for v in result.violations if "no drain path" in v.message]
         assert len(stuck) == len(result.non_drainable)
         # the witness context is the path *into* the wedged state
         assert all(v.trace for v in stuck)
         assert all(v.action is None for v in stuck)
+
+
+class TestAbstractionIsAFunction:
+    """Successors are computed from one witness path per state; that is
+    sound only if every path into a state gives each action the same
+    abstract successor.  Replay every schedule to a bound and check."""
+
+    @pytest.mark.parametrize("n_cells,depth", [(2, 5), (3, 4)])
+    def test_every_path_gives_each_action_one_successor(self, n_cells, depth):
+        model = CoherenceModel(n_cells)
+        schedules = [((), model.initial())]
+        for _ in range(depth):
+            schedules = [
+                (path + (action,), model.apply(state, action))
+                for path, state in schedules
+                for action in model.enabled(state)
+            ]
+        first: dict = {}
+        for path, _state in schedules:
+            pre = model.initial()
+            for i, post in enumerate(model.walk(path)):
+                key = (pre, path[i])
+                seen, witness = first.setdefault(key, (post, path[: i + 1]))
+                assert seen == post, (
+                    f"{path[i]} from {pre} reaches {seen} via {witness} "
+                    f"but {post} via {path[: i + 1]}"
+                )
+                pre = post
+        for (pre, action), (post, _witness) in first.items():
+            assert model.apply(pre, action) == post

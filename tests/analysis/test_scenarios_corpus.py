@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.analysis.scenarios import corpus
 from repro.analysis.scenarios import (
     DEFAULT_GRID,
     DEFAULT_MANIFEST,
@@ -15,7 +16,7 @@ from repro.analysis.scenarios import (
     check_manifest,
     corpus_document,
     enumerate_classes,
-    execute_scenario,
+    execute_scenarios,
     load_manifest,
     run_corpus,
     sample_classes,
@@ -32,8 +33,8 @@ SMALL_GRID = ((2, 1, 3), (2, 2, 3))
 
 class TestExecuteScenario:
     def test_verdict_is_plain_data(self):
-        verdict = execute_scenario(
-            schedule=(("write", 0, 0), ("read", 1, 0)),
+        (verdict,) = execute_scenarios(
+            schedules=((("write", 0, 0), ("read", 1, 0)),),
             n_cells=2,
             n_subpages=1,
             seed=1,
@@ -46,8 +47,8 @@ class TestExecuteScenario:
 
     def test_model_version_mismatch_is_refused(self):
         with pytest.raises(ConfigError, match="model"):
-            execute_scenario(
-                schedule=(("read", 0, 0),),
+            execute_scenarios(
+                schedules=((("read", 0, 0),),),
                 n_cells=2,
                 n_subpages=1,
                 seed=1,
@@ -68,14 +69,17 @@ class TestRunCorpus:
         run = run_corpus([enum], classes_for=lambda e: list(e.classes[:5]))
         assert run.n_executed == 5
 
-    def test_cache_serves_the_second_run(self, tmp_path):
+    def test_cache_serves_the_second_run(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(corpus, "BATCH", 2)
         cache = ResultCache(tmp_path / "cache")
         enum = enumerate_classes(ScenarioModel(2, 1), 2)
         first = run_corpus([enum], cache=cache)
-        assert cache.hits == 0 and cache.misses == first.n_executed
+        n_points = -(-first.n_executed // 2)  # one point per batch of 2
+        assert first.n_executed == len(enum.classes) > 2
+        assert cache.hits == 0 and cache.misses == n_points
         second = run_corpus([enum], cache=cache)
         assert second == first
-        assert cache.hits == first.n_executed
+        assert cache.hits == n_points
 
 
 class TestSampling:

@@ -9,7 +9,6 @@ from repro.analysis.scenarios import (
     ScenarioModel,
     behaviour_key,
     canonicalize,
-    certify_extraction,
     enumerate_classes,
     is_canonical,
     run_model,
@@ -18,6 +17,9 @@ from repro.errors import ConfigError
 
 
 class TestScenarioModel:
+    def test_model_version_is_declared(self):
+        assert isinstance(MODEL_VERSION, str) and MODEL_VERSION
+
     def test_initial_is_pristine_per_subpage(self):
         m = ScenarioModel(2, 2)
         state = m.initial()
@@ -150,16 +152,3 @@ class TestEnumeration:
         one = enumerate_classes(ScenarioModel(2, 1), 3)
         two = enumerate_classes(ScenarioModel(2, 2), 3)
         assert len(two.classes) > len(one.classes)
-
-
-class TestExtractionCertificate:
-    def test_model_is_certified_against_protocol_source(self):
-        findings, stats = certify_extraction()
-        assert findings == []
-        assert stats["valuations_checked"] > 0
-
-    def test_certificate_is_memoized(self):
-        assert certify_extraction() is certify_extraction()
-
-    def test_model_version_is_declared(self):
-        assert isinstance(MODEL_VERSION, str) and MODEL_VERSION

@@ -1,18 +1,17 @@
-"""Broken-model mutation tests for the scenario differential oracle.
+"""Data-spec mutation test for the scenario differential oracle.
 
-Each mutant damages one guard/action of the abstract protocol model (or
-its data semantics) in a way that stays *internally consistent* — the
-mutant never crashes its own enumeration — and the differential oracle
-must catch it: at least one enumerated class representative, executed
-on the real simulator, lands outside the mutant's predicted behaviour
-class.  This is the scenario-level analogue of
-``tests/analysis/test_flow_mutation.py``.
+The per-subpage relation is the real protocol's, so protocol mutants
+live in the ledger (``tests/analysis/test_protocol_mutation.py``).
+What the oracle adds on top is the data spec — a read returns the last
+write to its subpage — and the product over subpages.  The mutant here
+damages the data channel of :class:`ScenarioModel` in a way that stays
+internally consistent, and the oracle must catch it: at least one
+enumerated class representative, executed on the real simulator, lands
+outside the mutant's predicted behaviour class.
 """
 
 import pytest
 
-from repro.analysis.modelcheck import SUBPAGE, CoherenceModel, InvariantViolation
-from repro.coherence.states import SubpageState
 from repro.analysis.scenarios import (
     ScenarioModel,
     differential_run,
@@ -23,83 +22,11 @@ N_CELLS = 3
 DEPTH = 3
 
 
-# ----------------------------------------------------------------------
-# The mutants.  Each overrides exactly one primitive of the stock
-# CoherenceModel (or one data primitive of ScenarioModel) and keeps the
-# result self-consistent, so enumeration proceeds and only the
-# simulator can expose the lie.
-# ----------------------------------------------------------------------
-
-
-class _ColdReadShared(CoherenceModel):
-    """COMA cold first touch fills SHARED instead of EXCLUSIVE."""
-
-    def _do_read(self, d, cells, c, created):
-        entry = d.entry(SUBPAGE)
-        if not entry.has_valid_copy and not entry.created:
-            cells.set_state(c, SubpageState.SHARED, fresh=True)
-            d.record_fill_shared(SUBPAGE, c)
-            return True
-        return super()._do_read(d, cells, c, created)
-
-
-class _GspLosesAtomic(CoherenceModel):
-    """get_subpage fetches the copy but forgets to take the lock bit."""
-
-    def _do_gsp(self, d, cells, c, created):
-        entry = d.entry(SUBPAGE)
-        if entry.owner == c:
-            return created  # "upgrade" that never sets atomic
-        if not entry.has_valid_copy and not entry.placeholders and not entry.created:
-            cells.set_state(c, SubpageState.EXCLUSIVE, fresh=True)
-        else:
-            self._invalidate_others(d, cells, c)
-            cells.set_state(c, SubpageState.EXCLUSIVE, fresh=True)
-            cells.stale_others(c)
-        d.record_fill_exclusive(SUBPAGE, c)
-        return True
-
-
-class _RspToShared(CoherenceModel):
-    """release_subpage demotes the owner all the way to SHARED."""
-
-    def _do_rsp(self, d, cells, c, created):
-        entry = d.entry(SUBPAGE)
-        if entry.owner != c or not entry.atomic:
-            raise InvariantViolation(
-                f"cell {c} releasing subpage it does not hold atomic"
-            )
-        d.set_atomic(SUBPAGE, c, False)
-        cells.set_state(c, SubpageState.SHARED, fresh=cells.fresh[c])
-        d.demote_owner(SUBPAGE)
-        return created
-
-
-class _RspKeepsAtomic(CoherenceModel):
-    """release_subpage is a no-op: the lock can never drain."""
-
-    def _do_rsp(self, d, cells, c, created):
-        return created
-
-
-class _NoSnarf(CoherenceModel):
-    """Read-snarfing disabled: place-holders never revalidate."""
-
-    def _snarf_placeholders(self, d, cells):
-        return
-
-
 class _StaleRead(ScenarioModel):
     """Data mutation: reads observe the previous memory value."""
 
     def read_value(self, memory_value):
         return memory_value - 1 if memory_value else 0
-
-
-def _scenario_model(cell_model_cls):
-    if cell_model_cls is _StaleRead:
-        return _StaleRead(N_CELLS, 1)
-    return ScenarioModel(N_CELLS, 1, cell_model=cell_model_cls(N_CELLS))
 
 
 def _caught(model):
@@ -114,11 +41,6 @@ def _caught(model):
 
 
 MUTANTS = [
-    pytest.param(_ColdReadShared, {"directory"}, id="cold-read-fills-shared"),
-    pytest.param(_GspLosesAtomic, {"directory", "quiescence"}, id="gsp-loses-atomic"),
-    pytest.param(_RspToShared, {"directory"}, id="rsp-demotes-to-shared"),
-    pytest.param(_RspKeepsAtomic, {"drain"}, id="rsp-is-a-noop"),
-    pytest.param(_NoSnarf, {"directory"}, id="snarf-disabled"),
     pytest.param(_StaleRead, {"observation"}, id="reads-observe-stale-value"),
 ]
 
@@ -129,7 +51,7 @@ class TestMutantsAreCaught:
 
     @pytest.mark.parametrize("mutant,expected_kinds", MUTANTS)
     def test_mutant_diverges_on_at_least_one_scenario(self, mutant, expected_kinds):
-        caught = _caught(_scenario_model(mutant))
+        caught = _caught(mutant(N_CELLS, 1))
         assert caught, f"{mutant.__name__} survived every generated scenario"
         kinds = {d.kind for _cls, r in caught for d in r.divergences}
         assert kinds & expected_kinds, (
@@ -138,7 +60,7 @@ class TestMutantsAreCaught:
 
     @pytest.mark.parametrize("mutant,expected_kinds", MUTANTS)
     def test_divergence_carries_a_replayable_trace(self, mutant, expected_kinds):
-        cls, result = _caught(_scenario_model(mutant))[0]
+        cls, result = _caught(mutant(N_CELLS, 1))[0]
         # the lowered schedule is the deterministic reproducer
         assert result.schedule == cls.schedule
         assert len(result.lowered) >= len(result.schedule)

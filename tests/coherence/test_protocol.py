@@ -7,6 +7,7 @@ get_subpage serialization and ring-order (non-FCFS) grants.
 
 import pytest
 
+from repro.coherence.litmus import run_schedule
 from repro.errors import DeadlockError
 from repro.machine.api import SharedMemory
 from repro.machine.ksr import KsrMachine
@@ -89,6 +90,27 @@ class TestReadWriteLatencies:
         p = m.spawn("r", body(), 2)
         m.run()
         assert p.result == 1234
+
+
+class TestCopyStates:
+    """The per-cell copy states the protocol leaves behind, as cache
+    and directory both report them."""
+
+    @staticmethod
+    def _states(*steps):
+        outcome = run_schedule(steps, n_cells=2, n_vars=1)
+        assert outcome.completed, outcome.diagnostics
+        assert outcome.cache_states == outcome.directory_states
+        return outcome.cache_states[0]
+
+    def test_cold_read_allocates_exclusive(self):
+        # COMA first touch: the page is allocated, owned, by the reader
+        assert self._states(("read", 0, 0)) == ("EXCLUSIVE", None)
+
+    def test_get_subpage_holds_atomic_until_release(self):
+        taken = (("read", 1, 0), ("gsp", 0, 0))
+        assert self._states(*taken) == ("ATOMIC", "INVALID")
+        assert self._states(*taken, ("rsp", 0, 0)) == ("EXCLUSIVE", "INVALID")
 
 
 class TestInvalidation:

@@ -1,7 +1,10 @@
 """Tests for read combining (snarfing) and outstanding fills."""
 
+from repro.coherence.litmus import run_step, schedule_machine
 from repro.coherence.ops import OutstandingFills
 from repro.coherence.snarf import ReadCombiner
+from repro.memory.address import subpage_of
+from repro.memory.local_cache import SubpageState
 
 
 class TestReadCombiner:
@@ -61,3 +64,17 @@ class TestOutstandingFills:
         f.issue(0, 8, 600.0)
         f.issue(1, 9, 700.0)
         assert sorted(f.outstanding_for(0)) == [(7, 500.0), (8, 600.0)]
+
+
+class TestSnarfGuard:
+    def test_no_snarf_while_an_owner_holds_the_subpage(self):
+        """A response still circulating after a newer write took the
+        subpage exclusive carries stale data: it must revive nobody."""
+        machine, addrs = schedule_machine(2, 1)
+        for index, step in enumerate((("read", 0, 0), ("read", 1, 0), ("write", 0, 0, 1))):
+            run_step(machine, addrs, index, step)
+        sp = subpage_of(addrs[0])
+        machine.protocol._snarf_placeholders(sp, machine.engine.now)
+        assert machine.cells[1].local_cache.state_of(sp) is SubpageState.INVALID
+        assert machine.protocol.directory.state_in(sp, 1) is SubpageState.INVALID
+        assert machine.cells[1].perfmon.snarfs == 0
