@@ -37,8 +37,8 @@ from repro.coherence.directory import Directory, DirectoryEntry
 from repro.coherence.ops import OutstandingFills
 from repro.coherence.snarf import ReadCombiner
 from repro.errors import ProtocolError
-from repro.machine.config import MachineConfig
-from repro.memory.address import subpage_of, word_of
+from repro.machine.config import MachineConfig, WORD_BYTES
+from repro.memory.address import subpage_of
 from repro.memory.local_cache import SubpageState
 from repro.ring.hierarchy import RingHierarchy
 from repro.ring.slotted_ring import TransactionOutcome
@@ -147,9 +147,6 @@ class CoherenceProtocol:
         if timing.bypass_hops:
             perfmon.ring_bypass_hops += timing.bypass_hops
 
-    def _cell(self, cell_id: int) -> "Cell":
-        return self.cells[cell_id]
-
     def _same_ring_cells(self, cell_id: int) -> range:
         ring = self.config.ring_of(cell_id)
         lo = ring * self.config.cells_per_ring
@@ -161,11 +158,11 @@ class CoherenceProtocol:
 
     def peek(self, addr: int) -> Any:
         """Current value of the 64-bit word at ``addr`` (0 if unwritten)."""
-        return self.values.get(word_of(addr), 0)
+        return self.values.get(addr // WORD_BYTES, 0)
 
     def poke(self, addr: int, value: Any) -> None:
         """Set the word at ``addr`` (timing handled by the caller)."""
-        self.values[word_of(addr)] = value
+        self.values[addr // WORD_BYTES] = value
 
     # ------------------------------------------------------------------
     # Subpage serialization gate
@@ -193,13 +190,13 @@ class CoherenceProtocol:
         if entry.atomic and entry.owner != cell_id:
             self._block_on_atomic(cell_id, subpage_id, now, cont, shared=True)
             return
-        cell = self._cell(cell_id)
+        cell = self.cells[cell_id]
         # An in-flight prefetch satisfies the demand access when it lands.
         pending = self.fills.pending_completion(cell_id, subpage_id, now)
         if pending is not None:
             cont(pending)
             return
-        if not entry.has_valid_copy and not entry.created:
+        if not entry.sharer_mask and not entry.created:
             # Cold access: COMA first touch allocates locally, no ring.
             self._fill(cell_id, subpage_id, SubpageState.EXCLUSIVE, demand=True, entry=entry)
             self.n_cold_creates += 1
@@ -239,7 +236,7 @@ class CoherenceProtocol:
     ) -> None:
         entry = self.directory.entry(subpage_id)
         if demote_owner and entry.owner is not None and entry.owner != cell_id:
-            owner_cell = self._cell(entry.owner)
+            owner_cell = self.cells[entry.owner]
             owner_cell.local_cache.set_state(subpage_id, SubpageState.SHARED)
             self.directory.demote_owner(subpage_id)
         self._fill(cell_id, subpage_id, SubpageState.SHARED, demand=demand, entry=entry)
@@ -257,7 +254,7 @@ class CoherenceProtocol:
         if entry.owner is not None:
             return
         for holder in sorted(entry.placeholders):
-            holder_cell = self._cell(holder)
+            holder_cell = self.cells[holder]
             if holder_cell.local_cache.snarf(subpage_id):
                 holder_cell.perfmon.snarfs += 1
         entry.sharer_mask |= entry.placeholder_mask
@@ -284,22 +281,23 @@ class CoherenceProtocol:
                 cell_id, subpage_id, now, cont, shared=False, want_atomic=atomic
             )
             return
-        cell = self._cell(cell_id)
+        cell = self.cells[cell_id]
         if entry.owner == cell_id:
             if atomic and not entry.atomic:
                 self.directory.set_atomic(subpage_id, cell_id, True)
                 cell.local_cache.set_state(subpage_id, SubpageState.ATOMIC)
             cont(now)
             return
-        if not entry.has_valid_copy and not entry.placeholder_mask and not entry.created:
-            # Cold first touch straight to exclusive ownership.
+        if not entry.sharer_mask and not entry.placeholder_mask and not entry.created:
+            # Cold first touch straight to exclusive ownership (the
+            # hottest miss: positional arguments throughout).
             self._fill(
                 cell_id,
                 subpage_id,
                 SubpageState.ATOMIC if atomic else SubpageState.EXCLUSIVE,
-                atomic=atomic,
-                demand=True,
-                entry=entry,
+                entry,
+                atomic,
+                True,
             )
             self.n_cold_creates += 1
             cont(now)
@@ -335,12 +333,12 @@ class CoherenceProtocol:
     def _invalidate_others(self, subpage_id: int, keep_cell: int) -> None:
         losers = self.directory.invalidate_others(subpage_id, keep_cell)
         for loser in losers:
-            loser_cell = self._cell(loser)
+            loser_cell = self.cells[loser]
             loser_cell.local_cache.invalidate(subpage_id)
             loser_cell.subcache.drop_subpage(subpage_id)
             loser_cell.perfmon.invalidations_received += 1
         if losers:
-            self._cell(keep_cell).perfmon.invalidations_sent += len(losers)
+            self.cells[keep_cell].perfmon.invalidations_sent += len(losers)
             if self.probe is not None:
                 self.probe.on_invalidations(self.engine.now, len(losers))
 
@@ -349,7 +347,6 @@ class CoherenceProtocol:
         cell_id: int,
         subpage_id: int,
         state: SubpageState,
-        *,
         entry: DirectoryEntry,
         atomic: bool = False,
         demand: bool = False,
@@ -361,7 +358,7 @@ class CoherenceProtocol:
         the cell can charge the 16 KB page-allocation penalty to that
         access (snarfs and prefetch landings are free rides).
         """
-        cell = self._cell(cell_id)
+        cell = self.cells[cell_id]
         if state is SubpageState.SHARED and cell.local_cache.is_valid(subpage_id):
             # already valid (e.g. combiner join raced a snarf): keep it
             pass
@@ -377,9 +374,7 @@ class CoherenceProtocol:
         if state is SubpageState.SHARED:
             self.directory.record_fill_shared(subpage_id, cell_id, entry=entry)
         else:
-            self.directory.record_fill_exclusive(
-                subpage_id, cell_id, atomic=atomic, entry=entry
-            )
+            self.directory.record_fill_exclusive(subpage_id, cell_id, atomic, entry)
 
     def evict(self, cell: "Cell", subpage_id: int) -> None:
         """Random page replacement removed ``cell``'s copy of the subpage.
@@ -402,7 +397,7 @@ class CoherenceProtocol:
     def get_subpage(self, cell_id: int, addr: int, now: float, cont: Cont) -> None:
         """Acquire the atomic lock on ``addr``'s subpage."""
         subpage_id = subpage_of(addr)
-        cell = self._cell(cell_id)
+        cell = self.cells[cell_id]
         cell.perfmon.get_subpage_attempts += 1
         self.acquire_exclusive(cell_id, subpage_id, now, cont, atomic=True)
 
@@ -415,7 +410,7 @@ class CoherenceProtocol:
                 f"cell {cell_id} releasing subpage {subpage_id} it does not hold atomic"
             )
         self.directory.set_atomic(subpage_id, cell_id, False)
-        self._cell(cell_id).local_cache.set_state(subpage_id, SubpageState.EXCLUSIVE)
+        self.cells[cell_id].local_cache.set_state(subpage_id, SubpageState.EXCLUSIVE)
         self._drain_atomic_waiters(subpage_id, cell_id, now)
 
     def _block_on_atomic(
@@ -430,7 +425,7 @@ class CoherenceProtocol:
     ) -> None:
         """Park an access behind the current atomic holder, with
         hardware-style periodic ring retries burning slot bandwidth."""
-        cell = self._cell(cell_id)
+        cell = self.cells[cell_id]
 
         def retry(at: float) -> None:
             if shared:
@@ -536,7 +531,7 @@ class CoherenceProtocol:
         reader = watchers[0].cell_id
         start = self._gate(subpage_id, at)
         timing = self.hierarchy.transact(start, reader, writer, subpage_id)
-        reader_cell = self._cell(reader)
+        reader_cell = self.cells[reader]
         reader_cell.perfmon.ring_transactions += 1
         reader_cell.perfmon.ring_cycles += timing.total_cycles
         if self.fault_accounting:
@@ -562,7 +557,7 @@ class CoherenceProtocol:
             if entry.owner is not None and entry.owner != writer:
                 writer = entry.owner
             if entry.owner is not None:
-                self._cell(entry.owner).local_cache.set_state(
+                self.cells[entry.owner].local_cache.set_state(
                     subpage_id, SubpageState.SHARED
                 )
                 self.directory.demote_owner(subpage_id)
@@ -595,7 +590,7 @@ class CoherenceProtocol:
                     skew += n_woken * self.config.ring.remote_latency_cycles
                 self.n_wakeups += 1
                 n_woken += 1
-                self._cell(w.cell_id).perfmon.spin_wakeups += 1
+                self.cells[w.cell_id].perfmon.spin_wakeups += 1
                 w.cont(at + skew + spin)
             else:
                 still_waiting.append(w)
@@ -620,7 +615,7 @@ class CoherenceProtocol:
         :class:`repro.sim.process.WaitUntil` for the semantics)."""
         subpage_id = subpage_of(addr)
         spin = self.config.latency.spin_iteration_cycles
-        cell = self._cell(cell_id)
+        cell = self.cells[cell_id]
         value = self.peek(addr)
         if cell.local_cache.is_valid(subpage_id):
             if predicate(value):
@@ -656,7 +651,7 @@ class CoherenceProtocol:
     def prefetch(self, cell_id: int, addr: int, now: float) -> None:
         """Start an asynchronous shared fill of ``addr``'s subpage."""
         subpage_id = subpage_of(addr)
-        cell = self._cell(cell_id)
+        cell = self.cells[cell_id]
         cell.perfmon.prefetches += 1
         if cell.local_cache.is_valid(subpage_id):
             return
@@ -691,7 +686,7 @@ class CoherenceProtocol:
         entry = self.directory.entry(subpage_id)
         if entry.atomic and entry.owner != cell_id:
             return  # raced with a get_subpage; fill is dropped
-        cell = self._cell(cell_id)
+        cell = self.cells[cell_id]
         if cell.local_cache.is_valid(subpage_id):
             return
         self._finish_shared_fill(cell_id, subpage_id, demote_owner=True)
@@ -701,7 +696,7 @@ class CoherenceProtocol:
         writeback, receivers get SHARED copies, the issuer is demoted to
         SHARED too (the semantics that hurt SP)."""
         subpage_id = subpage_of(addr)
-        cell = self._cell(cell_id)
+        cell = self.cells[cell_id]
         cell.perfmon.poststores += 1
         entry = self.directory.entry(subpage_id)
         issue_done = now + self.config.latency.poststore_issue_cycles
@@ -745,7 +740,7 @@ class CoherenceProtocol:
             # newer write's own notification will wake any spinners.
             return
         if entry.owner == cell_id and not entry.atomic:
-            self._cell(cell_id).local_cache.set_state(subpage_id, SubpageState.SHARED)
+            self.cells[cell_id].local_cache.set_state(subpage_id, SubpageState.SHARED)
             self.directory.demote_owner(subpage_id)
         self._snarf_placeholders(subpage_id, now)
         self.notify_poststore(subpage_id, cell_id, now)

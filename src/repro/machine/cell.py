@@ -56,14 +56,11 @@ __all__ = ["Cell"]
 class Cell:
     """One processing node of the simulated machine."""
 
-    # The access waiting on the protocol after a local-cache miss, set
-    # by _await_miss.  The cell's one thread blocks on it, so there is
-    # at most one, and the continuations read it from here instead of
-    # closing over it.
-    _miss_process: Process
-    _miss_op: Any  # the Read or Write
-    _miss_start: float
-    _miss_block_extra: float
+    # The access waiting on the protocol after a local-cache miss:
+    # (process, the Read or Write, start time, block-allocation extra).
+    # The cell's one thread blocks on it, so there is at most one, and
+    # the continuations read it from here instead of closing over it.
+    _miss: tuple[Process, Any, float, float]
 
     def __init__(
         self,
@@ -103,6 +100,17 @@ class Cell:
     # ------------------------------------------------------------------
     # Process driving
     # ------------------------------------------------------------------
+
+    def __getstate__(self) -> dict[str, Any]:
+        """The cell without its thread: a copied machine starts idle.
+
+        Drops ``current_process`` and ``_miss``, which may still hold a
+        finished thread and its exhausted generator.
+        """
+        state = self.__dict__.copy()
+        state.pop("_miss", None)
+        state["current_process"] = None
+        return state
 
     def set_trace(self, trace: Optional[Trace]) -> None:
         """Attach (or, with ``None``, detach) the op-record sink.
@@ -243,11 +251,11 @@ class Cell:
         valid_locally = self.local_cache.is_valid(sp)
         sc = self.subcache.access(addr)
         block_extra = 0.0
-        if sc.block_allocated:
+        if sc.frame_allocated:
             perfmon.subcache_block_allocs += 1
             block_extra = lat.block_alloc_cycles
         if valid_locally:
-            if sc.hit:
+            if sc.line_hit:
                 perfmon.subcache_hits += 1
                 end = now + lat.subcache_hit_cycles
                 detail = "subcache"
@@ -265,29 +273,23 @@ class Cell:
             return
         perfmon.subcache_misses += 1
         perfmon.local_cache_misses += 1
-        process.waiting_on = f"read(0x{addr:x})"
-        self._await_miss(process, op, now, block_extra)
+        process.waiting_on = op
+        self._miss = (process, op, now, block_extra)
         self.protocol.acquire_shared(self.cell_id, sp, now, self._read_filled)
 
-    def _await_miss(self, process: Process, op: Op, start: float, block_extra: float) -> None:
-        self._miss_process = process
-        self._miss_op = op
-        self._miss_start = start
-        self._miss_block_extra = block_extra
-
-    def _miss_end(self, done: float, extra_cycles: float) -> float:
-        """Completion time of the waiting miss whose fill finished at
-        ``done`` (never faster than a local-cache hit)."""
-        start = self._miss_start
-        extra = self._miss_block_extra + self._take_page_alloc_penalty()
-        base = max(done, start + self.config.latency.local_cache_hit_cycles)
-        return base + extra_cycles + extra
+    def _miss_end(self, done: float, start: float, extra: float, extra_cycles: float) -> float:
+        """Completion time of the miss that started at ``start`` and whose
+        fill finished at ``done`` (never faster than a local-cache hit)."""
+        lat = self.config.latency
+        if self.pending_page_alloc:  # the fill allocated a 16 KB page
+            self.pending_page_alloc = False
+            extra += lat.page_alloc_cycles
+        return max(done, start + lat.local_cache_hit_cycles) + extra_cycles + extra
 
     def _read_filled(self, done: float) -> None:
-        process = self._miss_process
-        addr = self._miss_op.addr
-        start = self._miss_start
-        end = self._miss_end(done, 0.0)
+        process, op, start, block_extra = self._miss
+        addr = op.addr
+        end = self._miss_end(done, start, block_extra, 0.0)
         if self.trace is not None:
             self._trace("read", addr, start, end, "remote" if done > start else "cold")
         process.waiting_on = None
@@ -304,40 +306,38 @@ class Cell:
         state = self.local_cache.state_of(addr // SUBPAGE_BYTES)
         sc = self.subcache.access(addr)
         block_extra = 0.0
-        if sc.block_allocated:
+        if sc.frame_allocated:
             perfmon.subcache_block_allocs += 1
             block_extra = lat.block_alloc_cycles
         if state is not None and state.writable:
-            if sc.hit:
+            if sc.line_hit:
                 perfmon.subcache_hits += 1
                 end = now + lat.subcache_hit_cycles
             else:
                 perfmon.subcache_misses += 1
                 perfmon.local_cache_hits += 1
                 end = now + lat.local_cache_hit_cycles + lat.local_write_extra_cycles + block_extra
-            self._complete_write(process, op, now, end, "local")
+            if self.trace is not None:
+                self._trace("write", addr, now, end, "local")
+            self.engine.schedule_at(end, self._commit_write, process, op)
             return
         perfmon.subcache_misses += 1
         if state is not None and state.valid:
             perfmon.local_cache_hits += 1  # data present, rights missing
         else:
             perfmon.local_cache_misses += 1
-        process.waiting_on = f"write(0x{addr:x})"
-        self._await_miss(process, op, now, block_extra)
+        process.waiting_on = op
+        self._miss = (process, op, now, block_extra)
         self.protocol.acquire_exclusive(self.cell_id, addr // SUBPAGE_BYTES, now, self._write_owned)
 
     def _write_owned(self, done: float) -> None:
-        process = self._miss_process
-        start = self._miss_start
-        end = self._miss_end(done, self.config.latency.remote_write_extra_cycles)
-        self._complete_write(process, self._miss_op, start, end, "remote" if done > start else "cold")
-        process.waiting_on = None
-
-    def _complete_write(
-        self, process: Process, op: Write, start: float, end: float, detail: str
-    ) -> None:
+        process, op, start, block_extra = self._miss
+        end = self._miss_end(
+            done, start, block_extra, self.config.latency.remote_write_extra_cycles
+        )
         if self.trace is not None:
-            self._trace("write", op.addr, start, end, detail)
+            self._trace("write", op.addr, start, end, "remote" if done > start else "cold")
+        process.waiting_on = None
         self.engine.schedule_at(end, self._commit_write, process, op)
 
     def _commit_write(self, process: Process, op: Write) -> None:
@@ -345,9 +345,3 @@ class Cell:
         self.protocol.poke(addr, op.value)
         self.protocol.notify_write(addr // SUBPAGE_BYTES, self.cell_id, self.engine.now)
         self._advance(process, None)
-
-    def _take_page_alloc_penalty(self) -> float:
-        if self.pending_page_alloc:
-            self.pending_page_alloc = False
-            return self.config.latency.page_alloc_cycles
-        return 0.0

@@ -18,6 +18,7 @@ read the clock and the performance monitors.
 
 from __future__ import annotations
 
+import pickle
 from typing import Any, Generator, Optional
 
 from repro.coherence.protocol import CoherenceProtocol
@@ -114,13 +115,38 @@ class KsrMachine:
         stuck = [p for p in self.processes if not p.finished]
         if stuck:
             details = "; ".join(
-                f"{p.name} on cell {p.cell_id} waiting on {p.waiting_on}" for p in stuck
+                f"{p.name} on cell {p.cell_id} waiting on {p.waiting_description}"
+                for p in stuck
             )
             protocol_view = "; ".join(self.protocol.blocked_description())
             raise DeadlockError(
                 f"{len(stuck)} thread(s) never finished: {details}"
                 + (f" | protocol: {protocol_view}" if protocol_view else "")
             )
+
+    def copy(self) -> "KsrMachine":
+        """An independent copy of this idle machine, to continue separately.
+
+        The copy is a pickle round trip, so it carries every cache,
+        directory entry, word value, random stream and clock reading
+        exactly; a thread spawned on the copy runs as it would on the
+        original.  Only an idle machine can be copied: a queued event or
+        an unfinished thread raises :class:`SimulationError`.  Finished
+        threads are not copied (their generators cannot be).
+        """
+        if self.engine.pending:
+            raise SimulationError(
+                f"cannot copy a machine with {self.engine.pending} queued event(s)"
+            )
+        live = [p.name for p in self.processes if not p.finished]
+        if live:
+            raise SimulationError(f"cannot copy a machine with unfinished threads {live}")
+        return pickle.loads(pickle.dumps(self, pickle.HIGHEST_PROTOCOL))
+
+    def __getstate__(self) -> dict[str, Any]:
+        state = self.__dict__.copy()
+        state["processes"] = []
+        return state
 
     # ------------------------------------------------------------------
     # Observation

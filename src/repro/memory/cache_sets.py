@@ -17,7 +17,7 @@ constants, so the common accesses allocate nothing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from typing import Optional
 
 import numpy as np
@@ -60,20 +60,45 @@ class AccessResult:
         time for block/page-allocating strides).
     ``evicted_alloc_id``
         Allocation unit that was displaced to make room, or ``None``.
-    ``evicted_lines``
-        Line ids that were present in the displaced frame, sorted (the
-        coherence layer must drop their state).
+    ``evicted_mask``
+        Bitmask of the lines present in the displaced frame (bit ``i``
+        is its ``i``-th line); :attr:`evicted_lines` lists them.
+    ``lines_per_alloc``
+        Lines per allocation unit of the cache that evicted, to number
+        the lines of ``evicted_mask``.
     """
 
     line_hit: bool
     frame_allocated: bool
     evicted_alloc_id: Optional[int] = None
-    evicted_lines: tuple[int, ...] = ()
+    evicted_mask: int = 0
+    lines_per_alloc: int = 0
 
     @property
     def line_missed(self) -> bool:
         """Convenience inverse of ``line_hit``."""
         return not self.line_hit
+
+    @property
+    def evicted_lines(self) -> tuple[int, ...]:
+        """Line ids that were present in the displaced frame, sorted (the
+        coherence layer must drop their state).
+
+        Listed when asked for, not on every eviction: most callers never
+        look at them.
+        """
+        if self.evicted_alloc_id is None:
+            return ()
+        return bit_ids(self.evicted_mask, self.evicted_alloc_id * self.lines_per_alloc)
+
+
+def _refuse_assignment(self: AccessResult, name: str, value: object) -> None:
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+# The frozen dataclass's own __setattr__ raises a bare TypeError on a
+# slotted class for a name that is not a field, such as evicted_lines.
+AccessResult.__setattr__ = _refuse_assignment  # type: ignore[method-assign,assignment]
 
 
 #: The line was present.
@@ -176,12 +201,7 @@ class SetAssociativeCache:
         victim = cache_set.pop(victim_key)
         self.n_evictions += 1
         cache_set[alloc_id] = bit
-        return AccessResult(
-            line_hit=False,
-            frame_allocated=True,
-            evicted_alloc_id=victim_key,
-            evicted_lines=bit_ids(victim, victim_key * self.lines_per_alloc),
-        )
+        return AccessResult(False, True, victim_key, victim, lines_per_alloc)
 
     # ------------------------------------------------------------------
     # Queries / maintenance used by the coherence layer

@@ -13,32 +13,14 @@ the local cache, the corresponding sub-blocks must be purged here too
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.machine.config import CacheConfig, SUBBLOCK_BYTES, SUBPAGE_BYTES
-from repro.memory.cache_sets import FRAME_ALLOC, LINE_FILL, LINE_HIT, SetAssociativeCache
+from repro.memory.cache_sets import AccessResult, SetAssociativeCache
 
-__all__ = ["SubCacheAccess", "SubCache"]
+__all__ = ["SubCache"]
 
 _SUBBLOCKS_PER_SUBPAGE = SUBPAGE_BYTES // SUBBLOCK_BYTES
-
-
-@dataclass(frozen=True, slots=True)
-class SubCacheAccess:
-    """Outcome of a sub-cache word access."""
-
-    hit: bool
-    block_allocated: bool
-    evicted_subblocks: tuple[int, ...] = ()
-
-
-# Shared outcomes of the accesses that evict nothing (only an eviction
-# allocates a result).
-_HIT = SubCacheAccess(hit=True, block_allocated=False)
-_FILL = SubCacheAccess(hit=False, block_allocated=False)
-_ALLOC = SubCacheAccess(hit=False, block_allocated=True)
 
 
 class SubCache:
@@ -47,18 +29,14 @@ class SubCache:
     def __init__(self, config: CacheConfig, rng: np.random.Generator):
         self._cache = SetAssociativeCache(config, rng)
 
-    def access(self, addr: int) -> SubCacheAccess:
-        """Touch the sub-block containing byte ``addr``."""
-        result = self._cache.access(addr // SUBBLOCK_BYTES)
-        if result is LINE_HIT:
-            return _HIT
-        if result is LINE_FILL:
-            return _FILL
-        if result is FRAME_ALLOC:
-            return _ALLOC
-        return SubCacheAccess(
-            hit=False, block_allocated=True, evicted_subblocks=result.evicted_lines
-        )
+    def access(self, addr: int) -> AccessResult:
+        """Touch the sub-block containing byte ``addr``.
+
+        The outcome is the set-associative cache's own: ``line_hit`` is a
+        sub-block hit, ``frame_allocated`` a fresh 2 KB block, and
+        ``evicted_lines`` the sub-blocks of a displaced block.
+        """
+        return self._cache.access(addr // SUBBLOCK_BYTES)
 
     def contains(self, addr: int) -> bool:
         """Whether the sub-block of ``addr`` is present."""

@@ -105,6 +105,88 @@ class TestRunControl:
             machine.run()
 
 
+class TestCopy:
+    """``KsrMachine.copy`` forks an idle machine into two that run alike."""
+
+    @staticmethod
+    def _prefixed(n_cells=4):
+        """A machine whose cells each wrote their own array, now idle."""
+        m = KsrMachine(quiet_ksr1(n_cells, seed=11))
+        mem = SharedMemory(m)
+        arrays = [mem.page_array(f"A{i}", 512) for i in range(n_cells)]
+
+        def touch(arr):
+            for word in range(0, len(arr), 16):
+                yield Write(arr.addr(word), word)
+
+        for i, arr in enumerate(arrays):
+            m.spawn(f"touch-{i}", touch(arr), i)
+        m.run()
+        return m, arrays
+
+    @staticmethod
+    def _continue(m, arrays):
+        """Every cell reads its neighbour's array (ring traffic, jitter
+        and random replacement draws); returns what the run shows."""
+
+        def reads(arr):
+            total = 0
+            for word in range(0, len(arr), 8):
+                total += yield Read(arr.addr(word))
+            return total
+
+        procs = [
+            m.spawn(f"read-{i}", reads(arrays[(i + 1) % len(arrays)]), i)
+            for i in range(len(arrays))
+        ]
+        m.run()
+        return (
+            [(p.finished_at, p.result) for p in procs],
+            m.total_perf().snapshot(),
+            m.engine.events_fired,
+        )
+
+    def test_copy_and_original_continue_alike(self):
+        m, arrays = self._prefixed()
+        copy = m.copy()
+        assert copy is not m and copy.now_cycles == m.now_cycles
+        from_copy = self._continue(copy, arrays)
+        from_original = self._continue(m, arrays)
+        assert from_copy == from_original
+        assert from_copy[1]["ring_transactions"] > 0
+
+    def test_copy_leaves_finished_threads_behind(self):
+        m, _ = self._prefixed()
+        assert len(m.processes) == 4
+        copy = m.copy()
+        assert copy.processes == []
+        assert all(cell.current_process is None for cell in copy.cells)
+
+    def test_refuses_queued_events(self, machine):
+        def body():
+            yield Compute(1000)
+
+        machine.spawn("t", body(), 0)
+        with pytest.raises(SimulationError, match="queued event"):
+            machine.copy()
+        machine.run(until=500)
+        with pytest.raises(SimulationError, match="queued event"):
+            machine.copy()
+
+    def test_refuses_an_unfinished_thread(self, machine):
+        a = SharedMemory(machine).alloc_word()
+
+        def stuck():
+            yield WaitUntil(a, lambda v: v == 42)
+
+        machine.spawn("stucky", stuck(), 1)
+        with pytest.raises(DeadlockError):
+            machine.run()
+        assert not machine.engine.pending
+        with pytest.raises(SimulationError, match="unfinished threads.*stucky"):
+            machine.copy()
+
+
 class TestObservation:
     def test_clock_conversion(self, machine):
         def body():

@@ -29,22 +29,22 @@ class TestAccessPatterns:
     def test_words_within_subblock_hit_after_first(self):
         sc = make_subcache()
         first = sc.access(0x1000)
-        assert not first.hit
+        assert not first.line_hit
         for offset in range(8, SUBBLOCK_BYTES, 8):
-            assert sc.access(0x1000 + offset).hit
+            assert sc.access(0x1000 + offset).line_hit
 
     def test_adjacent_subblock_misses_same_block(self):
         sc = make_subcache()
         sc.access(0x1000)
         r = sc.access(0x1000 + SUBBLOCK_BYTES)
-        assert not r.hit and not r.block_allocated
+        assert not r.line_hit and not r.frame_allocated
 
     def test_block_stride_allocates_every_time(self):
         # the access pattern of the paper's +50 % measurement
         sc = make_subcache()
         for i in range(8):
             r = sc.access(i * 2048)
-            assert r.block_allocated
+            assert r.frame_allocated
 
     def test_drop_subpage_purges_both_subblocks(self):
         sc = make_subcache()
@@ -68,20 +68,20 @@ class TestSharedOutcomes:
     def test_no_eviction_outcomes_are_shared(self):
         sc = make_subcache()
         first = sc.access(0x1000)
-        assert first.block_allocated and not first.hit
+        assert first.frame_allocated and not first.line_hit
         assert sc.access(0x2000) is first  # another fresh block
         fill = sc.access(0x1000 + SUBBLOCK_BYTES)
-        assert not fill.hit and not fill.block_allocated
+        assert not fill.line_hit and not fill.frame_allocated
         hit = sc.access(0x1000)
-        assert hit.hit and sc.access(0x1008) is hit
+        assert hit.line_hit and sc.access(0x1008) is hit
 
     def test_shared_outcomes_are_frozen(self):
         sc = make_subcache()
         for outcome in (sc.access(0), sc.access(64), sc.access(0)):
             with pytest.raises(dataclasses.FrozenInstanceError):
-                outcome.hit = not outcome.hit
+                outcome.line_hit = not outcome.line_hit
             with pytest.raises(dataclasses.FrozenInstanceError):
-                outcome.evicted_subblocks = (1,)
+                outcome.evicted_lines = (1,)
 
     def test_eviction_reports_the_sorted_subblocks(self):
         sc = make_subcache()
@@ -91,8 +91,8 @@ class TestSharedOutcomes:
         sc.access(0)
         sc.access(set_stride)
         evicting = sc.access(2 * set_stride)  # 2-way set overflows
-        assert evicting.block_allocated and not evicting.hit
-        assert evicting.evicted_subblocks in (
+        assert evicting.frame_allocated and not evicting.line_hit
+        assert evicting.evicted_lines in (
             (0, 3),
             (set_stride // SUBBLOCK_BYTES,),
         )

@@ -122,12 +122,13 @@ class TestEstimatePoints:
         assert estimate_points(spec({**body, "obs": True})) == price
 
     def test_fig2_served_defaults(self):
-        # procs [1, 2, 8, 32]: 65 cell-runs (cells 0..31 read and write,
-        # plus cell 0 at 2 KB stride) and 7 network runs; with obs, the
-        # 18 table calls less the two call-outs that repeat a table point.
+        # procs [1, 2, 8, 32]: 33 cell-runs (cells 0..31 read and write
+        # on one prefix each, plus cell 0 at 2 KB stride, whose larger
+        # array needs its own) and 7 network runs; with obs, the 18
+        # table calls less the two call-outs that repeat a table point.
         plain = spec({"kind": "experiment", "experiment": "fig2"})
         observed = spec({"kind": "experiment", "experiment": "fig2", "obs": True})
-        assert estimate_points(plain) == 72
+        assert estimate_points(plain) == 40
         assert estimate_points(observed) == 16
 
     def test_fig2_procs_must_be_integers(self):

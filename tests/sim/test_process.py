@@ -40,6 +40,13 @@ class TestOps:
         for cls in (Read, GetSubpage, Poststore):
             assert cls(0x80).addr == 0x80
 
+    def test_access_ops_compare_and_print_by_value(self):
+        assert Read(0x80) == Read(0x80) and hash(Read(0x80)) == hash(Read(0x80))
+        assert Write(8, 1) == Write(8, 1) and Write(8, 1) != Write(8, 2)
+        assert Read(8) != Write(8, 0)
+        assert repr(Read(0x80)) == "Read(addr=128)"
+        assert repr(Write(8, 42)) == "Write(addr=8, value=42)"
+
 
 class TestProcess:
     @staticmethod
@@ -65,6 +72,16 @@ class TestProcess:
         p = Process(name="t", body=self._dummy(), cell_id=0)
         with pytest.raises(SimulationError):
             _ = p.elapsed
+
+    def test_waiting_description_formats_an_access_op(self):
+        p = Process(name="t", body=self._dummy(), cell_id=0)
+        assert p.waiting_description is None
+        p.waiting_on = Write(0x1F80, 3)
+        assert p.waiting_description == "write(0x1f80)"
+        p.waiting_on = Read(0x80)
+        assert p.waiting_description == "read(0x80)"
+        p.waiting_on = "spin(0x80)"
+        assert p.waiting_description == "spin(0x80)"
 
     def test_on_exit_callback(self):
         seen = []
