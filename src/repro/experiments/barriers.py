@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.errors import ConfigError
 from repro.experiments.base import (
-    ExperimentResult, Instruments, Plan, Point, machine_cells, plan_of, run_plan, trace_obs,
+    CATALOG, ExperimentResult, Instruments, Plan, Point, machine_cells, plan_of,
 )
 from repro.experiments.sweep import SweepRunner
 from repro.faults import FaultPlan
@@ -29,7 +29,9 @@ __all__ = [
     "measure_barrier",
     "figure4_point",
     "figure5_point",
+    "figure4_assemble",
     "figure4_plan",
+    "figure5_assemble",
     "figure5_plan",
     "run_figure4",
     "run_figure5",
@@ -57,8 +59,8 @@ def measure_barrier(
     n_procs: int,
     *,
     machine_config: MachineConfig | None = None,
-    reps: int = 10,
-    seed: int = 404,
+    reps: int = CATALOG["fig4"].default["reps"],
+    seed: int = CATALOG["fig4"].default["seed"],
     use_poststore: bool = True,
     plan: FaultPlan | None = None,
     obs: ObsSpec | None = None,
@@ -160,74 +162,31 @@ def figure5_plan(proc_counts: list[int], **params: Any) -> Plan:
     return figure4_plan(proc_counts, point=figure5_point, **params)
 
 
-def _run_sweep(
-    experiment_id: str, title: str, build: Callable[..., Plan], proc_counts: list[int],
-    algorithms: list[str], reps: int, seed: int, runner: SweepRunner | None,
-    obs: ObsSpec | None, trace_dir: str | None,
+def figure4_assemble(
+    params: dict[str, Any], values: list[Point], *, experiment_id: str = "FIG4",
+    title: str = "Barrier performance on the 32-node KSR-1 (us per episode)",
 ) -> ExperimentResult:
-    result = ExperimentResult(
-        experiment_id=experiment_id,
-        title=title,
-        headers=["P"] + algorithms,
-    )
-    plan = build(
-        proc_counts, reps=reps, seed=seed, algorithms=algorithms, obs=trace_obs(obs, trace_dir)
-    )
-    points = run_plan(plan, runner, trace_dir=trace_dir, experiment_id=experiment_id)
-    values = iter(pt.seconds for pt in points)
-    for p in proc_counts:
+    """The Figure 4 table from the values of ``figure4_plan(**params)``."""
+    algorithms = list(params.get("algorithms", DEFAULT_ALGORITHMS))
+    result = ExperimentResult(experiment_id=experiment_id, title=title, headers=["P"] + algorithms)
+    seconds = iter(pt.seconds for pt in values)
+    for p in params["proc_counts"]:
         row: list = [p]
         for name in algorithms:
-            t = next(values)
+            t = next(seconds)
             row.append(t * 1e6)  # microseconds, like the figures' axis scale
             result.add_series_point(name, p, t)
         result.add_row(row)
-    return result
-
-
-def run_figure4(
-    proc_counts: list[int] | None = None,
-    *,
-    algorithms: list[str] | None = None,
-    reps: int = 10,
-    seed: int = 404,
-    runner: SweepRunner | None = None,
-    obs: ObsSpec | None = None,
-    trace_dir: str | None = None,
-) -> ExperimentResult:
-    """Figure 4: the nine barriers on a 32-node KSR-1 (microseconds)."""
-    if proc_counts is None:
-        proc_counts = [2, 4, 8, 16, 24, 32]
-    if algorithms is None:
-        algorithms = DEFAULT_ALGORITHMS
-    result = _run_sweep(
-        "FIG4", "Barrier performance on the 32-node KSR-1 (us per episode)", figure4_plan,
-        proc_counts, algorithms, reps, seed, runner, obs, trace_dir,
-    )
     _order_notes(result)
     return result
 
 
-def run_figure5(
-    proc_counts: list[int] | None = None,
-    *,
-    algorithms: list[str] | None = None,
-    reps: int = 10,
-    seed: int = 404,
-    runner: SweepRunner | None = None,
-    obs: ObsSpec | None = None,
-    trace_dir: str | None = None,
-) -> ExperimentResult:
-    """Figure 5: the nine barriers on a 64-node, two-ring KSR-2."""
-    if proc_counts is None:
-        proc_counts = [16, 24, 32, 40, 48, 56, 64]
-    if algorithms is None:
-        algorithms = DEFAULT_ALGORITHMS
-    result = _run_sweep(
-        "FIG5", "Barrier performance on the 64-node KSR-2 (us per episode)", figure5_plan,
-        proc_counts, algorithms, reps, seed, runner, obs, trace_dir,
+def figure5_assemble(params: dict[str, Any], values: list[Point]) -> ExperimentResult:
+    """The Figure 5 table from the values of ``figure5_plan(**params)``."""
+    result = figure4_assemble(
+        params, values, experiment_id="FIG5",
+        title="Barrier performance on the 64-node KSR-2 (us per episode)",
     )
-    _order_notes(result)
     crossing = [p for p in result.column("P") if p > 32]
     if crossing and 32 in result.column("P"):
         result.notes.append(
@@ -235,6 +194,30 @@ def run_figure5(
             "crossing produces the paper's 'sudden jump'"
         )
     return result
+
+
+def run_figure4(
+    proc_counts: list[int] | None = None, *, algorithms: list[str] | None = None,
+    reps: int | None = None, seed: int | None = None, runner: SweepRunner | None = None,
+    obs: ObsSpec | None = None, trace_dir: str | None = None,
+) -> ExperimentResult:
+    """Figure 4 (us); unset sizes take ``CATALOG["fig4"]``'s default run."""
+    return CATALOG["fig4"].run(
+        runner, proc_counts=proc_counts, algorithms=algorithms, reps=reps, seed=seed,
+        obs=obs, trace_dir=trace_dir,
+    )
+
+
+def run_figure5(
+    proc_counts: list[int] | None = None, *, algorithms: list[str] | None = None,
+    reps: int | None = None, seed: int | None = None, runner: SweepRunner | None = None,
+    obs: ObsSpec | None = None, trace_dir: str | None = None,
+) -> ExperimentResult:
+    """Figure 5 (us); unset sizes take ``CATALOG["fig5"]``'s default run."""
+    return CATALOG["fig5"].run(
+        runner, proc_counts=proc_counts, algorithms=algorithms, reps=reps, seed=seed,
+        obs=obs, trace_dir=trace_dir,
+    )
 
 
 def _order_notes(result: ExperimentResult) -> None:

@@ -4,8 +4,9 @@
 reproduction compares against; EXPERIMENTS.md and several tests are
 generated from / checked against this single table.
 
-:data:`CATALOG` declares each experiment once, and what one computes is
-its :data:`Plan`, the point calls :func:`run_plan` maps.
+:data:`CATALOG` declares each experiment once.  What one computes is
+its :data:`Plan`, the point calls :func:`run_plan` maps, and a mapped
+experiment's result is assembled from the values of that plan.
 
 :class:`Point` is the one shape of a simulated point's result, and
 :class:`Instruments` the one way a point attaches a fault plan and an
@@ -27,7 +28,7 @@ from repro.util.tables import Table
 
 __all__ = [
     "CATALOG", "Experiment", "ExperimentResult", "Instruments", "PAPER_ANCHORS", "Plan",
-    "Point", "machine_cells", "plan_of", "run_plan", "trace_obs",
+    "Point", "fill_params", "machine_cells", "plan_of", "run_plan",
 ]
 
 #: The point calls an experiment computes, in the order it maps them:
@@ -42,9 +43,17 @@ def plan_of(
     return [(func, call if obs is None else {**call, "obs": obs}) for call in calls]
 
 
-def trace_obs(obs: ObsSpec | None, trace_dir: str | None) -> ObsSpec | None:
-    """``obs``, or a default spec when ``trace_dir`` asks for traces without one."""
-    return ObsSpec() if obs is None and trace_dir is not None else obs
+def fill_params(
+    default: dict[str, Any], *, trace_dir: str | None = None, **params: Any
+) -> dict[str, Any]:
+    """``params`` over ``default``, where a ``None`` param takes its default.
+
+    ``obs`` is kept only when set; ``trace_dir`` implies a default one.
+    """
+    params = {**default, **{k: v for k, v in params.items() if v is not None}}
+    if trace_dir is not None and "obs" not in params:
+        params["obs"] = ObsSpec()
+    return params
 
 
 def run_plan(
@@ -75,124 +84,133 @@ def _resolve(path: str) -> Callable[..., Any]:
 
 @dataclass(frozen=True)
 class Experiment:
-    """One catalog entry: an experiment's title, its function and sizes.
+    """One catalog entry: an experiment's id, title, sizes and functions.
 
-    ``function`` and ``plan`` name functions as ``"module:name"`` under
-    :mod:`repro.experiments`, imported on first use, so reading the
-    catalog loads no experiment module.  A *mapped* experiment names
-    its ``plan`` builder, which takes the function's parameters; the
-    function maps that plan on the ``runner`` it is given.  Any other
-    experiment is one cached unit: the one-call plan ``[(function, params)]``.
+    Functions are named ``"module:name"`` under :mod:`repro.experiments`
+    and imported on first use, so reading the catalog loads no experiment
+    module.  A *mapped* experiment names its ``plan`` builder (params to
+    point calls) and its ``assemble(params, values)`` (the values of that
+    plan to the result).  Any other experiment names its ``function`` and
+    is one cached unit: the one-call plan ``[(function, params)]``.
     """
 
+    key: str
     title: str
-    function: str
+    function: str = ""
     #: Parameters of a default run; ``--full`` and ``--quick`` override some.
     default: dict[str, Any] = field(default_factory=dict)
     full: dict[str, Any] = field(default_factory=dict)
     quick: dict[str, Any] = field(default_factory=dict)
-    plan: Optional[str] = None
+    plan: str = ""
+    assemble: str = ""
     #: Fewest processors of a point, for the per-point figures that
     #: ``ksr-trace`` traces and ``ksr-serve`` serves (0: not one of them).
     min_procs: int = 0
 
     def params(self, *, quick: bool = False, full: bool = False) -> dict[str, Any]:
-        """The function's parameters at one size (``quick`` wins a clash)."""
+        """The experiment's parameters at one size (``quick`` wins a clash)."""
         return {**self.default, **(self.full if full else {}), **(self.quick if quick else {})}
 
     def plan_for(self, **params: Any) -> Plan:
         """The point calls a run with ``params`` computes."""
-        if self.plan is None:
+        if not self.plan:
             return [(_resolve(self.function), params)]
         return _resolve(self.plan)(**params)
 
-    def run(self, runner: SweepRunner, **params: Any) -> Any:
-        """Run the experiment with ``params``, computing its points on ``runner``."""
-        func = _resolve(self.function)
-        if self.plan is None:
-            return runner.run(func, **params)
-        return func(runner=runner, **params)
+    def result(self, params: dict[str, Any], values: list[Any]) -> Any:
+        """The experiment's result from the values of ``plan_for(**params)``."""
+        return _resolve(self.assemble)(params, values) if self.assemble else values[0]
+
+    def run(
+        self, runner: SweepRunner | None = None, *, trace_dir: str | None = None, **params: Any
+    ) -> Any:
+        """The result of a run on ``runner``, unset params taken from the default run.
+
+        ``trace_dir`` writes one Chrome trace per point, named after the key.
+        """
+        params = fill_params(self.default, trace_dir=trace_dir, **params)
+        plan = self.plan_for(**params)
+        values = run_plan(plan, runner, trace_dir=trace_dir, experiment_id=self.key)
+        return self.result(params, values)
 
 
-def _paper_size(title: str, function: str) -> Experiment:
+def _paper_size(key: str, title: str, function: str) -> Experiment:
     """An analytic experiment whose ``--full`` run is the paper's problem size."""
-    return Experiment(title, function, default={"full_size": False}, full={"full_size": True})
+    return Experiment(key, title, function, default={"full_size": False}, full={"full_size": True})
 
 
-#: Every experiment ``ksr-experiments`` runs, in its listing order.
-CATALOG: dict[str, Experiment] = {
-    "fig2": Experiment(
-        "Figure 2: memory-hierarchy latencies", "latency:run_figure2",
+#: Every experiment ``ksr-experiments`` runs, by id, in its listing order.
+CATALOG: dict[str, Experiment] = {entry.key: entry for entry in (
+    Experiment(
+        "fig2", "Figure 2: memory-hierarchy latencies",
         default={"proc_counts": [1, 2, 4, 8, 16, 24, 32], "samples": 1000, "seed": 101},
         quick={"proc_counts": [1, 2, 8, 32], "samples": 400},
-        plan="latency:figure2_plan", min_procs=1,
+        plan="latency:figure2_plan", assemble="latency:figure2_assemble", min_procs=1,
     ),
-    "fig3": Experiment(
-        "Figure 3: lock performance", "locks:run_figure3",
+    Experiment(
+        "fig3", "Figure 3: lock performance",
         default={"proc_counts": [2, 4, 8, 16, 24, 32], "ops": 100, "seed": 303},
         full={"ops": 500}, quick={"proc_counts": [2, 8, 32], "ops": 30},
-        plan="locks:figure3_plan", min_procs=1,
+        plan="locks:figure3_plan", assemble="locks:figure3_assemble", min_procs=1,
     ),
-    "fig4": Experiment(
-        "Figure 4: barriers on the 32-node KSR-1", "barriers:run_figure4",
+    Experiment(
+        "fig4", "Figure 4: barriers on the 32-node KSR-1",
         default={"proc_counts": [2, 4, 8, 16, 24, 32], "reps": 10, "seed": 404},
         quick={"proc_counts": [4, 16, 32], "reps": 6},
-        plan="barriers:figure4_plan", min_procs=2,
+        plan="barriers:figure4_plan", assemble="barriers:figure4_assemble", min_procs=2,
     ),
-    "fig5": Experiment(
-        "Figure 5: barriers on the 64-node KSR-2", "barriers:run_figure5",
+    Experiment(
+        "fig5", "Figure 5: barriers on the 64-node KSR-2",
         default={"proc_counts": [16, 24, 32, 40, 48, 56, 64], "reps": 10, "seed": 404},
         quick={"proc_counts": [16, 32, 48, 64], "reps": 6},
-        plan="barriers:figure5_plan", min_procs=2,
+        plan="barriers:figure5_plan", assemble="barriers:figure5_assemble", min_procs=2,
     ),
-    "other-archs": Experiment(
-        "Section 3.2.3: Symmetry/Butterfly comparison", "other_archs:run_other_archs"
-    ),
-    "ep": Experiment(
-        "EP scaling (section 3.3)", "ep_scaling:run_ep_scaling",
+    Experiment("other-archs", "Section 3.2.3: Symmetry/Butterfly comparison",
+               "other_archs:run_other_archs"),
+    Experiment(
+        "ep", "EP scaling (section 3.3)", "ep_scaling:run_ep_scaling",
         default={"n_pairs": 1 << 18}, quick={"n_pairs": 1 << 16},
     ),
-    "tab1": _paper_size("Table 1: CG scaling", "cg_scaling:run_table1"),
-    "cg-poststore": _paper_size(
-        "CG poststore study (section 3.3.1)", "cg_scaling:run_cg_poststore"
-    ),
-    "tab2": _paper_size("Table 2: IS scaling", "is_scaling:run_table2"),
-    "fig8": _paper_size("Figure 8: CG and IS speedup curves", "figure8:run_figure8"),
-    "tab3": _paper_size("Table 3: SP scaling", "sp_scaling:run_table3"),
-    "tab4": _paper_size("Table 4: SP optimization ladder", "sp_scaling:run_table4"),
-    "sp-poststore": _paper_size(
-        "SP poststore study (section 3.3.3)", "sp_scaling:run_sp_poststore"
-    ),
-    "cg-formats": _paper_size(
-        "CG data-structure study: CSR vs original CSC", "cg_formats:run_format_comparison"
-    ),
-    "future": _paper_size(
-        "Section 4's proposed features, implemented", "future_features:run_future_features"
-    ),
-    "proj-barriers": Experiment(
-        "Projection: barriers beyond 64 processors", "projection:run_barrier_projection",
+    _paper_size("tab1", "Table 1: CG scaling", "cg_scaling:run_table1"),
+    _paper_size("cg-poststore", "CG poststore study (section 3.3.1)",
+                "cg_scaling:run_cg_poststore"),
+    _paper_size("tab2", "Table 2: IS scaling", "is_scaling:run_table2"),
+    _paper_size("fig8", "Figure 8: CG and IS speedup curves", "figure8:run_figure8"),
+    _paper_size("tab3", "Table 3: SP scaling", "sp_scaling:run_table3"),
+    _paper_size("tab4", "Table 4: SP optimization ladder", "sp_scaling:run_table4"),
+    _paper_size("sp-poststore", "SP poststore study (section 3.3.3)",
+                "sp_scaling:run_sp_poststore"),
+    _paper_size("cg-formats", "CG data-structure study: CSR vs original CSC",
+                "cg_formats:run_format_comparison"),
+    _paper_size("future", "Section 4's proposed features, implemented",
+                "future_features:run_future_features"),
+    Experiment(
+        "proj-barriers", "Projection: barriers beyond 64 processors",
         default={"proc_counts": [32, 64, 128, 256], "reps": 6, "seed": 909},
         quick={"proc_counts": [32, 64, 128]}, plan="projection:barrier_projection_plan",
+        assemble="projection:barrier_projection_assemble",
     ),
-    "proj-cg": Experiment(
-        "Projection: CG to the 1088-processor maximum", "projection:run_cg_projection"
-    ),
-    "f1": Experiment(
-        "Degraded mode: lock workload under fault injection", "degraded:run_degraded_locks",
+    Experiment("proj-cg", "Projection: CG to the 1088-processor maximum",
+               "projection:run_cg_projection"),
+    Experiment(
+        "f1", "Degraded mode: lock workload under fault injection",
         default={"proc_counts": [2, 4, 8, 16], "ops": 30, "seed": 303},
-        quick={"proc_counts": [2, 8], "ops": 10}, plan="degraded:degraded_locks_plan",
+        quick={"proc_counts": [2, 8], "ops": 10},
+        plan="degraded:campaign_plan", assemble="degraded:degraded_locks_assemble",
     ),
-    "f2": Experiment(
-        "Degraded mode: barriers under fault injection", "degraded:run_degraded_barriers",
+    Experiment(
+        "f2", "Degraded mode: barriers under fault injection",
         default={"proc_counts": [4, 8, 16], "reps": 6, "seed": 404},
-        quick={"proc_counts": [4, 8], "reps": 4}, plan="degraded:degraded_barriers_plan",
+        quick={"proc_counts": [4, 8], "reps": 4},
+        plan="degraded:degraded_barriers_plan", assemble="degraded:degraded_barriers_assemble",
     ),
-    "f3": Experiment(
-        "Degraded mode: EP/CG scaling under fault injection", "degraded:run_degraded_kernels",
+    Experiment(
+        "f3", "Degraded mode: EP/CG scaling under fault injection",
         default={"proc_counts": [1, 2, 4, 8, 16, 32], "seed": 505},
-        quick={"proc_counts": [1, 4, 16]}, plan="degraded:degraded_kernels_plan",
+        quick={"proc_counts": [1, 4, 16]},
+        plan="degraded:degraded_kernels_plan", assemble="degraded:degraded_kernels_assemble",
     ),
-}
+)}
 
 
 @dataclass(frozen=True)

@@ -25,10 +25,10 @@ plus a whole-run availability factor for stall windows.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Any, Sequence
 
 from repro.experiments.barriers import measure_barrier
-from repro.experiments.base import ExperimentResult, Plan, Point, plan_of, run_plan
+from repro.experiments.base import CATALOG, ExperimentResult, Plan, Point, plan_of
 from repro.experiments.sweep import SweepRunner
 from repro.faults import FaultPlan
 from repro.faults.campaign import DEFAULT_RATES, campaign_plan
@@ -39,11 +39,14 @@ from repro.ring.contention import RingLoadModel
 
 __all__ = [
     "DegradedRingLoadModel",
+    "campaign_plan",  # F1's plan builder, named in the catalog as ``degraded:campaign_plan``
+    "degraded_barriers_assemble",
     "degraded_barriers_plan",
     "degraded_cg_point",
     "degraded_ep_point",
+    "degraded_kernels_assemble",
     "degraded_kernels_plan",
-    "degraded_locks_plan",
+    "degraded_locks_assemble",
     "fault_factors",
     "run_degraded_barriers",
     "run_degraded_kernels",
@@ -116,7 +119,7 @@ def degraded_ep_point(
     n_procs: int,
     *,
     n_pairs: int = 1 << 18,
-    seed: int = 505,
+    seed: int = CATALOG["f3"].default["seed"],
     plan: FaultPlan = FaultPlan(),
 ) -> Point:
     """EP time on ``n_procs`` processors under ``plan`` (analytic)."""
@@ -151,33 +154,17 @@ def _rate_header(rate: float) -> str:
     return "clean" if rate == 0.0 else f"p={rate:g}"
 
 
-def degraded_locks_plan(
-    proc_counts: list[int], fault_rates: Sequence[float] = DEFAULT_RATES, *, ops: int, seed: int
-) -> Plan:
-    """F1's points: the fault campaign's grid."""
-    return campaign_plan(proc_counts, fault_rates, ops=ops, seed=seed)
-
-
-def run_degraded_locks(
-    proc_counts: list[int] | None = None,
-    fault_rates: list[float] | None = None,
-    *,
-    ops: int = 30,
-    seed: int = 303,
-    runner: SweepRunner | None = None,
-) -> ExperimentResult:
-    """F1: the figure-3 rw lock (writers only) under packet corruption."""
-    if proc_counts is None:
-        proc_counts = [2, 4, 8, 16]
-    if fault_rates is None:
-        fault_rates = list(DEFAULT_RATES)
+def degraded_locks_assemble(params: dict[str, Any], values: list[Point]) -> ExperimentResult:
+    """The F1 table from the values of the campaign grid ``campaign_plan(**params)``."""
+    proc_counts, ops = params["proc_counts"], params["ops"]
+    fault_rates = params.get("fault_rates", DEFAULT_RATES)
     result = ExperimentResult(
         experiment_id="F1",
         title=f"Lock workload under ring packet corruption, {ops} ops/processor (seconds)",
         headers=["P"] + [_rate_header(r) for r in fault_rates]
         + [f"retries {_rate_header(r)}" for r in fault_rates if r],
     )
-    it = iter(run_plan(degraded_locks_plan(proc_counts, fault_rates, ops=ops, seed=seed), runner))
+    it = iter(values)
     for p in proc_counts:
         row_points = [next(it) for _ in fault_rates]
         row: list = [p] + [pt.seconds for pt in row_points]
@@ -200,6 +187,16 @@ def run_degraded_locks(
     return result
 
 
+def run_degraded_locks(
+    proc_counts: list[int] | None = None, fault_rates: list[float] | None = None, *,
+    ops: int | None = None, seed: int | None = None, runner: SweepRunner | None = None,
+) -> ExperimentResult:
+    """F1: the figure-3 rw lock (writers only) under packet corruption, sized by ``CATALOG``."""
+    return CATALOG["f1"].run(
+        runner, proc_counts=proc_counts, fault_rates=fault_rates, ops=ops, seed=seed
+    )
+
+
 def degraded_barriers_plan(
     proc_counts: list[int], fault_rates: Sequence[float] = _BARRIER_RATES, *,
     algorithms: Sequence[str] = _BARRIER_ALGORITHMS, reps: int, seed: int,
@@ -214,38 +211,34 @@ def degraded_barriers_plan(
     return plan_of(measure_barrier, calls)
 
 
-def run_degraded_barriers(
-    proc_counts: list[int] | None = None,
-    fault_rates: list[float] | None = None,
-    *,
-    algorithms: list[str] | None = None,
-    reps: int = 6,
-    seed: int = 404,
-    runner: SweepRunner | None = None,
-) -> ExperimentResult:
-    """F2: figure-4 barrier episodes under packet corruption."""
-    if proc_counts is None:
-        proc_counts = [4, 8, 16]
-    if fault_rates is None:
-        fault_rates = list(_BARRIER_RATES)
-    if algorithms is None:
-        algorithms = list(_BARRIER_ALGORITHMS)
+def degraded_barriers_assemble(params: dict[str, Any], values: list[Point]) -> ExperimentResult:
+    """The F2 table from the values of ``degraded_barriers_plan(**params)``."""
+    fault_rates = params.get("fault_rates", _BARRIER_RATES)
     result = ExperimentResult(
         experiment_id="F2",
-        title=f"Barrier episodes under ring packet corruption, {reps} reps (seconds)",
+        title=f"Barrier episodes under ring packet corruption, {params['reps']} reps (seconds)",
         headers=["algorithm", "P"] + [_rate_header(r) for r in fault_rates],
     )
-    plan = degraded_barriers_plan(
-        proc_counts, fault_rates, algorithms=algorithms, reps=reps, seed=seed
-    )
-    points = iter(run_plan(plan, runner))
-    for a in algorithms:
-        for p in proc_counts:
+    points = iter(values)
+    for a in params.get("algorithms", _BARRIER_ALGORITHMS):
+        for p in params["proc_counts"]:
             row_points = [next(points) for _ in fault_rates]
             result.add_row([a, p] + [pt.seconds for pt in row_points])
             for r, pt in zip(fault_rates, row_points):
                 result.add_series_point(f"{a} {_rate_header(r)}", p, pt.seconds)
     return result
+
+
+def run_degraded_barriers(
+    proc_counts: list[int] | None = None, fault_rates: list[float] | None = None, *,
+    algorithms: list[str] | None = None, reps: int | None = None, seed: int | None = None,
+    runner: SweepRunner | None = None,
+) -> ExperimentResult:
+    """F2: figure-4 barrier episodes under packet corruption, sized by ``CATALOG``."""
+    return CATALOG["f2"].run(
+        runner, proc_counts=proc_counts, fault_rates=fault_rates, algorithms=algorithms,
+        reps=reps, seed=seed,
+    )
 
 
 def degraded_kernels_plan(
@@ -265,26 +258,17 @@ def degraded_kernels_plan(
     return plan_of(degraded_ep_point, ep_calls) + plan_of(degraded_cg_point, cg_calls)
 
 
-def run_degraded_kernels(
-    proc_counts: list[int] | None = None,
-    fault_rates: list[float] | None = None,
-    *,
-    seed: int = 505,
-    runner: SweepRunner | None = None,
-) -> ExperimentResult:
-    """F3: EP and CG modeled scaling under packet corruption."""
-    if proc_counts is None:
-        proc_counts = [1, 2, 4, 8, 16, 32]
-    if fault_rates is None:
-        fault_rates = list(DEFAULT_RATES)
+def degraded_kernels_assemble(params: dict[str, Any], values: list[Point]) -> ExperimentResult:
+    """The F3 table from the values of ``degraded_kernels_plan(**params)``."""
+    fault_rates = params.get("fault_rates", DEFAULT_RATES)
     result = ExperimentResult(
         experiment_id="F3",
         title="Kernel scaling under ring packet corruption (seconds)",
         headers=["kernel", "P"] + [_rate_header(r) for r in fault_rates],
     )
-    points = iter(run_plan(degraded_kernels_plan(proc_counts, fault_rates, seed=seed), runner))
+    points = iter(values)
     for kernel_name in ("EP", "CG"):
-        for p in proc_counts:
+        for p in params["proc_counts"]:
             row_points = [next(points) for _ in fault_rates]
             result.add_row([kernel_name, p] + [pt.seconds for pt in row_points])
             for r, pt in zip(fault_rates, row_points):
@@ -296,3 +280,11 @@ def run_degraded_kernels(
         "CG compounds it through its remote-heavy matvec phase"
     )
     return result
+
+
+def run_degraded_kernels(
+    proc_counts: list[int] | None = None, fault_rates: list[float] | None = None, *,
+    seed: int | None = None, runner: SweepRunner | None = None,
+) -> ExperimentResult:
+    """F3: EP and CG modeled scaling under packet corruption, sized by ``CATALOG``."""
+    return CATALOG["f3"].run(runner, proc_counts=proc_counts, fault_rates=fault_rates, seed=seed)

@@ -23,7 +23,7 @@ from typing import Any, Iterator, Optional
 
 from repro.errors import ConfigError, SimulationError
 from repro.experiments.base import (
-    CATALOG, ExperimentResult, Instruments, Plan, plan_of, run_plan, trace_obs,
+    CATALOG, ExperimentResult, Instruments, Plan, fill_params, plan_of, run_plan,
 )
 from repro.experiments.sweep import SweepRunner
 from repro.machine.api import SharedArray, SharedMemory
@@ -383,13 +383,8 @@ def _assemble_local(calls: list[dict], values: list) -> list[LatencyMeasurement]
 
 
 def run_figure2(
-    proc_counts: list[int] | None = None,
-    *,
-    seed: int | None = None,
-    samples: int | None = None,
-    runner: SweepRunner | None = None,
-    obs: ObsSpec | None = None,
-    trace_dir: str | None = None,
+    proc_counts: list[int] | None = None, *, seed: int | None = None, samples: int | None = None,
+    runner: SweepRunner | None = None, obs: ObsSpec | None = None, trace_dir: str | None = None,
 ) -> ExperimentResult:
     """Reproduce Figure 2 plus the allocation-overhead call-outs.
 
@@ -411,12 +406,9 @@ def run_figure2(
     With ``obs`` set every point, local ones included, runs as one
     whole machine, so each point yields one capture.
     """
-    default = CATALOG["fig2"].default
-    params = dict(
-        proc_counts=list(default["proc_counts"]) if proc_counts is None else proc_counts,
-        seed=default["seed"] if seed is None else seed,
-        samples=default["samples"] if samples is None else samples,
-        obs=trace_obs(obs, trace_dir),
+    params = fill_params(
+        CATALOG["fig2"].default, trace_dir=trace_dir, proc_counts=proc_counts, seed=seed,
+        samples=samples, obs=obs,
     )
     values = run_plan(figure2_plan(**params), runner, trace_dir=trace_dir, experiment_id="FIG2")
     return figure2_assemble(params, values)

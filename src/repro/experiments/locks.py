@@ -13,8 +13,10 @@ lock's surprising win over the hardware lock even with writers only.
 
 from __future__ import annotations
 
+from typing import Any
+
 from repro.experiments.base import (
-    ExperimentResult, Instruments, Plan, Point, machine_cells, plan_of, run_plan, trace_obs,
+    CATALOG, ExperimentResult, Instruments, Plan, Point, machine_cells, plan_of,
 )
 from repro.experiments.sweep import SweepRunner
 from repro.faults import FaultPlan
@@ -29,12 +31,7 @@ from repro.sync.locks import (
     run_lock_workload,
 )
 
-__all__ = ["run_figure3", "figure3_plan", "measure_lock", "READ_FRACTIONS"]
-
-#: The paper's per-processor operation count.  The default here is
-#: smaller so the figure regenerates quickly; pass ``ops=500`` (with
-#: patience) for the full workload.
-_DEFAULT_OPS = 100
+__all__ = ["run_figure3", "figure3_assemble", "figure3_plan", "measure_lock", "READ_FRACTIONS"]
 
 #: Read shares of Figure 3's six read-write lock curves.
 READ_FRACTIONS = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
@@ -45,8 +42,8 @@ def measure_lock(
     n_procs: int,
     read_fraction: float,
     *,
-    ops: int = _DEFAULT_OPS,
-    seed: int = 303,
+    ops: int = CATALOG["fig3"].default["ops"],
+    seed: int = CATALOG["fig3"].default["seed"],
     plan: FaultPlan | None = None,
     obs: ObsSpec | None = None,
 ) -> Point:
@@ -95,42 +92,37 @@ def figure3_plan(
 
 
 def run_figure3(
-    proc_counts: list[int] | None = None,
-    *,
-    ops: int = _DEFAULT_OPS,
-    seed: int = 303,
-    runner: SweepRunner | None = None,
-    obs: ObsSpec | None = None,
-    trace_dir: str | None = None,
+    proc_counts: list[int] | None = None, *, ops: int | None = None, seed: int | None = None,
+    runner: SweepRunner | None = None, obs: ObsSpec | None = None, trace_dir: str | None = None,
 ) -> ExperimentResult:
-    """Reproduce Figure 3's seven curves.
+    """Figure 3's seven curves; unset sizes take ``CATALOG["fig3"]``'s default run.
 
-    Every (lock kind, P, read fraction) point is an independent machine
-    with point-local seeding, so ``runner`` may fan them across worker
-    processes and/or serve them from the result cache without changing
-    a single byte of the table.
-
-    ``trace_dir`` (implies a default ``obs``) writes one Chrome-trace
-    file per point into that directory without changing the table.
+    Every point is an independent, point-seeded machine, so ``runner``
+    may fan them out or serve them from the result cache without
+    changing a byte; ``trace_dir`` (implies ``obs``) writes one Chrome
+    trace per point.
     """
-    if proc_counts is None:
-        proc_counts = [2, 4, 8, 16, 24, 32]
+    return CATALOG["fig3"].run(
+        runner, proc_counts=proc_counts, ops=ops, seed=seed, obs=obs, trace_dir=trace_dir
+    )
+
+
+def figure3_assemble(params: dict[str, Any], values: list[Point]) -> ExperimentResult:
+    """The Figure 3 table from the values of ``figure3_plan(**params)``."""
     result = ExperimentResult(
         experiment_id="FIG3",
-        title=f"Lock performance, {ops} operations per processor (seconds)",
+        title=f"Lock performance, {params['ops']} operations per processor (seconds)",
         headers=["P", "exclusive"]
         + [f"rw {int(f * 100)}% read" for f in READ_FRACTIONS],
     )
-    plan = figure3_plan(proc_counts, ops=ops, seed=seed, obs=trace_obs(obs, trace_dir))
-    points = run_plan(plan, runner, trace_dir=trace_dir, experiment_id="FIG3")
-    values = iter(pt.seconds for pt in points)
-    for p in proc_counts:
+    seconds = iter(pt.seconds for pt in values)
+    for p in params["proc_counts"]:
         row: list = [p]
-        t_excl = next(values)
+        t_excl = next(seconds)
         row.append(t_excl)
         result.add_series_point("exclusive lock", p, t_excl)
         for f in READ_FRACTIONS:
-            t = next(values)
+            t = next(seconds)
             row.append(t)
             result.add_series_point(f"rw {int(f * 100)}%", p, t)
         result.add_row(row)

@@ -20,13 +20,18 @@ every multiple of 32, and CG's speedup saturates long before 1088
 
 from __future__ import annotations
 
-from repro.experiments.base import ExperimentResult, Plan, run_plan
+from typing import Any
+
+from repro.experiments.base import CATALOG, ExperimentResult, Plan, Point
 from repro.experiments.barriers import figure4_plan
 from repro.experiments.sweep import SweepRunner
 from repro.kernels.cg import CgKernel
 from repro.machine.config import MachineConfig
 
-__all__ = ["barrier_projection_plan", "run_barrier_projection", "run_cg_projection"]
+__all__ = [
+    "barrier_projection_assemble", "barrier_projection_plan", "run_barrier_projection",
+    "run_cg_projection",
+]
 
 
 def barrier_projection_plan(proc_counts: list[int], *, reps: int, seed: int) -> Plan:
@@ -34,25 +39,17 @@ def barrier_projection_plan(proc_counts: list[int], *, reps: int, seed: int) -> 
     return figure4_plan(proc_counts, reps=reps, seed=seed, algorithms=("tournament(M)", "counter"))
 
 
-def run_barrier_projection(
-    proc_counts: list[int] | None = None,
-    *,
-    reps: int = 6,
-    seed: int = 909,
-    runner: SweepRunner | None = None,
-) -> ExperimentResult:
-    """Tournament(M) vs counter on multi-ring machines (event level), mapped on ``runner``."""
-    if proc_counts is None:
-        proc_counts = [32, 64, 128, 256]
+def barrier_projection_assemble(params: dict[str, Any], values: list[Point]) -> ExperimentResult:
+    """The projection table from the values of ``barrier_projection_plan(**params)``."""
+    proc_counts, seed = params["proc_counts"], params["seed"]
     result = ExperimentResult(
         experiment_id="PROJ-BAR",
         title="Barrier projection beyond the measured machines (KSR-1, us)",
         headers=["P", "leaf rings", "tournament(M)", "counter", "ratio"],
     )
-    plan = barrier_projection_plan(proc_counts, reps=reps, seed=seed)
-    values = iter(pt.seconds for pt in run_plan(plan, runner))
+    seconds = iter(pt.seconds for pt in values)
     for p in proc_counts:
-        tm, counter = next(values), next(values)
+        tm, counter = next(seconds), next(seconds)
         n_rings = MachineConfig.ksr1(n_cells=p, seed=seed).n_rings
         result.add_row([p, n_rings, tm * 1e6, counter * 1e6, counter / tm])
         result.add_series_point("tournament(M)", p, tm)
@@ -65,6 +62,14 @@ def run_barrier_projection(
         f"{dict(result.series['counter'])[last] / dict(result.series['counter'])[first]:.1f}x"
     )
     return result
+
+
+def run_barrier_projection(
+    proc_counts: list[int] | None = None, *, reps: int | None = None, seed: int | None = None,
+    runner: SweepRunner | None = None,
+) -> ExperimentResult:
+    """Tournament(M) vs counter past 64 cells; unset sizes take ``CATALOG["proj-barriers"]``'s."""
+    return CATALOG["proj-barriers"].run(runner, proc_counts=proc_counts, reps=reps, seed=seed)
 
 
 def run_cg_projection(

@@ -19,20 +19,26 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import cycle
 from pathlib import Path
-from typing import Sequence
+from typing import Any, Sequence
 
-from repro.experiments.base import ExperimentResult, Plan, plan_of, run_plan, trace_obs
+from repro.experiments.base import ExperimentResult, Plan, Point, fill_params, plan_of, run_plan
 from repro.experiments.locks import measure_lock
 from repro.experiments.sweep import SweepRunner
 from repro.faults.plan import FaultPlan
 from repro.obs import ObsSpec
 from repro.obs.export import point_slug, write_chrome_trace
 
-__all__ = ["CampaignResult", "campaign_plan", "run_campaign"]
+__all__ = [
+    "CAMPAIGN_DEFAULT", "CampaignResult", "campaign_assemble", "campaign_plan", "run_campaign",
+]
 
 #: Default per-packet corruption rates swept by ``ksr-faults campaign``.
 DEFAULT_RATES = (0.0, 1e-5, 1e-4, 1e-3)
+
+#: A default campaign's sizes, for ``ksr-faults`` and :func:`run_campaign`.
+CAMPAIGN_DEFAULT: dict[str, Any] = {"proc_counts": [8, 16, 32], "ops": 30, "seed": 303}
 
 
 @dataclass
@@ -43,19 +49,17 @@ class CampaignResult:
     #: ``(n_procs, fault_rate) -> {"seconds": ..., "retries": ..., ...}``
     points: dict[tuple[int, float], dict[str, float]] = field(default_factory=dict)
 
+    def doc(self) -> dict[str, Any]:
+        """The table plus every point's tallies as a JSON-safe document."""
+        points = [
+            {"n_procs": p, "fault_rate": r, **stats} for (p, r), stats in sorted(self.points.items())
+        ]
+        return {**self.result.doc(), "points": points}
+
     def to_json(self) -> str:
         """Deterministic JSON document (sorted keys, fixed separators)."""
-        doc = {
-            "experiment": self.result.experiment_id,
-            "title": self.result.title,
-            "headers": self.result.headers,
-            "rows": self.result.rows,
-            "notes": self.result.notes,
-            "points": [
-                {"n_procs": p, "fault_rate": r, **stats}
-                for (p, r), stats in sorted(self.points.items())
-            ],
-        }
+        doc = self.doc()
+        doc["experiment"] = doc.pop("experiment_id")
         return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
     def render(self) -> str:
@@ -64,7 +68,7 @@ class CampaignResult:
 
 
 def campaign_plan(
-    proc_counts: list[int], fault_rates: Sequence[float], *, ops: int, seed: int,
+    proc_counts: list[int], fault_rates: Sequence[float] = DEFAULT_RATES, *, ops: int, seed: int,
     obs: ObsSpec | None = None,
 ) -> Plan:
     """The campaign grid as independent, cacheable :func:`measure_lock` calls.
@@ -83,42 +87,24 @@ def campaign_plan(
     return plan_of(measure_lock, calls, obs)
 
 
-def run_campaign(
-    proc_counts: list[int] | None = None,
-    fault_rates: list[float] | None = None,
-    *,
-    ops: int = 30,
-    seed: int = 303,
-    runner: SweepRunner | None = None,
-    obs: ObsSpec | None = None,
-    trace_dir: str | None = None,
-) -> CampaignResult:
-    """Sweep the lock workload over processors x corruption rates.
-
-    ``trace_dir`` (implies a default ``obs``) writes one Chrome trace
-    per point without changing the table.
-    """
-    if proc_counts is None:
-        proc_counts = [8, 16, 32]
-    if fault_rates is None:
-        fault_rates = list(DEFAULT_RATES)
-    plan = campaign_plan(
-        proc_counts, fault_rates, ops=ops, seed=seed, obs=trace_obs(obs, trace_dir)
-    )
+def campaign_assemble(params: dict[str, Any], values: list[Point]) -> CampaignResult:
+    """The campaign's table and tallies from the values of ``campaign_plan(**params)``."""
+    proc_counts = params["proc_counts"]
+    fault_rates = params.get("fault_rates", DEFAULT_RATES)
     result = ExperimentResult(
         experiment_id="FAULTS",
-        title=f"Lock workload resilience, {ops} ops/processor",
+        title=f"Lock workload resilience, {params['ops']} ops/processor",
         headers=[
             "P", "fault rate", "seconds", "slowdown",
             "retries", "timeouts", "corrupted", "ring tx",
         ],
     )
     campaign = CampaignResult(result=result)
-    it = iter(zip(plan, run_plan(plan, runner)))
+    it = iter(values)
     for p in proc_counts:
         baseline = None
         for r in fault_rates:
-            (_, call), point = next(it)
+            point = next(it)
             ring_tx = (
                 point.capture.totals["ring_transactions"]
                 if point.capture is not None
@@ -138,12 +124,6 @@ def run_campaign(
             campaign.points[(p, r)] = stats
             result.add_row([p, r, *stats.values()])
             result.add_series_point(f"p={r:g}" if r else "clean", p, point.seconds)
-            if trace_dir is not None and point.capture is not None:
-                # The fault rate lives inside the (non-scalar) plan, so
-                # the slug alone would collide across rates.
-                rate_slug = str(r).replace(".", "p").replace("-", "m")
-                name = f"faults_rate-{rate_slug}_{point_slug(call)}.trace.json"
-                write_chrome_trace(Path(trace_dir) / name, [point.capture])
     worst_rate = max(fault_rates)
     if worst_rate > 0 and proc_counts:
         p_last = proc_counts[-1]
@@ -153,3 +133,31 @@ def run_campaign(
             f"{int(s['retries'])} retries, {int(s['timeouts'])} timeouts"
         )
     return campaign
+
+
+def run_campaign(
+    proc_counts: list[int] | None = None, fault_rates: list[float] | None = None, *,
+    ops: int | None = None, seed: int | None = None, runner: SweepRunner | None = None,
+    obs: ObsSpec | None = None, trace_dir: str | None = None,
+) -> CampaignResult:
+    """Sweep the lock workload over processors x corruption rates.
+
+    Unset sizes take :data:`CAMPAIGN_DEFAULT`'s.  ``trace_dir`` (implies
+    ``obs``) writes one Chrome trace per point without changing the table.
+    """
+    params = fill_params(
+        CAMPAIGN_DEFAULT, trace_dir=trace_dir, proc_counts=proc_counts, fault_rates=fault_rates,
+        ops=ops, seed=seed, obs=obs,
+    )
+    plan = campaign_plan(**params)
+    values = run_plan(plan, runner)
+    if trace_dir is not None:
+        # The fault rate lives inside the (non-scalar) plan, so the
+        # slug alone would collide across rates.
+        rates = cycle(params.get("fault_rates", DEFAULT_RATES))
+        for r, (_, call), point in zip(rates, plan, values):
+            if point.capture is not None:
+                rate_slug = str(r).replace(".", "p").replace("-", "m")
+                name = f"faults_rate-{rate_slug}_{point_slug(call)}.trace.json"
+                write_chrome_trace(Path(trace_dir) / name, [point.capture])
+    return campaign_assemble(params, values)

@@ -24,9 +24,11 @@ Examples
 from __future__ import annotations
 
 import sys
+from typing import Any, Callable
 
 from repro.experiments.sweep import ResultCache, SweepRunner
-from repro.faults.campaign import DEFAULT_RATES, run_campaign
+from repro.faults.campaign import CAMPAIGN_DEFAULT, DEFAULT_RATES, run_campaign
+from repro.machine.config import MAX_CELLS
 from repro.obs import ObsSpec
 from repro.util.cli import build_parser, install_sigpipe_handler, positive_int, print_unknown
 
@@ -35,16 +37,9 @@ __all__ = ["main"]
 _COMMANDS = ("campaign", "smoke")
 
 
-def _parse_int_list(text: str, what: str) -> list[int]:
+def _parse_list(text: str, what: str, kind: Callable[[str], Any]) -> list:
     try:
-        return [int(part) for part in text.split(",") if part.strip()]
-    except ValueError:
-        raise SystemExit(f"invalid {what} list: {text!r}")
-
-
-def _parse_float_list(text: str, what: str) -> list[float]:
-    try:
-        return [float(part) for part in text.split(",") if part.strip()]
+        return [kind(part) for part in text.split(",") if part.strip()]
     except ValueError:
         raise SystemExit(f"invalid {what} list: {text!r}")
 
@@ -59,7 +54,8 @@ def build_faults_parser():
         positional_help=f"one of: {', '.join(_COMMANDS)}",
     )
     parser.add_argument(
-        "--processors", default="8,16,32", metavar="P1,P2,...",
+        "--processors", default=",".join(map(str, CAMPAIGN_DEFAULT["proc_counts"])),
+        metavar="P1,P2,...",
         help="processor counts to sweep (default: %(default)s)",
     )
     parser.add_argument(
@@ -72,11 +68,11 @@ def build_faults_parser():
         help="single fault rate for `smoke` (default: %(default)s)",
     )
     parser.add_argument(
-        "--ops", type=int, default=30,
+        "--ops", type=positive_int, default=CAMPAIGN_DEFAULT["ops"],
         help="lock operations per processor (default: %(default)s)",
     )
     parser.add_argument(
-        "--seed", type=int, default=303,
+        "--seed", type=int, default=CAMPAIGN_DEFAULT["seed"],
         help="master seed for every point (default: %(default)s)",
     )
     parser.add_argument(
@@ -113,23 +109,27 @@ def main(argv: list[str] | None = None) -> int:
     command = args.command[0]
     if command not in _COMMANDS:
         return print_unknown([command], "command")
-    proc_counts = _parse_int_list(args.processors, "processor")
+    proc_counts = _parse_list(args.processors, "processor", int)
     if command == "smoke":
-        proc_counts = proc_counts[:1]
-        fault_rates = [0.0, args.fault_rate]
-        ops = min(args.ops, 10)
+        proc_counts, fault_rates = proc_counts[:1], [0.0, args.fault_rate]
     else:
-        fault_rates = _parse_float_list(args.fault_rates, "fault rate")
-        ops = args.ops
+        fault_rates = _parse_list(args.fault_rates, "fault rate", float)
+    # the service's rules; a campaign measures lock contention, so P >= 2
+    if not proc_counts or not fault_rates:
+        parser.error("--processors and --fault-rates each need at least one value")
+    bad_p = [p for p in proc_counts if not 2 <= p <= MAX_CELLS]
+    if bad_p:
+        parser.error(f"processor counts must be in [2, {MAX_CELLS}], got {bad_p[0]}")
+    bad_r = [r for r in fault_rates if not 0 <= r < 1]
+    if bad_r:
+        parser.error(f"fault rates must be in [0, 1), got {bad_r[0]:g}")
+    if args.seed < 0:
+        parser.error(f"--seed must be at least 0, got {args.seed}")
+    ops = min(args.ops, 10) if command == "smoke" else args.ops
     cache = None if args.no_cache else ResultCache.default()
     with SweepRunner(jobs=args.jobs, cache=cache) as runner:
         campaign = run_campaign(
-            proc_counts,
-            fault_rates,
-            ops=ops,
-            seed=args.seed,
-            runner=runner,
-            obs=ObsSpec(),
+            proc_counts, fault_rates, ops=ops, seed=args.seed, runner=runner, obs=ObsSpec(),
             trace_dir=args.trace_dir,
         )
     if args.format == "json":

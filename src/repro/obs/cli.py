@@ -68,18 +68,17 @@ def main(argv: list[str] | None = None) -> int:
         help="op-trace ring-buffer capacity; 0 = unbounded (default 20000; "
         "evictions are counted and reported, never silent)",
     )
-    parser.add_argument(
-        "--ops", type=int, default=30, metavar="N",
-        help="fig3: lock operations per processor (default 30)",
-    )
-    parser.add_argument(
-        "--samples", type=int, default=400, metavar="N",
-        help="fig2: timed accesses per processor (default 400)",
-    )
-    parser.add_argument(
-        "--reps", type=int, default=6, metavar="N",
-        help="fig4/fig5: barrier episodes per point (default 6)",
-    )
+    for name, what in (
+        ("ops", "lock operations per processor"),
+        ("samples", "timed accesses per processor"),
+        ("reps", "barrier episodes per point"),
+    ):
+        quick = {k: e.params(quick=True)[name] for k, e in SUBJECTS.items() if name in e.default}
+        sizes = ", ".join(f"{size} for {k}" for k, size in quick.items())
+        parser.add_argument(
+            f"--{name}", type=positive_int, default=None, metavar="N",
+            help=f"{'/'.join(quick)}: {what} (default: each subject's quick size; {sizes})",
+        )
     parser.add_argument(
         "--jobs", type=positive_int, default=1, metavar="N",
         help="fan points across N worker processes "
@@ -120,7 +119,11 @@ def main(argv: list[str] | None = None) -> int:
             # its parameters name; fig2's leaves out the allocation call-outs
             entry = SUBJECTS[key]
             params = entry.params(quick=True)
-            params.update((n, getattr(args, n)) for n in ("samples", "ops", "reps") if n in params)
+            params.update(
+                (n, getattr(args, n))
+                for n in ("samples", "ops", "reps")
+                if n in params and getattr(args, n) is not None
+            )
             params.update(proc_counts=[args.procs], obs=spec)
             if key == "fig2":
                 params["callouts"] = False

@@ -18,9 +18,10 @@ byte-for-byte):
   smallest request the API accepts.
 
 Each kind knows its plan (the point calls it computes, which admission
-prices) and how to run itself against a provided
-:class:`~repro.experiments.sweep.SweepRunner`; everything else (queueing,
-batching, caching, capture summaries) is the scheduler's business.
+prices) and runs exactly that plan on a provided
+:class:`~repro.experiments.sweep.SweepRunner`, assembling its payload
+from the values; everything else (queueing, batching, caching, capture
+summaries) is the scheduler's business.
 """
 
 from __future__ import annotations
@@ -208,21 +209,21 @@ class JobSpec:
 
     # -- execution ----------------------------------------------------
 
-    def _runner_params(self) -> tuple[dict[str, Any], ObsSpec | None]:
-        """The job's parameters under its function's names, and its obs spec."""
+    def _runner_params(self) -> dict[str, Any]:
+        """The job's parameters under its functions' names, its ``obs`` spec included."""
         names = {"procs": "proc_counts", "rates": "fault_rates"}
         params = {names.get(k, k): v for k, v in self.param_dict().items()}
-        return params, (ObsSpec() if self.with_obs else None)
+        return {**params, "obs": ObsSpec() if self.with_obs else None}
 
     def plan(self) -> Plan:
         """The point calls this job computes (its admission price counts them)."""
-        params, obs = self._runner_params()
+        params = self._runner_params()
         if self.kind == "experiment":
-            return SERVED_EXPERIMENTS[params.pop("experiment")].plan_for(**params, obs=obs)
+            return SERVED_EXPERIMENTS[params.pop("experiment")].plan_for(**params)
         if self.kind == "campaign":
             from repro.faults.campaign import campaign_plan
 
-            return campaign_plan(**params, obs=obs)
+            return campaign_plan(**params)
         from repro.experiments.locks import measure_lock
         from repro.faults.plan import FaultPlan
 
@@ -231,29 +232,23 @@ class JobSpec:
             ops=params["ops"], seed=params["seed"],
             plan=FaultPlan(corruption_rate=params["fault_rate"]),
         )
-        return plan_of(measure_lock, [call], obs)
+        return plan_of(measure_lock, [call], params["obs"])
 
     def execute(self, runner: SweepRunner) -> dict[str, Any]:
-        """Run this job on ``runner``; return the JSON-safe payload."""
-        params, obs = self._runner_params()
+        """Run this job's plan on ``runner``; return the JSON-safe payload."""
+        values = run_plan(self.plan(), runner)
+        params = self._runner_params()
         if self.kind == "experiment":
             exp = params.pop("experiment")
-            result = SERVED_EXPERIMENTS[exp].run(runner, obs=obs, **params)
+            result = SERVED_EXPERIMENTS[exp].result(params, values)
             return {
                 "experiment": exp, **result.doc(), "series": dict(result.series),
                 "rendered": result.render(),
             }
         if self.kind == "campaign":
-            from repro.faults.campaign import run_campaign
+            from repro.faults.campaign import campaign_assemble
 
-            campaign = run_campaign(**params, runner=runner, obs=obs)
-            return {
-                **campaign.result.doc(),
-                "points": [
-                    {"n_procs": p, "fault_rate": r, **stats}
-                    for (p, r), stats in sorted(campaign.points.items())
-                ],
-                "rendered": campaign.render(),
-            }
-        point = run_plan(self.plan(), runner)[0]
+            campaign = campaign_assemble(params, values)
+            return {**campaign.doc(), "rendered": campaign.render()}
+        point = values[0]
         return {"seconds": point.seconds, "faults": dict(point.faults)}

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import importlib
+from dataclasses import replace
+
 import pytest
 
 from repro.experiments.base import CATALOG, run_plan
@@ -33,8 +36,46 @@ class RecordingRunner(SweepRunner):
         return super()._execute(func, calls)
 
 
+#: The public function of every mapped experiment, which other code calls.
+_PUBLIC = {
+    "fig2": "latency:run_figure2",
+    "fig3": "locks:run_figure3",
+    "fig4": "barriers:run_figure4",
+    "fig5": "barriers:run_figure5",
+    "proj-barriers": "projection:run_barrier_projection",
+    "f1": "degraded:run_degraded_locks",
+    "f2": "degraded:run_degraded_barriers",
+    "f3": "degraded:run_degraded_kernels",
+}
+
+
 def test_every_mapped_experiment_is_exercised():
     assert {key for key, entry in CATALOG.items() if entry.plan} == set(_TINY)
+
+
+def test_each_entry_names_only_the_functions_it_runs():
+    assert set(_PUBLIC) == set(_TINY)
+    for key, entry in CATALOG.items():
+        assert entry.key == key
+        if entry.plan:
+            assert entry.assemble and not entry.function, key
+        else:
+            assert entry.function and not entry.assemble, key
+
+
+@pytest.mark.parametrize("key", sorted(_PUBLIC))
+def test_public_run_defaults_are_the_catalog_default_run(key, monkeypatch):
+    entry = CATALOG[key]
+    tiny = {**entry.params(quick=True), **_TINY[key]}
+    monkeypatch.setitem(CATALOG, key, replace(entry, default=tiny))
+    module, _, name = _PUBLIC[key].partition(":")
+    run = getattr(importlib.import_module(f"repro.experiments.{module}"), name)
+    runner = RecordingRunner()
+    run(runner=runner)
+    computed = [point_key(func, kwargs) for func, calls in runner.batches for kwargs in calls]
+    planned = {point_key(func, kwargs) for func, kwargs in entry.plan_for(**tiny)}
+    assert len(computed) == len(planned)
+    assert set(computed) == planned
 
 
 @pytest.mark.parametrize("key", sorted(_TINY))

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import repro.obs.cli as obs_cli
 from repro.obs.cli import SUBJECTS, main
 from repro.obs.export import validate_chrome_trace
 
@@ -14,6 +15,49 @@ _FAST = ["--procs", "2", "--ops", "4", "--no-cache"]
 def _isolated_cache(tmp_path, monkeypatch):
     """Keep any cache writes inside the test's tmp directory."""
     monkeypatch.setenv("KSR_CACHE_DIR", str(tmp_path / "cache"))
+
+
+class TestSizes:
+    """``--ops``/``--samples``/``--reps`` default to each subject's quick size."""
+
+    def test_unset_sizes_are_the_quick_sizes(self, monkeypatch):
+        class Stop(Exception):
+            pass
+
+        plans = []
+
+        def record(plan, runner):
+            plans.append(plan)
+            raise Stop
+
+        monkeypatch.setattr(obs_cli, "run_plan", record)
+        for key in SUBJECTS:
+            with pytest.raises(Stop):
+                main([key, "--procs", "2", "--no-cache"])
+        for key, plan in zip(SUBJECTS, plans):
+            quick = SUBJECTS[key].params(quick=True)
+            sizes = {n: quick[n] for n in ("ops", "samples", "reps") if n in quick}
+            assert sizes and plan
+            for _, kwargs in plan:
+                assert {n: kwargs[n] for n in sizes} == sizes, key
+
+    @pytest.mark.parametrize("subject, option", [
+        ("fig2", "--samples"), ("fig3", "--ops"), ("fig4", "--reps"),
+    ])
+    def test_a_size_below_one_is_a_usage_error(self, subject, option, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([subject, "--procs", "2", option, "0", "--no-cache"])
+        assert exit_info.value.code == 2
+        assert f"{option}: must be at least 1, got 0" in capsys.readouterr().err
+
+    def test_help_names_each_quick_size(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        help_text = " ".join(capsys.readouterr().out.split())  # undo argparse's wrapping
+        for key, entry in SUBJECTS.items():
+            for name in ("ops", "samples", "reps"):
+                if name in entry.default:
+                    assert f"{entry.params(quick=True)[name]} for {key}" in help_text
 
 
 class TestSelection:

@@ -7,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.experiments.sweep as sweep
-from repro.experiments.sweep import ProcessPoolBackend
+from repro.experiments.sweep import ProcessPoolBackend, point_key
 from repro.service.batching import JobTable, estimate_points
 from repro.service.jobs import JobSpec, ServiceError
 
+from tests.experiments.test_catalog import RecordingRunner
 from tests.experiments.test_fig2_cell_runs import CountingRunner
 from tests.experiments.test_sweep import square
 
@@ -97,6 +98,20 @@ class TestEstimatePoints:
         runner = CountingRunner()
         s.execute(runner)
         assert estimate_points(s) == len(runner.computed)  # exact, so an upper bound
+
+    @pytest.mark.parametrize("obs", [False, True], ids=["plain", "obs"])
+    @pytest.mark.parametrize("experiment, params", [
+        ("fig2", {"procs": [1, 3], "samples": 10}),
+        ("fig3", {"procs": [2, 3], "ops": 2}),
+        ("fig4", {"procs": [2, 4], "reps": 2}),
+        ("fig5", {"procs": [2], "reps": 2}),
+    ])
+    def test_experiment_job_computes_exactly_its_plan(self, experiment, params, obs):
+        s = spec({"kind": "experiment", "experiment": experiment, "params": params, "obs": obs})
+        runner = RecordingRunner()
+        s.execute(runner)
+        computed = [point_key(func, kwargs) for func, calls in runner.batches for kwargs in calls]
+        assert sorted(computed) == sorted({point_key(func, kwargs) for func, kwargs in s.plan()})
 
     @pytest.mark.parametrize("param", ["procs", "rates"])
     def test_lists_are_bounded(self, param):
