@@ -53,6 +53,7 @@ __all__ = [
     "code_version",
     "point_key",
     "safe_loads",
+    "source_digest",
 ]
 
 # Determinism sinks for `ksr-analyze flow` (KSR110): anything keyed
@@ -75,34 +76,43 @@ _code_version: str | None = None
 def code_version() -> str:
     """SHA-256 over every source file of the installed ``repro`` package.
 
-    Computed once per process.  Any change to the simulator, kernels or
-    experiment code yields a new version and therefore a cold cache —
-    the cache can never serve values computed by different code.  The
-    declared semantic versions of the fault injector, the macro-event
-    batching layer and the scenario model are folded in explicitly:
-    they guard the cache even if those subsystems move outside the
-    hashed tree, and they make the dependency visible at the key level.
+    Computed once per process (:func:`source_digest` is the uncached
+    hash).  Any change to the simulator, kernels or experiment code
+    yields a new version and therefore a cold cache — the cache can
+    never serve values computed by different code.
     """
     global _code_version
     if _code_version is None:
-        import repro
-        from repro.analysis import MODEL_VERSION as SCENARIO_MODEL_VERSION
-        from repro.faults.plan import INJECTOR_VERSION
-        from repro.sim.batch import BATCH_VERSION
-
-        root = Path(repro.__file__).resolve().parent
-        digest = hashlib.sha256()
-        digest.update(
-            f"injector={INJECTOR_VERSION};batch={BATCH_VERSION};"
-            f"scenarios={SCENARIO_MODEL_VERSION}".encode()
-        )
-        digest.update(b"\0")
-        for path in sorted(root.rglob("*.py")):
-            digest.update(path.relative_to(root).as_posix().encode())
-            digest.update(b"\0")
-            digest.update(path.read_bytes())
-        _code_version = digest.hexdigest()
+        _code_version = source_digest()
     return _code_version
+
+
+def source_digest() -> str:
+    """The hash :func:`code_version` caches, computed from the tree now.
+
+    The declared semantic versions of the fault injector, the
+    macro-event batching layer and the scenario model are folded in
+    explicitly: they guard the cache even if those subsystems move
+    outside the hashed tree, and they make the dependency visible at
+    the key level.
+    """
+    import repro
+    from repro.analysis import MODEL_VERSION as SCENARIO_MODEL_VERSION
+    from repro.faults.plan import INJECTOR_VERSION
+    from repro.sim.batch import BATCH_VERSION
+
+    root = Path(repro.__file__).resolve().parent
+    digest = hashlib.sha256()
+    digest.update(
+        f"injector={INJECTOR_VERSION};batch={BATCH_VERSION};"
+        f"scenarios={SCENARIO_MODEL_VERSION}".encode()
+    )
+    digest.update(b"\0")
+    for path in sorted(root.rglob("*.py")):
+        digest.update(path.relative_to(root).as_posix().encode())
+        digest.update(b"\0")
+        digest.update(path.read_bytes())
+    return digest.hexdigest()
 
 
 #: ``repr`` of an object without a real ``__repr__`` embeds its memory

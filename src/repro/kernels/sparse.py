@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ConfigError
+from repro.memory.streams import stable_order
 
 __all__ = ["SparseCSC", "SparseCSR", "random_sparse_spd"]
 
@@ -75,11 +76,10 @@ class SparseCSR:
 
     def to_csc(self) -> "SparseCSC":
         """Convert to the original column-major layout."""
-        order = np.argsort(self.col_index, kind="stable")
+        order = stable_order(self.col_index)
         rows = np.repeat(np.arange(self.n), np.diff(self.row_start))
-        col_sorted = self.col_index[order]
         col_start = np.zeros(self.n + 1, dtype=np.int64)
-        np.add.at(col_start[1:], col_sorted, 1)
+        col_start[1:] = np.bincount(self.col_index, minlength=self.n)
         np.cumsum(col_start, out=col_start)
         return SparseCSC(
             n=self.n,
@@ -103,6 +103,8 @@ class SparseCSC:
             raise ConfigError("col_start must have n+1 entries")
         if self.row_index.shape != self.values.shape:
             raise ConfigError("row_index and values must be congruent")
+        if self.col_start[0] != 0 or self.col_start[-1] != self.values.size:
+            raise ConfigError("col_start must span [0, nnz]")
 
     @property
     def nnz(self) -> int:
@@ -115,17 +117,15 @@ class SparseCSC:
         if x.shape != (self.n,):
             raise ConfigError(f"x must have length {self.n}")
         xj = np.repeat(x, np.diff(self.col_start))
-        y = np.zeros(self.n)
-        np.add.at(y, self.row_index, self.values * xj)
-        return y
+        # bincount accumulates in index order, as the scatter loop does
+        return np.bincount(self.row_index, weights=self.values * xj, minlength=self.n)
 
     def to_csr(self) -> SparseCSR:
         """The paper's transformation to row start / column index."""
-        order = np.argsort(self.row_index, kind="stable")
+        order = stable_order(self.row_index)
         cols = np.repeat(np.arange(self.n), np.diff(self.col_start))
-        rows_sorted = self.row_index[order]
         row_start = np.zeros(self.n + 1, dtype=np.int64)
-        np.add.at(row_start[1:], rows_sorted, 1)
+        row_start[1:] = np.bincount(self.row_index, minlength=self.n)
         np.cumsum(row_start, out=row_start)
         return SparseCSR(
             n=self.n,
@@ -167,7 +167,7 @@ def random_sparse_spd(
     )
     # deduplicate by (row, col), summing values
     keys = all_rows.astype(np.int64) * n + all_cols
-    order = np.argsort(keys, kind="stable")
+    order = stable_order(keys)
     keys_s, vals_s = keys[order], vals[order]
     boundary = np.empty(keys_s.size, dtype=bool)
     boundary[0] = True
@@ -178,13 +178,12 @@ def random_sparse_spd(
     u_rows = (uniq_keys // n).astype(np.int64)
     u_cols = (uniq_keys % n).astype(np.int64)
     # strict diagonal dominance
-    row_abs = np.zeros(n)
-    np.add.at(row_abs, u_rows, np.abs(uniq_vals))
+    row_abs = np.bincount(u_rows, weights=np.abs(uniq_vals), minlength=n)
     diag_mask = u_rows == u_cols
     uniq_vals[diag_mask] = row_abs[u_rows[diag_mask]] + 1.0
     # assemble CSR (keys are already row-major sorted)
     row_start = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(row_start[1:], u_rows, 1)
+    row_start[1:] = np.bincount(u_rows, minlength=n)
     np.cumsum(row_start, out=row_start)
     csr = SparseCSR(n=n, row_start=row_start, col_index=u_cols, values=uniq_vals)
     if format == "csr":

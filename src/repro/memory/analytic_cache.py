@@ -46,7 +46,7 @@ import numpy as np
 
 from repro.errors import MemoryModelError
 from repro.machine.config import CacheConfig, SUBPAGE_BYTES
-from repro.memory.streams import AccessStream
+from repro.memory.streams import AccessStream, stable_order
 
 __all__ = [
     "CacheModelResult",
@@ -68,7 +68,8 @@ def time_distances(ids: np.ndarray, iterations: int = 1) -> tuple[np.ndarray, in
     same id; cold (first) touches get distance -1.
 
     Returns ``(distances, n_cold)``.  Vectorized: group positions by id
-    via a stable argsort, difference within groups.
+    via a stable order (:func:`~repro.memory.streams.stable_order`),
+    difference within groups.
 
     With ``iterations = k > 1`` the distances are those of ``ids``
     played ``k`` times back to back and run-length compressed (what
@@ -89,7 +90,7 @@ def time_distances(ids: np.ndarray, iterations: int = 1) -> tuple[np.ndarray, in
     n = ids.size
     if n == 0:
         return np.empty(0, dtype=np.int64), 0
-    order = np.argsort(ids, kind="stable")  # groups ids, positions ascending
+    order = stable_order(ids)  # groups ids, positions ascending
     sorted_ids = ids[order]
     # group starts in sorted order: the first touch of each id
     firsts = np.concatenate(([0], np.flatnonzero(sorted_ids[1:] != sorted_ids[:-1]) + 1))

@@ -22,9 +22,33 @@ import numpy as np
 from repro.errors import MemoryModelError
 from repro.machine.config import SUBPAGE_BYTES, WORD_BYTES
 
-__all__ = ["AccessStream", "sequential", "strided", "gather", "concat"]
+__all__ = ["AccessStream", "sequential", "strided", "gather", "concat", "stable_order"]
 
 _WORDS_PER_SUBPAGE = SUBPAGE_BYTES // WORD_BYTES
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def stable_order(keys: np.ndarray) -> np.ndarray:
+    """The permutation ``np.argsort(keys, kind="stable")`` of integer keys.
+
+    Each key becomes the unique composite ``(key - min) * n + position``,
+    which a plain (unstable, faster) sort orders exactly as the stable
+    sort orders the keys; ``composite % n`` reads the positions back.
+    When ``(max - min + 1) * n`` would overflow int64 the stable argsort
+    itself is used.
+    """
+    n = keys.size
+    if n == 0:
+        return np.empty(0, dtype=np.intp)
+    lo = int(keys.min())
+    if (int(keys.max()) - lo + 1) * n > _INT64_MAX:
+        return np.argsort(keys, kind="stable")
+    composite = keys.astype(np.int64)
+    composite -= lo
+    composite *= n
+    composite += np.arange(n, dtype=np.int64)
+    composite.sort()
+    return np.remainder(composite, n, out=composite)
 
 
 @dataclass(frozen=True)
@@ -106,19 +130,24 @@ class AccessStream:
         return units[keep]
 
 
-def _compress(subpages: np.ndarray, weights: np.ndarray, write_fraction: float) -> AccessStream:
-    """Merge consecutive equal subpage ids, summing weights."""
+def _compress(
+    subpages: np.ndarray, weights: np.ndarray | None, write_fraction: float
+) -> AccessStream:
+    """Merge consecutive equal subpage ids, summing weights (``None``:
+    one word access per id, so each run's weight is its length)."""
     subpages = np.ascontiguousarray(subpages, dtype=np.int64)
-    weights = np.ascontiguousarray(weights, dtype=np.int64)
     if subpages.size == 0:
-        return AccessStream(subpages, weights, write_fraction)
+        return AccessStream(subpages, np.empty(0, dtype=np.int64), write_fraction)
     boundary = np.empty(subpages.size, dtype=bool)
     boundary[0] = True
     np.not_equal(subpages[1:], subpages[:-1], out=boundary[1:])
     starts = np.flatnonzero(boundary)
-    out_ids = subpages[starts]
-    out_weights = np.add.reduceat(weights, starts)
-    return AccessStream(out_ids, out_weights, write_fraction)
+    if weights is None:
+        out_weights = np.diff(starts, append=subpages.size)
+    else:
+        weights = np.ascontiguousarray(weights, dtype=np.int64)
+        out_weights = np.add.reduceat(weights, starts)
+    return AccessStream(subpages[starts], out_weights, write_fraction)
 
 
 def sequential(base_addr: int, n_words: int, *, write_fraction: float = 0.0) -> AccessStream:
@@ -129,9 +158,15 @@ def sequential(base_addr: int, n_words: int, *, write_fraction: float = 0.0) -> 
         empty = np.empty(0, dtype=np.int64)
         return AccessStream(empty, empty.copy(), write_fraction)
     first_word = base_addr // WORD_BYTES
-    words = np.arange(first_word, first_word + n_words, dtype=np.int64)
-    subpages = words // _WORDS_PER_SUBPAGE
-    return _compress(subpages, np.ones(n_words, dtype=np.int64), write_fraction)
+    end_word = first_word + n_words
+    subpages = np.arange(
+        first_word // _WORDS_PER_SUBPAGE, (end_word - 1) // _WORDS_PER_SUBPAGE + 1,
+        dtype=np.int64,
+    )
+    # each touch weighs the words of its subpage inside [first, end)
+    edges = np.append(subpages * _WORDS_PER_SUBPAGE, end_word)
+    edges[0] = first_word
+    return AccessStream(subpages, np.diff(edges), write_fraction)
 
 
 def strided(
@@ -149,8 +184,7 @@ def strided(
     words = first_word + stride_words * np.arange(n_accesses, dtype=np.int64)
     if words.size and words.min() < 0:
         raise MemoryModelError("strided access walked below address zero")
-    subpages = words // _WORDS_PER_SUBPAGE
-    return _compress(subpages, np.ones(n_accesses, dtype=np.int64), write_fraction)
+    return _compress(words // _WORDS_PER_SUBPAGE, None, write_fraction)
 
 
 def gather(
@@ -168,8 +202,7 @@ def gather(
     if idx.size and idx.min() < 0:
         raise MemoryModelError("negative gather index")
     first_word = base_addr // WORD_BYTES
-    subpages = (first_word + idx) // _WORDS_PER_SUBPAGE
-    return _compress(subpages, np.ones(idx.size, dtype=np.int64), write_fraction)
+    return _compress((first_word + idx) // _WORDS_PER_SUBPAGE, None, write_fraction)
 
 
 def concat(streams: Sequence[AccessStream]) -> AccessStream:

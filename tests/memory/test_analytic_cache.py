@@ -269,3 +269,72 @@ class TestRepeatedTimeDistances:
         got = time_distances(ids, k)
         assert got[1] == want[1]
         assert np.array_equal(got[0], want[0])
+
+
+def _argsort_time_distances(ids: np.ndarray, iterations: int = 1) -> tuple[np.ndarray, int]:
+    """``time_distances`` as written with a stable ``argsort``: the oracle
+    its composite-key order must reproduce byte for byte."""
+    ids = np.ascontiguousarray(ids)
+    if iterations > 1 and ids.size > 1:
+        runs = ids[1:] != ids[:-1]
+        if not runs.all():
+            ids = ids[np.concatenate(([True], runs))]
+    n = ids.size
+    if n == 0:
+        return np.empty(0, dtype=np.int64), 0
+    order = np.argsort(ids, kind="stable")
+    sorted_ids = ids[order]
+    firsts = np.concatenate(([0], np.flatnonzero(sorted_ids[1:] != sorted_ids[:-1]) + 1))
+    gap = np.empty(n, dtype=np.int64)
+    np.subtract(order[1:], order[:-1], out=gap[1:])
+    gap[firsts] = -1
+    fused = int(iterations > 1 and ids[0] == ids[-1])
+    period = n - fused
+    distances = np.empty(n + (iterations - 1) * period, dtype=np.int64)
+    distances[order] = gap
+    if iterations == 1:
+        return distances, firsts.size
+    distances[n:n + period] = distances[fused:n]
+    first_pos = order[firsts]
+    lasts = np.append(firsts[1:], n) - 1
+    wrap = period - order[lasts] + first_pos
+    if fused:
+        keep = first_pos > 0
+        first_pos, wrap = first_pos[keep], wrap[keep]
+    distances[n - fused + first_pos] = wrap
+    distances[n:].reshape(iterations - 1, period)[1:] = distances[n:n + period]
+    return distances, firsts.size
+
+
+class TestTimeDistancesMatchArgsort:
+    """The stable-order rewrite returns the very bytes of the argsort one."""
+
+    def _check(self, ids: np.ndarray, iterations: int) -> None:
+        got, got_cold = time_distances(ids, iterations)
+        want, want_cold = _argsort_time_distances(ids, iterations)
+        assert got_cold == want_cold
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+    @given(
+        ids_list=st.lists(st.integers(min_value=0, max_value=40), min_size=1, max_size=200),
+        base=st.sampled_from([0, 7, 1 << 40]),
+        iterations=st.integers(min_value=1, max_value=3),
+        fused=st.booleans(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_random_ids(self, ids_list, base, iterations, fused):
+        if fused:  # first id equal to the last: k-fold copies fuse
+            ids_list = ids_list + [ids_list[0]]
+        self._check(np.array(ids_list, dtype=np.int64) + base, iterations)
+
+    @pytest.mark.parametrize("iterations", [1, 2, 3])
+    def test_empty_and_one_element(self, iterations):
+        self._check(np.empty(0, dtype=np.int64), iterations)
+        self._check(np.array([5], dtype=np.int64), iterations)
+
+    @pytest.mark.parametrize("iterations", [1, 2, 3])
+    def test_int64_overflowing_range_falls_back(self, iterations):
+        ids = np.array([1 << 62, 3, (1 << 62) + 9, 3, 1 << 62, 0, (1 << 62) + 9, 1 << 62])
+        assert (int(ids.max()) - int(ids.min()) + 1) * ids.size > np.iinfo(np.int64).max
+        self._check(ids, iterations)

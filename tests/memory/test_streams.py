@@ -6,7 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import MemoryModelError
 from repro.machine.config import SUBPAGE_BYTES, WORD_BYTES
-from repro.memory.streams import AccessStream, concat, gather, sequential, strided
+from repro.memory.streams import (
+    AccessStream, concat, gather, sequential, stable_order, strided,
+)
 
 WORDS_PER_SUBPAGE = SUBPAGE_BYTES // WORD_BYTES
 
@@ -133,3 +135,92 @@ class TestValidation:
         direct = AccessStream(ids, np.ones(4, dtype=np.int64))
         with pytest.raises(ValueError):
             direct.subpages[1] = 0
+
+
+def _word_level(word_addresses: np.ndarray, write_fraction: float = 0.0) -> AccessStream:
+    """The word-level reference: one subpage id and weight-1 per word,
+    merged by ``np.add.reduceat`` (what the builders did before they
+    took run lengths or closed forms)."""
+    subpages = np.ascontiguousarray(word_addresses // WORDS_PER_SUBPAGE, dtype=np.int64)
+    weights = np.ones(subpages.size, dtype=np.int64)
+    if subpages.size == 0:
+        return AccessStream(subpages, weights, write_fraction)
+    boundary = np.concatenate(([True], subpages[1:] != subpages[:-1]))
+    starts = np.flatnonzero(boundary)
+    return AccessStream(subpages[starts], np.add.reduceat(weights, starts), write_fraction)
+
+
+def _assert_same_stream(got: AccessStream, want: AccessStream) -> None:
+    for field in ("subpages", "weights"):
+        g, w = getattr(got, field), getattr(want, field)
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), field
+    assert got.write_fraction == want.write_fraction
+
+
+class TestBuildersMatchWordLevel:
+    """``sequential`` (closed form), ``strided`` and ``gather`` (run
+    lengths) return the very bytes of the word-level reference."""
+
+    @pytest.mark.parametrize("base_words", [0, 1, 5, 15, 16, 17, 1000])
+    @pytest.mark.parametrize("n_words", [0, 1, 2, 3, 11, 15, 16, 17, 33, 500])
+    def test_sequential(self, base_words, n_words):
+        first = base_words
+        got = sequential(base_words * WORD_BYTES, n_words, write_fraction=0.5)
+        want = _word_level(np.arange(first, first + n_words, dtype=np.int64), 0.5)
+        _assert_same_stream(got, want)
+
+    def test_sequential_byte_unaligned_base(self):
+        got = sequential(3 * WORD_BYTES + 5, 40)
+        _assert_same_stream(got, _word_level(np.arange(3, 43, dtype=np.int64)))
+
+    @given(
+        base_words=st.integers(min_value=0, max_value=5000),
+        n_accesses=st.integers(min_value=0, max_value=300),
+        stride=st.integers(min_value=-20, max_value=40).filter(bool),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_strided(self, base_words, n_accesses, stride):
+        if stride < 0:  # start high enough that the walk stays above zero
+            base_words += -stride * n_accesses
+        words = base_words + stride * np.arange(n_accesses, dtype=np.int64)
+        got = strided(base_words * WORD_BYTES, n_accesses, stride)
+        _assert_same_stream(got, _word_level(words))
+
+    @given(
+        base_words=st.integers(min_value=0, max_value=100),
+        indices=st.lists(st.integers(min_value=0, max_value=200), max_size=200),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_gather(self, base_words, indices):
+        idx = np.array(indices, dtype=np.int64)
+        got = gather(base_words * WORD_BYTES, idx, write_fraction=0.25)
+        _assert_same_stream(got, _word_level(base_words + idx, 0.25))
+
+
+class TestStableOrder:
+    @given(
+        keys=st.lists(st.integers(min_value=-50, max_value=50), max_size=300),
+        offset=st.sampled_from([0, 1 << 40, -(1 << 40)]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_stable_argsort(self, keys, offset):
+        arr = np.array(keys, dtype=np.int64) + offset
+        got, want = stable_order(arr), np.argsort(arr, kind="stable")
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_int64_overflowing_range_falls_back(self):
+        keys = np.array([1 << 62, -(1 << 62), 7, 1 << 62, -(1 << 62), 7, 0])
+        assert (int(keys.max()) - int(keys.min()) + 1) * keys.size > np.iinfo(np.int64).max
+        want = np.argsort(keys, kind="stable")
+        assert stable_order(keys).tobytes() == want.tobytes()
+
+    def test_fallback_at_the_overflow_boundary(self):
+        """``(2**62 + 1) * 2`` just exceeds int64: the composite of the
+        larger key would wrap to a negative number."""
+        keys = np.array([1 << 62, 0], dtype=np.int64)
+        assert list(stable_order(keys)) == [1, 0]
+
+    def test_leaves_keys_untouched(self):
+        keys = np.array([3, 1, 2, 1], dtype=np.int64)
+        stable_order(keys)
+        assert list(keys) == [3, 1, 2, 1]

@@ -23,6 +23,7 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.experiments.sweep import source_digest
 from repro.service.app import version_info
 from repro.service.fleet import LocalFleet, Registrar, WorkerHandle
 from repro.service.fleet.wire import FLEET_TOKEN_ENV, FLEET_TOKEN_HEADER
@@ -370,7 +371,14 @@ class TestWorkerProcesses:
             }
             try:
                 deadline = time.monotonic() + 60
+                coordinator_code = version_info()["code"]
                 while len(client.alive_workers()) < len(procs):
+                    # a worker hashes the tree as it is now; an edit made
+                    # since this process hashed it is refused with a 409
+                    assert source_digest() == coordinator_code, (
+                        "version mismatch: the source tree changed after the "
+                        "coordinator hashed it, so every worker is refused"
+                    )
                     assert time.monotonic() < deadline, "workers never registered"
                     assert all(p.poll() is None for p in procs.values())
                     time.sleep(0.05)
