@@ -19,10 +19,11 @@ by module over the one :class:`~repro.analysis.flow.program.Program`
     mint a stream outside the seeded registry.  A seeded
     ``np.random.default_rng`` is fine.
 ``KSR114`` — a sub-ring's ``_free`` grant heap is replaced-into by
-    ``SlottedRing._claim`` alone (the macro-event ``BatchAdvancer``
-    calls it too); a ``heapreplace`` on ``_free``, or on a local bound
-    to it (``heap = self._free[subring]``), anywhere else is a second
-    copy of the grant arithmetic.
+    ``SlottedRing._claim`` alone (the retry window of
+    :class:`repro.ring.batch.BatchAdvancer` calls it per closed-form
+    retry); a ``heapreplace`` on ``_free``, or on a local bound to it
+    (``heap = self._free[subring]``), anywhere else is a second copy of
+    the grant arithmetic.
 
 Coherence-state mutation outside the protocol (once KSR101 here) is
 KSR111 in :mod:`repro.analysis.flow.determinism`.

@@ -40,6 +40,7 @@ from repro.errors import ProtocolError
 from repro.machine.config import MachineConfig, WORD_BYTES
 from repro.memory.address import subpage_of
 from repro.memory.local_cache import SubpageState
+from repro.ring.batch import BatchAdvancer
 from repro.ring.hierarchy import RingHierarchy
 from repro.ring.slotted_ring import TransactionOutcome
 from repro.sim.engine import Engine, Event
@@ -72,8 +73,8 @@ class _AtomicWaiter:
     is_gsp: bool
     enqueued_at: float
     #: The pending hardware retry: an engine :class:`Event`, or a
-    #: :class:`repro.sim.batch.MacroChain` when the macro-event layer
-    #: carries this waiter's retry loop.  Both expose ``cancel()``.
+    #: :class:`repro.ring.batch.RetryChain` when the retry loop runs in
+    #: closed form.  Both expose ``cancel()``.
     retry_event: Optional[Any] = None
 
 
@@ -117,11 +118,9 @@ class CoherenceProtocol:
         #: fault bookkeeping so clean machines pay one branch per
         #: transaction and touch no fault counters.
         self.fault_accounting = False
-        #: The macro-event layer (:class:`repro.ring.batch.BatchAdvancer`),
-        #: always wired by :class:`~repro.machine.ksr.KsrMachine`.
-        #: ``None`` — standalone protocols, or a test forcing the
-        #: reference — keeps the per-event retry closures.
-        self.batch_advancer: Optional[Any] = None
+        #: Runs hardware retry loops in closed form while
+        #: :meth:`BatchAdvancer.batchable` allows it.
+        self.batch_advancer = BatchAdvancer(self)
 
     # ------------------------------------------------------------------
     # Wiring
@@ -436,25 +435,16 @@ class CoherenceProtocol:
         waiter = _AtomicWaiter(cell_id, retry, is_gsp=want_atomic, enqueued_at=now)
         self._atomic_waiters.setdefault(subpage_id, []).append(waiter)
         interval = self.config.ring.circuit_cycles * self.GSP_RETRY_CIRCUITS
-        # Macro-event path (repro.ring.batch): the self-clocked retry
-        # loop becomes a batchable chain instead of an event-per-retry
-        # closure.  Fault accounting forces per-event retries — the
-        # injector seams charge per-retry counters a closed-form advance
-        # does not replicate.
+        # The self-clocked retry loop runs as a closed-form chain
+        # (repro.ring.batch) unless an audit, tie shuffling or a fault
+        # seam needs one real event per retry.
         advancer = self.batch_advancer
-        if (
-            advancer is not None
-            and not self.fault_accounting
-            and advancer.gsp_chain_allowed()
-        ):
-            chain = advancer.start_gsp_chain(
-                cell.perfmon, cell_id, subpage_id, interval
-            )
-            if chain is not None:
-                waiter.retry_event = chain
-                return
-        # Hot path under lock contention: most events of a contended run
-        # are these retries, so bind everything the closure touches once.
+        if advancer.batchable():
+            waiter.retry_event = advancer.start(cell.perfmon, cell_id, subpage_id, interval)
+            return
+        # Per-event retries: the fault path and the batching reference.
+        # A contended run under them is mostly these events, so bind
+        # everything the closure touches once.
         perfmon = cell.perfmon
         engine = self.engine
         schedule = engine.schedule

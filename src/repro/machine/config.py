@@ -35,7 +35,7 @@ expressed in the KSR-2's CPU cycles; the sub-cache is part of the CPU
 pipeline and stays at 2 cycles.
 
 Only the modelled machine is configured here.  The simulator's
-byte-identical speed-ups — macro-event batching of hardware retries
+byte-identical speed-ups — closed-form batching of hardware retries
 (:mod:`repro.ring.batch`) and memoized kernel pricing
 (:class:`repro.memory.analytic_cache.AnalyticCache`) — are not options:
 every machine runs them.

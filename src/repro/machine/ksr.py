@@ -26,7 +26,6 @@ from repro.errors import DeadlockError, SimulationError
 from repro.machine.cell import Cell
 from repro.machine.config import MachineConfig
 from repro.memory.perfmon import PerfMonitor
-from repro.ring.batch import BatchAdvancer
 from repro.ring.hierarchy import RingHierarchy
 from repro.sim.engine import Engine
 from repro.sim.process import Op, Process
@@ -59,7 +58,6 @@ class KsrMachine:
         self.engine = Engine()
         self.hierarchy = RingHierarchy(config, self.seeds)
         self.protocol = CoherenceProtocol(config, self.engine, self.hierarchy)
-        self.protocol.batch_advancer = BatchAdvancer(self.engine, self.hierarchy)
         self.trace = trace
         self.cells = [
             Cell(i, config, self.engine, self.protocol, self.seeds, trace)

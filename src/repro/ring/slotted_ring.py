@@ -244,7 +244,7 @@ class SlottedRing:
     def _refill_jitter(self) -> None:
         """Refill the batched jitter buffer from this ring's RNG.
 
-        The single refill site, shared with the macro-event layer
+        The single refill site, shared with the retry batcher
         (:class:`repro.ring.batch.BatchAdvancer`): whichever path
         empties the buffer draws the next 256 values identically, so
         batched and per-event runs consume the same stream.

@@ -111,10 +111,10 @@ class EngineStats:
     sim_time: float
     #: Queued (possibly cancelled) events.
     pending: int
-    #: Subset of ``events_fired`` advanced in closed form by a macro-event
-    #: batcher (:mod:`repro.sim.batch`) instead of heap dispatch.  Always
-    #: 0 without batching; the total above includes these, so event
-    #: budgets and livelock guards see identical counts either way.
+    #: Subset of ``events_fired`` advanced in closed form by the retry
+    #: batcher (:mod:`repro.ring.batch`) instead of heap dispatch.  The
+    #: total above includes these, so event budgets and livelock guards
+    #: see identical counts either way.
     batched_events: int = 0
 
 
@@ -139,7 +139,7 @@ class Engine:
         self._wall_s = 0.0
         self._tie_rng: Any = None
         #: Absolute ``_n_fired`` ceiling while :meth:`run` runs under an
-        #: event budget (``None`` = unlimited).  A macro-event batcher
+        #: event budget (``None`` = unlimited).  The retry batcher
         #: reads it so closed-form advances respect the budget exactly as
         #: per-event dispatch would.
         self._fire_limit: Optional[int] = None
@@ -232,13 +232,13 @@ class Engine:
         return event
 
     # ------------------------------------------------------------------
-    # Macro-event batching seams (:mod:`repro.sim.batch`)
+    # Retry batching seams (:class:`repro.ring.batch.BatchAdvancer`)
     # ------------------------------------------------------------------
 
     def _consume_seq(self) -> int:
         """Take the next sequence number without queueing an event.
 
-        A macro-event batcher advancing a chain in closed form consumes
+        The retry batcher advancing a chain in closed form consumes
         one ``seq`` per virtual schedule, so ``events_scheduled`` and all
         later FIFO tie-break keys are bit-identical to per-event dispatch.
         Only valid while same-instant ties are FIFO (the batcher falls

@@ -238,14 +238,14 @@ class TestKSR114GrantHeapMutation:
         assert violations == []
 
     def test_batch_advancer_is_flagged(self):
-        """The macro-event advancer claims slots through
+        """The retry advancer claims slots through
         ``SlottedRing._claim``; a grant-heap write of its own is a copy."""
         violations = _lint(
             """
             from heapq import heapreplace
 
             class BatchAdvancer:
-                def _step(self, ring, item):
+                def _anchor_fired(self, ring, item):
                     heapreplace(ring._free, item)
             """,
             "ring/batch.py",

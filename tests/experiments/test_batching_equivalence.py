@@ -1,14 +1,15 @@
 """Default (batched) vs per-event equivalence on the paper's figure workloads.
 
-The macro-event core must be invisible in every result the experiments
+Retry batching must be invisible in every result the experiments
 produce: figure points, observability captures (compared as pickled
 bytes — the strongest equality the obs layer offers) and degraded-mode
 campaigns.  A Hypothesis sweep over random small workloads backs the
 hand-picked points.
 
-The per-event reference comes from clearing
-``machine.protocol.batch_advancer`` where a test builds the machine,
-and from the :func:`per_event` fixture where an experiment builds it.
+The per-event reference comes from making the retry batcher's one
+predicate, :meth:`BatchAdvancer.batchable`, refuse: on the machine's
+advancer where a test builds the machine, and for every advancer
+through the :func:`per_event` fixture where an experiment builds it.
 """
 
 import contextlib
@@ -43,7 +44,7 @@ def per_event(monkeypatch):
     @contextlib.contextmanager
     def forced():
         with monkeypatch.context() as patch:
-            patch.setattr(BatchAdvancer, "gsp_chain_allowed", lambda self: False)
+            patch.setattr(BatchAdvancer, "batchable", lambda self: False)
             yield
 
     return forced
@@ -155,7 +156,7 @@ def _run_history(
 ) -> tuple:
     machine = KsrMachine(MachineConfig.ksr1(n_cells=n_procs, seed=seed))
     if not batching:
-        machine.protocol.batch_advancer = None
+        machine.protocol.batch_advancer.batchable = lambda: False
     if plan is not None:
         FaultInjector(plan).attach(machine)
     history: list[float] = []

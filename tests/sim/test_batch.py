@@ -1,12 +1,13 @@
-"""Macro-event batching core: byte-identity, fallbacks, accounting.
+"""Retry batching: byte-identity, fallbacks, accounting.
 
-The contract of :mod:`repro.sim.batch` is that a batched run is
+The contract of :mod:`repro.ring.batch` is that a batched run is
 indistinguishable from a per-event run in everything except wall-clock:
 same fire times in the same order, same RNG consumption, same counters,
 same final state.  These tests drive full :class:`KsrMachine` lock
-workloads (the chain shape the batch layer coalesces) on the default
-machine and on its per-event reference (``batch_advancer`` cleared)
-and compare everything observable.
+workloads (the retry chains the batcher advances in closed form) on the
+default machine and on its per-event reference (the machine's
+``BatchAdvancer.batchable`` predicate made to refuse) and compare
+everything observable.
 """
 
 import numpy as np
@@ -30,7 +31,7 @@ def _lock_machine(batching: bool, *, n_procs: int = 6, seed: int = 11) -> KsrMac
     """The default machine, or without ``batching`` its per-event reference."""
     machine = KsrMachine(MachineConfig.ksr1(n_cells=n_procs, seed=seed))
     if not batching:
-        machine.protocol.batch_advancer = None
+        machine.protocol.batch_advancer.batchable = lambda: False
     return machine
 
 
@@ -154,6 +155,35 @@ class TestFallbacks:
         assert audited.engine.stats.batched_events == 0
         assert hist_audited == hist_base
         assert len(seen) == len(hist_base)
+
+    def test_audit_hook_installed_mid_run_falls_back_at_fire_time(self):
+        """Chains started batched fire one real event per retry once an
+        audit hook appears, and the whole run still matches the reference."""
+        runs = []
+        for batching in (False, True):
+            machine = _lock_machine(batching)
+            history: list[float] = []
+            machine.engine.probe = history.append
+            mem = SharedMemory(machine)
+            lock = HardwareExclusiveLock(mem)
+            for pid in range(6):
+                machine.spawn(f"w{pid}", _contended_body(lock, pid, 4), cell_id=pid)
+            machine.engine.run(until=4_000.0)
+            anchor_cb = machine.protocol.batch_advancer._anchor_cb
+            anchors = [e for e in machine.engine._queue if e[3] is anchor_cb]
+            assert bool(anchors) == batching  # batched chains are still pending
+            batched_at_hook = machine.engine.stats.batched_events
+            seen: list[float] = []
+            machine.engine.audit_hook = lambda event: seen.append(event.time)
+            machine.engine.run()
+            assert machine.engine.stats.batched_events == batched_at_hook
+            assert seen == history[len(history) - len(seen):]
+            assert all(p.finished for p in machine.processes)
+            runs.append((history, _state(machine), batched_at_hook))
+        (hist_off, state_off, batched_off), (hist_on, state_on, batched_on) = runs
+        assert hist_on == hist_off
+        assert state_on == state_off
+        assert batched_off == 0 < batched_on
 
     def test_tie_shuffle_forces_per_event_anchors(self):
         machine = _lock_machine(True)
